@@ -19,14 +19,8 @@ from dataclasses import dataclass, field
 
 from .coeff import Z4, ring_from_name
 from .complex import dump, scan
-from .diagram import (
-    NotAKnotError,
-    ParseError,
-    orient_and_sign,
-    parse_knot_line,
-    scan_order,
-)
-from .sinv import from_filtered, khovanov_table, s_invariant
+from .diagram import orient_and_sign, parse_knot_line, scan_order
+from .sinv import from_filtered, khovanov_table, s_from_based
 from .sq1 import refine
 
 
@@ -53,48 +47,60 @@ class ResultRow:
     error: str | None = None
 
 
+def _write_dump(dump_dir, filename, C):
+    with open(os.path.join(dump_dir, filename), "w") as f:
+        f.write(dump(C))
+
+
 def _compute_row(args):
     name, line, mode, rings, dump_dir = args
     t0 = time.perf_counter()
     row = ResultRow(name=name, mode=mode)
     try:
         pd = parse_knot_line(line)
-        od = orient_and_sign(pd)
-        order = scan_order(od)
-        if mode == "s":
-            for rname in rings:
-                row.s_values[rname] = s_invariant(pd, ring_from_name(rname)).s
-        elif mode == "sq1":
+        if mode == "sq1":
             s_f2, quad = refine(pd)
             row.s_values["f2"] = s_f2
             row.quadruple = quad.as_tuple()
+            if dump_dir:
+                C = scan(scan_order(orient_and_sign(pd)), Z4, "sq1")
+                _write_dump(dump_dir, f"{name}.txt", C)
+        elif mode == "s":
+            order = scan_order(orient_and_sign(pd))
+            for i, rname in enumerate(rings):
+                C = scan(order, ring_from_name(rname), "s")
+                row.s_values[rname] = s_from_based(from_filtered(C)).s
+                if dump_dir and i == 0:
+                    _write_dump(dump_dir, f"{name}.txt", C)
         elif mode == "kh":
+            order = scan_order(orient_and_sign(pd))
             for rname in rings:
-                ring = ring_from_name(rname)
-                C = scan(order, ring, "full")
+                C = scan(order, ring_from_name(rname), "full")
                 table = khovanov_table(from_filtered(C))
                 row.kh_tables[rname] = {
                     f"{h},{q}": v for (h, q), v in sorted(table.items())
                 }
                 if dump_dir:
-                    path = os.path.join(dump_dir, f"{name}.{rname}.txt")
-                    with open(path, "w") as f:
-                        f.write(dump(C))
+                    _write_dump(dump_dir, f"{name}.{rname}.txt", C)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if dump_dir and mode != "kh":
-            ring = Z4 if mode == "sq1" else ring_from_name(rings[0])
-            C = scan(order, ring, "sq1" if mode == "sq1" else "s")
-            with open(os.path.join(dump_dir, f"{name}.txt"), "w") as f:
-                f.write(dump(C))
-    except (ParseError, NotAKnotError, ValueError) as exc:
+    except Exception as exc:  # any failure belongs to this row alone
         row.error = f"{type(exc).__name__}: {exc}"
     row.time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     return row
 
 
 def run(job: Job):
-    """Compute one row per knot of the input file, in input order."""
+    """Compute one row per knot of the input file, in input order.
+
+    Modes s and kh read their numbers off a saturated complex, which
+    needs a field; mode sq1 always works over Z/4Z and F2.  With
+    ``fail_fast`` the first failing row raises RuntimeError at once.
+    """
+    if job.mode != "sq1":
+        for rname in job.rings:
+            if not ring_from_name(rname).is_field:
+                raise ValueError(f"mode {job.mode} needs a field, not ring {rname!r}")
     with open(job.input_path) as f:
         text = f.read()
     tasks = []
@@ -106,15 +112,18 @@ def run(job: Job):
         tasks.append((name, stripped, job.mode, job.rings, job.dump_dir))
     if job.dump_dir:
         os.makedirs(job.dump_dir, exist_ok=True)
+    pool = None
     if job.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-            rows = list(pool.map(_compute_row, tasks))
-    else:
-        rows = [_compute_row(t) for t in tasks]
-    if job.fail_fast:
-        for row in rows:
-            if row.error:
+        pool = ProcessPoolExecutor(max_workers=job.jobs)
+    rows = []
+    try:
+        for row in (pool.map if pool else map)(_compute_row, tasks):
+            if job.fail_fast and row.error:
                 raise RuntimeError(f"{row.name}: {row.error}")
+            rows.append(row)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return rows
 
 
@@ -217,12 +226,6 @@ def main(argv=None):
     rings = tuple(r.strip() for r in args.ring.split(",") if r.strip())
     if args.mode == "sq1":
         rings = ("z4", "f2")
-    try:
-        for rname in rings:
-            ring_from_name(rname)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     job = Job(
         input_path=args.input,
         mode=args.mode,
@@ -235,7 +238,7 @@ def main(argv=None):
     )
     try:
         rows = run(job)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

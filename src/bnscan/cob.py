@@ -24,7 +24,7 @@ from functools import lru_cache
 
 
 class MismatchError(ValueError):
-    """Composition of cobordisms whose boundary objects differ."""
+    """Cobordisms, or a gluing interface, whose boundary objects differ."""
 
 
 class NoCircleError(ValueError):
@@ -32,7 +32,7 @@ class NoCircleError(ValueError):
 
 
 class NotClosedError(ValueError):
-    """Evaluation requested on a cobordism with non-empty boundary."""
+    """An empty tangle was needed; one with boundary points or circles came."""
 
 
 class Tangle:
@@ -204,14 +204,8 @@ def _cycles(ends, src, tgt):
     return tuple(sorted(cycles))
 
 
-def _part_chi(ends, src, tgt):
-    """Euler characteristic of a canonical (genus 0) component."""
-    return 2 - len(_cycles(ends, src, tgt))
-
-
 # Stored cobordisms are always canonical, so each component is a disc
-# bounded by a single cycle; its Euler characteristic is 1.  The slow
-# recomputation stays available for verification.
+# bounded by a single cycle; its Euler characteristic is 1.
 _CANONICAL_CHI = 1
 
 
@@ -278,10 +272,6 @@ def _strip_comps(t):
     return tuple(
         sorted((((SRC, ARC, i), (TGT, ARC, i)), 0) for i in range(len(t.arcs())))
     )
-
-
-def zero_cob(src, tgt):
-    return Cob(src, tgt)
 
 
 def identity_cob(ring, t):

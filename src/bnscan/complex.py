@@ -1,4 +1,4 @@
-"""Filtered cochain complexes over the cobordism category; the scan driver.
+"""Sparse filtered complexes, Gaussian elimination and the scan driver.
 
 The scan builds the deformed complex one crossing at a time: tensor with
 the crossing's two-term complex, deloop every circle, then saturate with
@@ -6,15 +6,30 @@ quantum-degree-preserving Gaussian eliminations inside the mode's
 homological window and truncate outside its retention window.  Over a
 field the final complex has strictly quantum-raising coboundaries; over
 Z/4Z entries equal to 2 survive at equal quantum degree.
+
+One complex class serves the scan, whose entries are cobordisms, and the
+readoff, whose entries are ring scalars once the scan output has been
+evaluated; both cancel through ``gauss_eliminate``.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from typing import Callable, NamedTuple
 
 from . import cob
-from .cob import Cob, Tangle, compose, deloop_iso, glue_cobs, glue_tangles, identity_cob
+from .cob import (
+    Cob,
+    MismatchError,
+    NotClosedError,
+    Tangle,
+    compose,
+    deloop_iso,
+    glue_cobs,
+    glue_tangles,
+    identity_cob,
+)
 
 DEBUG = os.environ.get("BNSCAN_DEBUG", "") == "1"
 
@@ -47,30 +62,74 @@ def crossing_complex(ring):
     return (t0, t1), saddle
 
 
+class Entries(NamedTuple):
+    """The entry algebra of a complex.
+
+    ``compose(g, f)`` is g after f; ``coefficient(f)`` is the k with
+    f = k * id, or None; ``filtered(f, a, b)`` tells whether f fits the
+    object labels a -> b without lowering the quantum filtration.
+    """
+
+    is_zero: Callable
+    add: Callable
+    compose: Callable
+    scale: Callable
+    coefficient: Callable
+    filtered: Callable
+
+
+def cob_entries(ring):
+    """Cobordisms between tangles: the entries of the scan."""
+
+    def filtered(f, a, b):
+        return f.src == a and f.tgt == b and (
+            a.circles > 0 or b.circles > 0 or f.degree() >= 0
+        )
+
+    return Entries(
+        Cob.is_zero, lambda f, g: f.plus(ring, g),
+        lambda g, f: compose(ring, g, f), lambda f, k: f.scaled(ring, k),
+        Cob.identity_coefficient, filtered,
+    )
+
+
+def scalar_entries(ring):
+    """Ring scalars between generators labelled by quantum degree."""
+    return Entries(
+        ring.is_zero, ring.add, ring.mul, ring.mul, lambda k: k,
+        lambda k, qa, qb: not ring.is_zero(k) and qb >= qa,
+    )
+
+
 class FilteredComplex:
     """Sparse bigraded complex: objects per degree, entries per object.
 
-    Objects have stable integer ids; ``out[src]`` maps target ids to
-    cobordism entries one homological degree up, ``inc[tgt]`` indexes the
-    sources.  All mutation goes through the add/remove/update helpers so
-    the two indexes stay coherent.
+    Objects have stable integer ids and labels ``obj[id]``: a tangle
+    during the scan, a quantum degree once evaluated.  ``out[src]`` maps
+    target ids to entries one homological degree up, ``inc[tgt]`` indexes
+    the sources; the entry algebra (cobordisms unless given) says how
+    entries test for zero, add, compose and scale.  All mutation goes
+    through the add/remove/update helpers so the two indexes stay
+    coherent.
     """
 
-    def __init__(self, ring):
+    def __init__(self, ring, entries=cob_entries):
         self.ring = ring
-        self.obj: dict[int, Tangle] = {}
+        self.entries = entries(ring)
+        self.obj: dict[int, object] = {}
         self.h: dict[int, int] = {}
         self.by_h: dict[int, list[int]] = {}
-        self.out: dict[int, dict[int, Cob]] = {}
+        self.out: dict[int, dict[int, object]] = {}
         self.inc: dict[int, set[int]] = {}
         self._next = 0
 
     # -- bookkeeping -------------------------------------------------------
 
-    def add_object(self, h, tangle):
-        oid = self._next
-        self._next += 1
-        self.obj[oid] = tangle
+    def add_object(self, h, label, oid=None):
+        """Add an object in degree h under a fresh id, or under ``oid``."""
+        oid = self._next if oid is None else oid
+        self._next = max(self._next, oid + 1)
+        self.obj[oid] = label
         self.h[oid] = h
         self.by_h.setdefault(h, []).append(oid)
         self.out[oid] = {}
@@ -86,18 +145,18 @@ class FilteredComplex:
         del self.obj[oid], self.h[oid], self.out[oid], self.inc[oid]
 
     def set_entry(self, src, tgt, entry):
-        if entry.is_zero():
-            if tgt in self.out[src]:
-                del self.out[src][tgt]
-                self.inc[tgt].discard(src)
+        if self.entries.is_zero(entry):
+            self.out[src].pop(tgt, None)
+            self.inc[tgt].discard(src)
             return
         self.out[src][tgt] = entry
         self.inc[tgt].add(src)
 
     def add_to_entry(self, src, tgt, extra):
         cur = self.out[src].get(tgt)
-        total = extra if cur is None else cur.plus(self.ring, extra)
-        self.set_entry(src, tgt, total)
+        self.set_entry(
+            src, tgt, extra if cur is None else self.entries.add(cur, extra)
+        )
 
     def degrees(self):
         return sorted(h for h, ids in self.by_h.items() if ids)
@@ -108,28 +167,40 @@ class FilteredComplex:
     def n_objects(self):
         return len(self.obj)
 
+    def rebuild(self, into, label=None, entry=None, flip=False):
+        """Copy every object and entry into the empty ``into``, keeping ids.
+
+        ``label`` and ``entry`` map object labels and entries on the way;
+        ``flip`` turns the complex upside down (degrees negated, entries
+        transposed).
+        """
+        for h in self.degrees():
+            for oid in self.by_h[h]:
+                lab = self.obj[oid] if label is None else label(self.obj[oid])
+                into.add_object(-h if flip else h, lab, oid)
+        for a, outs in self.out.items():
+            for b, f in outs.items():
+                src, tgt = (b, a) if flip else (a, b)
+                into.set_entry(src, tgt, f if entry is None else entry(f))
+        return into
+
     # -- verification ------------------------------------------------------
 
     def check(self):
         """Debug invariants: d^2 = 0 and non-negative filtration jumps."""
-        ring = self.ring
+        e = self.entries
         for a, outs in self.out.items():
+            acc: dict = {}
             for b, f in outs.items():
                 assert self.h[b] == self.h[a] + 1, "entry skips a degree"
-                assert f.src == self.obj[a] and f.tgt == self.obj[b]
-                if self.obj[a].circles == 0 and self.obj[b].circles == 0:
-                    assert f.degree() >= 0, "entry lowers the filtration"
-        for a, outs in self.out.items():
-            acc: dict[int, Cob] = {}
-            for b, f in outs.items():
+                assert e.filtered(f, self.obj[a], self.obj[b]), (
+                    "entry does not fit its objects or lowers the filtration"
+                )
                 for c, g in self.out[b].items():
-                    comp = compose(ring, g, f)
-                    if c in acc:
-                        acc[c] = acc[c].plus(ring, comp)
-                    else:
-                        acc[c] = comp
+                    gf = e.compose(g, f)
+                    acc[c] = e.add(acc[c], gf) if c in acc else gf
             for c, total in acc.items():
-                assert total.is_zero(), f"d^2 != 0 through {a} -> {c}"
+                assert e.is_zero(total), f"d^2 != 0 through {a} -> {c}"
 
     def strictly_raising(self):
         return all(
@@ -150,10 +221,6 @@ def initial_complex(ring, n_plus, n_minus):
     C = FilteredComplex(ring)
     C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
     return C
-
-
-class MismatchError(ValueError):
-    """The gluing interface does not match the complex boundary."""
 
 
 def tensor_with_crossing(C, step):
@@ -260,14 +327,14 @@ def deloop(C):
 
 
 def cancellable_coefficient(C, a, b):
-    """The unit k when the entry a -> b is k * id at equal qshift."""
+    """The unit k when the entry a -> b is k times an identity.
+
+    Cobordism identities join equal tangles at equal qshift; every unit
+    scalar counts as one.
+    """
     entry = C.out[a].get(b)
-    if entry is None:
-        return None
-    k = entry.identity_coefficient()
-    if k is None or not C.ring.is_unit(k):
-        return None
-    return k
+    k = None if entry is None else C.entries.coefficient(entry)
+    return k if k is not None and C.ring.is_unit(k) else None
 
 
 def gauss_eliminate(C, a, b):
@@ -275,21 +342,20 @@ def gauss_eliminate(C, a, b):
 
     The remaining differential picks up the correction term composed
     through the cancelled pair; returns the updated (src, tgt) pairs.
+    The scan's reductions and the s readoff both eliminate here.
     """
-    ring = C.ring
     k = cancellable_coefficient(C, a, b)
     if k is None:
         raise NotCancellableError(f"entry {a}->{b} is not a unit identity")
-    inv = ring.invert(k)
-    minus_inv = ring.neg(inv)
+    minus_inv = C.ring.neg(C.ring.invert(k))
+    comp, scale = C.entries.compose, C.entries.scale
     srcs = [s for s in C.inc[b] if s != a]
     tgts = [(t, g) for t, g in C.out[a].items() if t != b]
     touched = []
     for s in srcs:
         delta = C.out[s][b]
         for t, gamma in tgts:
-            corr = compose(ring, gamma, delta).scaled(ring, minus_inv)
-            C.add_to_entry(s, t, corr)
+            C.add_to_entry(s, t, scale(comp(gamma, delta), minus_inv))
             touched.append((s, t))
     C.remove_object(a)
     C.remove_object(b)
@@ -304,8 +370,6 @@ def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
     revalidated lazily.  Afterwards no unit-identity equal-degree entry
     remains with source degree inside [elim_lo, elim_hi].
     """
-    ring = C.ring
-
     def fill_estimate(a, b):
         return (len(C.inc[b]) - 1) * (len(C.out[a]) - 1)
 
@@ -368,8 +432,8 @@ def scan(order, ring, mode="s"):
             reduce_pass(C, -2 - n + i, 1, -1 - n + i, 1)
         else:
             reduce_pass(C, -2 - n + i, 2, -2 - n + i, 2)
-    for oid, t in C.obj.items():
-        assert t.n_points == 0 and t.circles == 0, "scan left open objects"
+    if any(t.n_points or t.circles for t in C.obj.values()):
+        raise NotClosedError("scan left open objects")
     return C
 
 

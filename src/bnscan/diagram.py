@@ -63,7 +63,6 @@ class ScanStep:
 
     crossing: int
     sign: int
-    kind: str  # "P" for positive, "M" for negative
     boundary_before: tuple[int, ...]
     boundary_after: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]  # (boundary position, crossing leg)
@@ -343,7 +342,6 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
                 ScanStep(
                     ci,
                     od.signs[ci],
-                    "P" if od.signs[ci] > 0 else "M",
                     tuple(boundary),
                     bnd,
                     iface[0],

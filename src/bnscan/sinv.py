@@ -11,17 +11,16 @@ coboundary first); the two survivors sit in quantum degrees s +- 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
-from .cob import evaluate
+from .cob import NotClosedError, evaluate
 from .coeff import mod2_of_z4, F2
+from .complex import FilteredComplex, gauss_eliminate, scalar_entries, scan
+from .diagram import orient_and_sign, scan_order
 
 
 class InconsistentError(RuntimeError):
-    """The readoff did not end with exactly two degree-0 generators."""
-
-
-class NotClosedError(ValueError):
-    """from_filtered needs a complex of empty tangles."""
+    """A computed complex failed a check on the shape its result needs."""
 
 
 @dataclass(frozen=True)
@@ -31,143 +30,57 @@ class SResult:
     witness: tuple[int, int]  # the surviving quantum degrees (s+1, s-1)
 
 
-class BasedComplex:
-    """Free filtered complex with an explicit basis and numeric entries."""
+class BasedComplex(FilteredComplex):
+    """Free filtered complex with an explicit basis and ring-scalar entries.
+
+    The label of a generator is its quantum degree, also readable as ``q``.
+    """
 
     def __init__(self, ring):
-        self.ring = ring
-        self.h: dict[int, int] = {}
-        self.q: dict[int, int] = {}
-        self.by_h: dict[int, list[int]] = {}
-        self.out: dict[int, dict[int, object]] = {}
-        self.inc: dict[int, set[int]] = {}
-        self._next = 0
+        super().__init__(ring, scalar_entries)
 
-    def add_gen(self, h, q):
-        gid = self._next
-        self._next += 1
-        self.h[gid] = h
-        self.q[gid] = q
-        self.by_h.setdefault(h, []).append(gid)
-        self.out[gid] = {}
-        self.inc[gid] = set()
-        return gid
-
-    def remove_gen(self, gid):
-        for t in list(self.out[gid]):
-            self.inc[t].discard(gid)
-        for s in list(self.inc[gid]):
-            self.out[s].pop(gid, None)
-        self.by_h[self.h[gid]].remove(gid)
-        del self.h[gid], self.q[gid], self.out[gid], self.inc[gid]
-
-    def set_entry(self, src, tgt, coeff):
-        if self.ring.is_zero(coeff):
-            if tgt in self.out[src]:
-                del self.out[src][tgt]
-                self.inc[tgt].discard(src)
-            return
-        self.out[src][tgt] = coeff
-        self.inc[tgt].add(src)
-
-    def add_to_entry(self, src, tgt, coeff):
-        cur = self.out[src].get(tgt, self.ring.zero)
-        self.set_entry(src, tgt, self.ring.add(cur, coeff))
-
-    def gens_at(self, h):
-        return list(self.by_h.get(h, []))
-
-    def degrees(self):
-        return sorted(h for h, ids in self.by_h.items() if ids)
-
-    def check(self):
-        ring = self.ring
-        for a in self.out:
-            for b, v in self.out[a].items():
-                assert self.h[b] == self.h[a] + 1
-                assert self.q[b] >= self.q[a], "entry lowers quantum degree"
-                assert not ring.is_zero(v)
-        for a in self.out:
-            acc: dict[int, object] = {}
-            for b, v in self.out[a].items():
-                for c, w in self.out[b].items():
-                    acc[c] = ring.add(acc.get(c, ring.zero), ring.mul(w, v))
-            assert all(ring.is_zero(v) for v in acc.values()), "d^2 != 0"
-
-    def cancel(self, a, b):
-        """Gaussian elimination of the pair a (degree h), b (degree h+1)."""
-        ring = self.ring
-        k = self.out[a].get(b)
-        if k is None or not ring.is_unit(k):
-            raise InconsistentError("cancellation needs a unit entry")
-        minus_inv = ring.neg(ring.invert(k))
-        srcs = [s for s in self.inc[b] if s != a]
-        tgts = [(t, g) for t, g in self.out[a].items() if t != b]
-        for s in srcs:
-            delta = self.out[s][b]
-            for t, gamma in tgts:
-                self.add_to_entry(
-                    s, t, ring.mul(ring.mul(delta, minus_inv), gamma)
-                )
-        self.remove_gen(a)
-        self.remove_gen(b)
+    @property
+    def q(self):
+        return self.obj
 
     def copy(self):
-        D = BasedComplex(self.ring)
-        D.h = dict(self.h)
-        D.q = dict(self.q)
-        D.by_h = {h: list(ids) for h, ids in self.by_h.items()}
-        D.out = {a: dict(row) for a, row in self.out.items()}
-        D.inc = {a: set(ss) for a, ss in self.inc.items()}
-        D._next = self._next
-        return D
+        return self.rebuild(BasedComplex(self.ring))
 
     def flipped(self):
         """The upside-down complex: negate gradings, transpose entries."""
-        D = BasedComplex(self.ring)
-        ids = {}
-        for h in sorted(self.degrees(), reverse=True):
-            for gid in self.by_h[h]:
-                ids[gid] = D.add_gen(-h, -self.q[gid])
-        for a, row in self.out.items():
-            for b, v in row.items():
-                D.set_entry(ids[b], ids[a], v)
-        return D
+        return self.rebuild(BasedComplex(self.ring), label=neg, flip=True)
+
+
+def _closed_qshift(t):
+    if t.n_points or t.circles:
+        raise NotClosedError("objects must be empty tangles")
+    return t.qshift
 
 
 def from_filtered(C) -> BasedComplex:
     """Evaluate a complex of empty tangles into a based complex."""
-    D = BasedComplex(C.ring)
-    ids = {}
-    for h in C.degrees():
-        for oid in C.objects_at(h):
-            t = C.obj[oid]
-            if t.n_points or t.circles:
-                raise NotClosedError("objects must be empty tangles")
-            ids[oid] = D.add_gen(h, t.qshift)
-    for a, outs in C.out.items():
-        for b, f in outs.items():
-            coeff, _jump = evaluate(C.ring, f)
-            D.set_entry(ids[a], ids[b], coeff)
-    return D
+    ring = C.ring
+    return C.rebuild(
+        BasedComplex(ring), _closed_qshift, lambda f: evaluate(ring, f)[0]
+    )
 
 
 def cancel_above(D: BasedComplex) -> BasedComplex:
     """Steps 7-8: kill the coboundary out of homological degree 0."""
     while True:
-        cands = [g for g in D.gens_at(0) if D.out[g]]
+        cands = [g for g in D.objects_at(0) if D.out[g]]
         if not cands:
             return D
         g = max(cands, key=lambda x: (D.q[x], -x))
         partner = min(D.out[g], key=lambda t: (D.q[t], t))
-        D.cancel(g, partner)
+        gauss_eliminate(D, g, partner)
 
 
 def cancel_below(D: BasedComplex) -> BasedComplex:
     """Steps 9-10: kill the coboundary into homological degree 0."""
     while True:
         hit = sorted(
-            {t for s in D.gens_at(-1) for t in D.out[s]},
+            {t for s in D.objects_at(-1) for t in D.out[s]},
             key=lambda t: (D.q[t], t),
         )
         if not hit:
@@ -182,17 +95,17 @@ def cancel_below(D: BasedComplex) -> BasedComplex:
             raise InconsistentError(
                 "no unit partner below; is the ground ring a field?"
             )
-        D.cancel(partner, g)
-    if len(D.gens_at(0)) != 2:
+        gauss_eliminate(D, partner, g)
+    if len(D.objects_at(0)) != 2:
         raise InconsistentError(
-            f"expected 2 surviving generators, found {len(D.gens_at(0))}"
+            f"expected 2 surviving generators, found {len(D.objects_at(0))}"
         )
     return D
 
 
 def read_s(D: BasedComplex) -> SResult:
     """The s-invariant from the two surviving degree-0 generators."""
-    survivors = D.gens_at(0)
+    survivors = D.objects_at(0)
     if len(survivors) != 2:
         raise InconsistentError("readoff needs exactly two survivors")
     q1, q2 = sorted((D.q[survivors[0]], D.q[survivors[1]]), reverse=True)
@@ -222,9 +135,6 @@ def s_invariant(pd, ring) -> SResult:
     Diagrams with at most one crossing are unknots and short-circuit to
     s = 0 before any scanning.
     """
-    from .complex import scan
-    from .diagram import orient_and_sign, scan_order
-
     if pd.n <= 1:
         return SResult(0, ring.name, (1, -1))
     order = scan_order(orient_and_sign(pd))
@@ -232,13 +142,5 @@ def s_invariant(pd, ring) -> SResult:
 
 
 def mod2_reduction(D: BasedComplex) -> BasedComplex:
-    """Reduce a Z/4Z based complex to F2, keeping the grading."""
-    E = BasedComplex(F2)
-    ids = {}
-    for h in D.degrees():
-        for gid in D.by_h[h]:
-            ids[gid] = E.add_gen(h, D.q[gid])
-    for a, row in D.out.items():
-        for b, v in row.items():
-            E.set_entry(ids[a], ids[b], mod2_of_z4(v))
-    return E
+    """Reduce a Z/4Z based complex to F2, keeping the grading and ids."""
+    return D.rebuild(BasedComplex(F2), entry=mod2_of_z4)

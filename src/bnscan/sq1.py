@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from .coeff import F2, Z4
 from .complex import scan
 from .diagram import mirror_pd, orient_and_sign, scan_order
-from .sinv import BasedComplex, from_filtered, mod2_reduction, s_from_based
+from .sinv import (
+    BasedComplex,
+    InconsistentError,
+    from_filtered,
+    mod2_reduction,
+    s_from_based,
+)
 
 
 class NotSaturatedError(RuntimeError):
@@ -42,11 +48,7 @@ class Z4NormalForm:
     def __init__(self, based: BasedComplex):
         self.based = based
         self.elementary: dict[int, list[tuple[int, int]]] = {}
-        self.slide_log: list[tuple[str, int, int, int]] = []
-
-    @property
-    def slides(self):
-        return len(self.slide_log)
+        self.slides = 0
 
     def elementary_at(self, q):
         return list(self.elementary.get(q, []))
@@ -55,7 +57,8 @@ class Z4NormalForm:
 def _slide_source(D: BasedComplex, s_prime, s0, u):
     """Replace s' by s' + u*s0 (same degree, q(s0) >= q(s'))."""
     ring = D.ring
-    assert D.h[s_prime] == D.h[s0] and D.q[s0] >= D.q[s_prime]
+    if D.h[s_prime] != D.h[s0] or D.q[s0] < D.q[s_prime]:
+        raise ValueError("source slide must stay in degree and filtration")
     for t, v in list(D.out[s0].items()):
         D.add_to_entry(s_prime, t, ring.mul(u, v))
     for z in list(D.inc[s_prime]):
@@ -65,7 +68,8 @@ def _slide_source(D: BasedComplex, s_prime, s0, u):
 def _slide_target(D: BasedComplex, t0, t_prime, u):
     """Replace t0 by t0 + u*t' (same degree, q(t') >= q(t0))."""
     ring = D.ring
-    assert D.h[t0] == D.h[t_prime] and D.q[t_prime] >= D.q[t0]
+    if D.h[t0] != D.h[t_prime] or D.q[t_prime] < D.q[t0]:
+        raise ValueError("target slide must stay in degree and filtration")
     for w, v in list(D.out[t_prime].items()):
         D.add_to_entry(t0, w, ring.mul(u, v))
     for z in list(D.inc[t0]):
@@ -94,14 +98,15 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
     for q in levels:
         pairs = []
         for h in sorted(D.degrees()):
-            srcs = [g for g in D.gens_at(h) if D.q[g] == q]
+            srcs = [g for g in D.objects_at(h) if D.q[g] == q]
             for s0 in srcs:
                 t0 = next(
                     (t for t in sorted(D.out[s0]) if D.q[t] == q), None
                 )
                 if t0 is None:
                     continue
-                assert D.out[s0][t0] == 2, "equal-q entry must be 2"
+                if D.out[s0][t0] != 2:
+                    raise NotSaturatedError("equal-q entry must be 2")
                 # clear the pivot row first: afterwards column slides add
                 # nothing but the cancelling pivot entry, so finished rows
                 # never get repolluted
@@ -109,29 +114,26 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
                     if t_prime == t0 or D.q.get(t_prime) != q:
                         continue
                     _slide_target(D, t0, t_prime, 1)
-                    nf.slide_log.append(("t", t0, t_prime, 1))
+                    nf.slides += 1
                 for s_prime in sorted(D.inc[t0]):
                     if s_prime == s0 or D.q.get(s_prime) != q:
                         continue
                     _slide_source(D, s_prime, s0, 1)
-                    nf.slide_log.append(("s", s_prime, s0, 1))
-                assert all(
-                    D.q[t] != q for t in D.out[s0] if t != t0
-                ), "row not cleared"
-                assert all(
-                    D.q[s] != q for s in D.inc[t0] if s != s0
-                ), "column not cleared"
+                    nf.slides += 1
+                if any(D.q[t] == q for t in D.out[s0] if t != t0) or any(
+                    D.q[s] == q for s in D.inc[t0] if s != s0
+                ):
+                    raise InconsistentError("pivot row or column not cleared")
                 pairs.append((s0, t0))
         if pairs:
             nf.elementary[q] = pairs
     # integral tensor origin: no elementary chain is longer than 1
     sources = {s for ps in nf.elementary.values() for s, _t in ps}
     targets = {t for ps in nf.elementary.values() for _s, t in ps}
-    assert not (sources & targets), "elementary chain of length > 1"
-    if __debug__:
-        for a, row in D.out.items():
-            for b in row:
-                assert D.q[b] >= D.q[a], "slide broke the filtration"
+    if sources & targets:
+        raise InconsistentError("elementary chain of length > 1")
+    if any(D.q[b] < D.q[a] for a, row in D.out.items() for b in row):
+        raise InconsistentError("slide broke the filtration")
     return nf
 
 
@@ -188,7 +190,7 @@ def intersect_with_p(E: BasedComplex, q, classes) -> list[frozenset]:
     classes = [int(c) for c in classes]
     if not classes:
         return []
-    correctors = [g for g in E.gens_at(0) if E.q[g] > q]
+    correctors = [g for g in E.objects_at(0) if E.q[g] > q]
     unknowns = classes + correctors
     k = len(classes)
     n = len(unknowns)
@@ -249,7 +251,7 @@ def survives_quotient(E: BasedComplex, q_cut, cls) -> bool:
     if not support:
         return False
     vectors = []
-    for z in E.gens_at(-1):
+    for z in E.objects_at(-1):
         if E.q[z] >= q_cut:
             continue
         row = {t for t, v in E.out[z].items() if v % 2 and E.q[t] < q_cut}
@@ -267,16 +269,9 @@ def half_refinement_from_based(D: BasedComplex):
     s_f2 = s_from_based(mod2_reduction(D)).s
     nf = normal_form(D)
     E = mod2_reduction(nf.based)
-    # mod-2 generator ids follow the insertion order of the reduction
-    gid_map = {}
-    e_ids = iter(sorted(E.h))
-    for h in D.degrees():
-        for gid in D.by_h[h]:
-            gid_map[gid] = next(e_ids)
 
     def gained(level_q, q_cut):
-        image = [gid_map[g] for g in sq1_image(nf, level_q)]
-        subspace = intersect_with_p(E, level_q, image)
+        subspace = intersect_with_p(E, level_q, sq1_image(nf, level_q))
         return any(survives_quotient(E, q_cut, cls) for cls in subspace)
 
     r_plus = s_f2 + 2 if gained(s_f2 + 1, s_f2 + 3) else s_f2

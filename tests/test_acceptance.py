@@ -14,7 +14,7 @@ import pytest
 
 import bnscan.complex as cx
 from bnscan.coeff import F2, F3, Q, Z4, ring_from_name
-from bnscan.complex import scan
+from bnscan.complex import gauss_eliminate, scan
 from bnscan.diagram import (
     mirror_pd,
     orient_and_sign,
@@ -53,7 +53,7 @@ def load_figure2(ring):
     D = BasedComplex(ring)
     ids = {}
     for g, h, q in fix["generators"]:
-        ids[g] = D.add_gen(h, q)
+        ids[g] = D.add_object(h, q)
     for a, b, c in fix["edges"]:
         D.set_entry(ids[a], ids[b], ring.from_int(c))
     return D, ids
@@ -310,8 +310,8 @@ def test_criterion_7_structural_invariants():
     for _ in range(30):
         n0, n1 = rng.randint(2, 6), rng.randint(2, 6)
         D = BasedComplex(F3)
-        lows = [D.add_gen(0, 0) for _ in range(n0)]
-        highs = [D.add_gen(1, 0) for _ in range(n1)]
+        lows = [D.add_object(0, 0) for _ in range(n0)]
+        highs = [D.add_object(1, 0) for _ in range(n1)]
         rows = []
         for a in lows:
             row = {}
@@ -325,15 +325,15 @@ def test_criterion_7_structural_invariants():
         while True:
             cands = [
                 (a, b)
-                for a in D.gens_at(0)
+                for a in D.objects_at(0)
                 for b in D.out[a]
                 if D.ring.is_unit(D.out[a][b])
             ]
             if not cands:
                 break
-            D.cancel(*rng.choice(cands))
-        assert len(D.gens_at(0)) == n0 - rank
-        assert len(D.gens_at(1)) == n1 - rank
+            gauss_eliminate(D, *rng.choice(cands))
+        assert len(D.objects_at(0)) == n0 - rank
+        assert len(D.objects_at(1)) == n1 - rank
     print(
         f"\nCRITERION 7 (structural invariants): PASS "
         f"in {time.perf_counter()-t0:.1f}s"

@@ -5,8 +5,14 @@ import os
 
 import pytest
 
+import bnscan.cli as cli
 from bnscan.cli import Job, main, report, rows_to_csv, rows_to_json, run
+from bnscan.coeff import F2
+from bnscan.complex import dump, scan
+from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from knotgen import PD_FIGURE8, PD_TREFOIL
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture
@@ -143,3 +149,80 @@ def test_rerun_bit_identical(knot_file):
     a = [{k: v for k, v in e.items() if k != "time_ms"} for e in json.loads(one)]
     b = [{k: v for k, v in e.items() if k != "time_ms"} for e in json.loads(two)]
     assert a == b
+
+
+def test_mode_s_scans_once_per_ring_and_dumps_the_first(tmp_path, monkeypatch):
+    calls = {"scan": 0, "scan_order": 0}
+    for fname in calls:
+        def counted(*args, _real=getattr(cli, fname), _name=fname):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, fname, counted)
+    path = tmp_path / "one.txt"
+    path.write_text(f"trefoil ; {PD_TREFOIL}\n")
+    dump_dir = tmp_path / "dumps"
+    (row,) = run(Job(str(path), mode="s", rings=("f2", "q"), dump_dir=str(dump_dir)))
+    assert row.s_values == {"f2": 2, "q": 2}
+    assert calls == {"scan": 2, "scan_order": 1}
+    so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, F2, "s"))
+
+
+def test_any_row_exception_is_captured_per_row(knot_file, monkeypatch):
+    real = cli.parse_knot_line
+    calls = []
+
+    def failing_first(line):
+        calls.append(line)
+        if len(calls) == 1:
+            raise AssertionError("boom")
+        return real(line)
+
+    monkeypatch.setattr(cli, "parse_knot_line", failing_first)
+    rows = run(Job(knot_file, mode="s", rings=("f2",)))
+    assert [r.error for r in rows] == ["AssertionError: boom", None, None]
+    assert rows[1].s_values == {"f2": 0}
+
+
+def test_any_row_exception_is_captured_per_row_in_a_pool(tmp_path, knot_file):
+    # a directory in the way of one dump file fails that row alone
+    dump_dir = tmp_path / "dumps"
+    (dump_dir / "fig8.txt").mkdir(parents=True)
+    rows = run(Job(knot_file, mode="s", rings=("f2",), jobs=2,
+                   dump_dir=str(dump_dir)))
+    assert [r.name for r in rows] == ["trefoil", "fig8", "unknot"]
+    assert rows[1].error.startswith("IsADirectoryError: ")
+    assert rows[0].error is None and rows[0].s_values == {"f2": 2}
+    assert rows[2].error is None and rows[2].s_values == {"f2": 0}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fail_fast_stops_at_the_first_failing_row(tmp_path, jobs):
+    with open(os.path.join(DATA, "k16.txt")) as f:
+        (k16,) = [ln.split(";", 1)[1] for ln in f if ln.startswith("k16")]
+    n = 8
+    path = tmp_path / "knots.txt"
+    path.write_text(
+        "broken ; PD[X[1,1,1,2]]\n"
+        + "".join(f"k16_{i} ; {k16.strip()}\n" for i in range(n))
+    )
+    dump_dir = tmp_path / "dumps"
+    with pytest.raises(RuntimeError, match="^broken: ParseError"):
+        run(Job(str(path), mode="s", rings=("f2",), jobs=jobs,
+                fail_fast=True, dump_dir=str(dump_dir)))
+    # rows after the failing one are not computed, or only those a
+    # worker had already taken
+    done = len(os.listdir(dump_dir))
+    assert done == 0 if jobs == 1 else done < n
+
+
+def test_non_field_rings_are_rejected_up_front(knot_file, capsys):
+    for mode, rings in (("s", ("z", "q")), ("s", ("f2", "z4")), ("kh", ("z",))):
+        with pytest.raises(ValueError, match="needs a field, not ring 'z"):
+            run(Job(knot_file, mode=mode, rings=rings))
+    code = main(["compute", "--input", knot_file, "--mode", "s", "--ring", "z,q"])
+    assert code == 1
+    assert "'z'" in capsys.readouterr().err
+    code = main(["compute", "--input", knot_file, "--mode", "kh", "--ring", "z"])
+    assert code == 1

@@ -205,7 +205,7 @@ def test_scan_unknots_normalize():
         so = scan_order(orient_and_sign(parse_pd(txt)))
         C = scan(so, Q, mode="s")
         D = from_filtered(C)
-        assert sorted(D.q[g] for g in D.gens_at(0)) == [-1, 1]
+        assert sorted(D.q[g] for g in D.objects_at(0)) == [-1, 1]
         assert s_from_based(D).s == 0
 
 
@@ -255,7 +255,7 @@ def test_full_scan_two_generators_over_fields():
     so = scan_order(orient_and_sign(pd))
     for ring in (F2, F3, Q):
         D = from_filtered(scan(so, ring, "s"))
-        total_h0 = len(D.gens_at(0))
+        total_h0 = len(D.objects_at(0))
         assert total_h0 >= 2
 
 

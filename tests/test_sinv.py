@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bnscan.coeff import F2, F3, Q, Z4
-from bnscan.complex import scan
+from bnscan.complex import gauss_eliminate, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import (
     BasedComplex,
@@ -30,7 +30,7 @@ def load_figure2(ring):
     D = BasedComplex(ring)
     ids = {}
     for g, h, q in fix["generators"]:
-        ids[g] = D.add_gen(h, q)
+        ids[g] = D.add_object(h, q)
     for a, b, c in fix["edges"]:
         D.set_entry(ids[a], ids[b], ring.from_int(c))
     return D, ids
@@ -40,7 +40,7 @@ def test_figure2_shape():
     D, ids = load_figure2(Z4)
     assert len(ids) == 20
     assert sorted(D.degrees()) == [-1, 0, 1]
-    assert len(D.gens_at(0)) == 8 and len(D.gens_at(-1)) == 8
+    assert len(D.objects_at(0)) == 8 and len(D.objects_at(-1)) == 8
     D.check()
 
 
@@ -52,7 +52,7 @@ def test_figure2_f2_readoff_follows_the_worked_example():
     cancel_above(E)
     assert ids[3] not in E.h and ids[10] not in E.h
     assert ids[1] not in E.h and ids[9] not in E.h
-    survivors_mid = sorted(E.gens_at(0))
+    survivors_mid = sorted(E.objects_at(0))
     assert len(survivors_mid) == 6
     cancel_below(E)
     res = read_s(E)
@@ -68,7 +68,7 @@ def test_figure2_unknown_signs_do_not_change_f2_answer():
         D = BasedComplex(Z4)
         ids = {}
         for g, h, q in fix["generators"]:
-            ids[g] = D.add_gen(h, q)
+            ids[g] = D.add_object(h, q)
         for a, b, c in fix["edges"]:
             sign = rng.choice((1, -1))
             D.set_entry(ids[a], ids[b], Z4.from_int(c * sign))
@@ -84,27 +84,27 @@ def test_figure2_generator_count_matches_object_count():
 def test_unknot_based_complex():
     so = scan_order(orient_and_sign(parse_pd("PD[]")))
     D = from_filtered(scan(so, Q, "s"))
-    assert sorted(D.q[g] for g in D.gens_at(0)) == [-1, 1]
-    assert all(not D.out[g] for g in D.gens_at(0))
+    assert sorted(D.q[g] for g in D.objects_at(0)) == [-1, 1]
+    assert all(not D.out[g] for g in D.objects_at(0))
     assert read_s(cancel_below(cancel_above(D))).s == 0
 
 
 def test_read_s_requires_two_survivors():
     D = BasedComplex(Q)
-    D.add_gen(0, 1)
+    D.add_object(0, 1)
     with pytest.raises(InconsistentError):
         read_s(D)
-    D.add_gen(0, -1)
+    D.add_object(0, -1)
     assert read_s(D).s == 0
-    D.add_gen(0, 3)
+    D.add_object(0, 3)
     with pytest.raises(InconsistentError):
         read_s(D)
 
 
 def test_read_s_rejects_wide_witness():
     D = BasedComplex(Q)
-    D.add_gen(0, 3)
-    D.add_gen(0, -1)
+    D.add_object(0, 3)
+    D.add_object(0, -1)
     with pytest.raises(InconsistentError):
         read_s(D)
 
@@ -139,7 +139,7 @@ def test_cancellation_partner_robustness():
 
         def rand_cancel_above(D):
             while True:
-                cands = [g for g in D.gens_at(0) if D.out[g]]
+                cands = [g for g in D.objects_at(0) if D.out[g]]
                 if not cands:
                     return
                 qmax = max(D.q[g] for g in cands)
@@ -147,11 +147,11 @@ def test_cancellation_partner_robustness():
                 partner = rng.choice(
                     [t for t in D.out[g] if D.ring.is_unit(D.out[g][t])]
                 )
-                D.cancel(g, partner)
+                gauss_eliminate(D, g, partner)
 
         def rand_cancel_below(D):
             while True:
-                hit = {t for s in D.gens_at(-1) for t in D.out[s]}
+                hit = {t for s in D.objects_at(-1) for t in D.out[s]}
                 if not hit:
                     return
                 qmin = min(D.q[t] for t in hit)
@@ -159,7 +159,7 @@ def test_cancellation_partner_robustness():
                 partner = rng.choice(
                     [s for s in D.inc[g] if D.ring.is_unit(D.out[s][g])]
                 )
-                D.cancel(partner, g)
+                gauss_eliminate(D, partner, g)
 
         rand_cancel_above(D)
         rand_cancel_below(D)
@@ -178,8 +178,8 @@ def test_randomized_elimination_preserves_homology_ranks():
     for trial in range(25):
         n0, n1 = rng.randint(2, 5), rng.randint(2, 5)
         D = BasedComplex(F3)
-        lows = [D.add_gen(0, rng.randrange(-2, 3)) for _ in range(n0)]
-        highs = [D.add_gen(1, rng.randrange(-2, 3)) for _ in range(n1)]
+        lows = [D.add_object(0, rng.randrange(-2, 3)) for _ in range(n0)]
+        highs = [D.add_object(1, rng.randrange(-2, 3)) for _ in range(n1)]
         rows = []
         for i, a in enumerate(lows):
             row = {}
@@ -201,16 +201,16 @@ def test_randomized_elimination_preserves_homology_ranks():
         while True:
             cands = [
                 (a, b)
-                for a in D.gens_at(0)
+                for a in D.objects_at(0)
                 for b in D.out[a]
                 if D.ring.is_unit(D.out[a][b])
             ]
             if not cands:
                 break
-            D.cancel(*rng.choice(cands))
-        assert all(not D.out[a] for a in D.gens_at(0))
-        assert len(D.gens_at(0)) == h0_expect
-        assert len(D.gens_at(1)) == h1_expect
+            gauss_eliminate(D, *rng.choice(cands))
+        assert all(not D.out[a] for a in D.objects_at(0))
+        assert len(D.objects_at(0)) == h0_expect
+        assert len(D.objects_at(1)) == h1_expect
 
 
 def test_flipped_complex():

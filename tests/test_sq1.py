@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +30,7 @@ def load_figure2():
     D = BasedComplex(Z4)
     ids = {}
     for g, h, q in fix["generators"]:
-        ids[g] = D.add_gen(h, q)
+        ids[g] = D.add_object(h, q)
     for a, b, c in fix["edges"]:
         D.set_entry(ids[a], ids[b], Z4.from_int(c))
     return D, ids
@@ -37,10 +39,10 @@ def load_figure2():
 def test_normal_form_simple_triangular_block():
     # quotient matrix [[2,2],[0,2]] slides to diag(2,2)
     D = BasedComplex(Z4)
-    a1 = D.add_gen(0, 0)
-    a2 = D.add_gen(0, 0)
-    b1 = D.add_gen(1, 0)
-    b2 = D.add_gen(1, 0)
+    a1 = D.add_object(0, 0)
+    a2 = D.add_object(0, 0)
+    b1 = D.add_object(1, 0)
+    b2 = D.add_object(1, 0)
     D.set_entry(a1, b1, 2)
     D.set_entry(a1, b2, 2)
     D.set_entry(a2, b2, 2)
@@ -54,8 +56,8 @@ def test_normal_form_simple_triangular_block():
 
 def test_normal_form_already_diagonal_is_identity():
     D = BasedComplex(Z4)
-    a = D.add_gen(0, 0)
-    b = D.add_gen(1, 0)
+    a = D.add_object(0, 0)
+    b = D.add_object(1, 0)
     D.set_entry(a, b, 2)
     nf = normal_form(D)
     assert nf.slides == 0
@@ -64,8 +66,8 @@ def test_normal_form_already_diagonal_is_identity():
 
 def test_normal_form_rejects_unit_entries():
     D = BasedComplex(Z4)
-    a = D.add_gen(0, 0)
-    b = D.add_gen(1, 0)
+    a = D.add_object(0, 0)
+    b = D.add_object(1, 0)
     D.set_entry(a, b, 3)
     with pytest.raises(NotSaturatedError):
         normal_form(D)
@@ -75,8 +77,8 @@ def test_normal_form_randomized_recovers_summands():
     rng = random.Random(17)
     for _trial in range(20):
         D = BasedComplex(Z4)
-        srcs = [D.add_gen(0, 0) for _ in range(4)]
-        tgts = [D.add_gen(1, 0) for _ in range(4)]
+        srcs = [D.add_object(0, 0) for _ in range(4)]
+        tgts = [D.add_object(1, 0) for _ in range(4)]
         k = rng.randint(0, 4)
         for i in range(k):
             D.set_entry(srcs[i], tgts[i], 2)
@@ -124,8 +126,8 @@ def test_figure2_intersections_and_survival():
     D, ids = load_figure2()
     nf = normal_form(D)
     E = mod2_reduction(nf.based)
-    # generator ids carry over in insertion order
-    gid_map = dict(zip((g for h in D.degrees() for g in D.by_h[h]), sorted(E.h)))
+    # generator ids carry over unchanged
+    gid_map = {g: g for g in E.h}
     inv = {v: k for k, v in ids.items()}
 
     image = [gid_map[g] for g in sq1_image(nf, -1)]
@@ -202,3 +204,32 @@ def test_mod2_reduction_matches_f2_scan_window():
         full = khovanov_table(from_filtered(scan(so, F2, "full")))
         window = {k: v for k, v in full.items() if -2 <= k[0] <= 2}
         assert counts_z4 == window
+
+
+def test_normal_form_checks_survive_optimized_mode():
+    # a -> b -> c with both entries 2 at one quantum level is an
+    # elementary chain of length 2, which normal_form must refuse even
+    # when assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.coeff import Z4\n"
+        "from bnscan.sinv import BasedComplex, InconsistentError\n"
+        "from bnscan.sq1 import normal_form\n"
+        "D = BasedComplex(Z4)\n"
+        "a, b, c = (D.add_object(h, 0) for h in (0, 1, 2))\n"
+        "D.set_entry(a, b, 2)\n"
+        "D.set_entry(b, c, 2)\n"
+        "try:\n"
+        "    normal_form(D)\n"
+        "except InconsistentError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
