@@ -47,6 +47,12 @@ class ResultRow:
     error: str | None = None
 
 
+def _check_dump_name(name):
+    """Refuse a knot name that would put its dump file outside the directory."""
+    if any(sep and sep in name for sep in (os.sep, os.altsep, "\0")):
+        raise ValueError(f"knot name {name!r} cannot name a dump file")
+
+
 def _write_dump(dump_dir, filename, C):
     with open(os.path.join(dump_dir, filename), "w") as f:
         f.write(dump(C))
@@ -57,6 +63,8 @@ def _compute_row(args):
     t0 = time.perf_counter()
     row = ResultRow(name=name, mode=mode)
     try:
+        if dump_dir:
+            _check_dump_name(name)
         pd = parse_knot_line(line)
         if mode == "sq1":
             s_f2, quad = refine(pd)

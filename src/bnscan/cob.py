@@ -16,11 +16,25 @@ a morphism are determined by its endpoints, the canonical summands are
 exactly the dot patterns on cycles times powers of H; equality of
 morphisms is equality of these patterns.  H is never destructively set
 to 1, so the same engine serves both the plain and the deformed complex.
+
+The reduction of a glued pair of summands depends only on the summands
+and the shapes (matching and circle count, not the quantum shift) of the
+tangles involved, so it is made once, with coefficient 1 over the
+integers, and kept in a table; a ring applies it through ``from_int``.
+``compose`` keeps one table for the process, keyed by the shapes of its
+source, middle and target and then by the summand pair.  ``glue_cobs``
+takes its tables from the caller, because the result also depends on
+the gluing interface: the scan keeps them for one tensor step.  The
+identity and the delooping maps are kept per tangle shape, and the
+canonical component tuples are interned, so that the tables and the
+live cobordisms share one object per pattern.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .coeff import Z
 
 
 class MismatchError(ValueError):
@@ -112,10 +126,6 @@ class Tangle:
 
     def __repr__(self):
         return f"Tangle(match={self.match}, circles={self.circles}, q={self.qshift})"
-
-
-def empty_tangle(qshift=0, circles=0):
-    return Tangle((), circles, qshift)
 
 
 # Surface ends are (side, kind, index): side 0 = source, 1 = target;
@@ -260,7 +270,7 @@ class Cob:
         if self.src != self.tgt or len(self.terms) != 1:
             return None
         (comps, hpow), k = next(iter(self.terms.items()))
-        if hpow != 0 or comps != _strip_comps(self.src):
+        if hpow != 0 or comps != _strip_comps(self.src.match):
             return None
         return k
 
@@ -268,22 +278,36 @@ class Cob:
         return f"Cob({len(self.terms)} terms, {self.src} -> {self.tgt})"
 
 
-def _strip_comps(t):
-    return tuple(
-        sorted((((SRC, ARC, i), (TGT, ARC, i)), 0) for i in range(len(t.arcs())))
-    )
+@lru_cache(maxsize=None)
+def _strip_comps(match):
+    return _intern(tuple(
+        sorted((((SRC, ARC, i), (TGT, ARC, i)), 0) for i in range(len(match) // 2))
+    ))
 
 
-def identity_cob(ring, t):
-    """The identity; circles are stored in exploded canonical form."""
+def _cylinder_groups(t, circles):
+    """Vertical strips on the arcs of t and annuli on its first circles."""
     groups = [
         ({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(t.arcs()))
     ]
     groups += [
-        ({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(t.circles)
+        ({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(circles)
     ]
+    return groups
+
+
+@lru_cache(maxsize=None)
+def _identity_summands(match, circles):
+    t = Tangle(match, circles)
     terms: dict = {}
-    _finalize_groups(ring, groups, ring.one, 0, t, t, terms)
+    _finalize_groups(Z, _cylinder_groups(t, circles), 1, 0, t, t, terms)
+    return _as_summands(terms)
+
+
+def identity_cob(ring, t):
+    """The identity; circles are stored in exploded canonical form."""
+    terms: dict = {}
+    _add_summands(ring, terms, _identity_summands(t.match, t.circles), ring.one, 0)
     return Cob(t, t, terms)
 
 
@@ -306,6 +330,15 @@ class _UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
+
+
+# One object per canonical component tuple, shared by the tables and the
+# terms of live cobordisms.
+_CANONICAL: dict = {}
+
+
+def _intern(comps):
+    return _CANONICAL.setdefault(comps, comps)
 
 
 def _finalize_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
@@ -346,7 +379,7 @@ def _finalize_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
         if not partial:
             return
     for comps, h, c in partial:
-        key = (tuple(sorted(comps)), h)
+        key = (_intern(tuple(sorted(comps))), h)
         v = ring.add(out_terms.get(key, ring.zero), c)
         if ring.is_zero(v):
             out_terms.pop(key, None)
@@ -354,75 +387,144 @@ def _finalize_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
             out_terms[key] = v
 
 
-def reduce_surface(ring, src, tgt, comps, coeff, hpow=0):
-    """Reduce one dotted surface into canonical summands.
+# ---------------------------------------------------------------------------
+# Shape-keyed tables.  A table maps a pair of summand patterns (the comps
+# of one summand of each factor) to the canonical summands (comps, dh, v)
+# of their reduction with coefficient 1 and hpow 0, v a nonzero integer.
+# Applying it to ring coefficients goes through ``ring.from_int``, a ring
+# homomorphism, so the integer tables serve every ring.
 
-    ``comps`` lists components as (ends, dots, chi) with arbitrary dot
-    counts and Euler characteristics (so handles and multi-cycle
-    components are allowed); the result maps canonical summand keys to
-    coefficients, applying the sphere, dot and neck-cutting relations.
+
+def _as_summands(terms):
+    return tuple((comps, dh, v) for (comps, dh), v in terms.items())
+
+
+def _tabled_product(ring, f, g, tables, shape, reduce_pair):
+    """Sum the tabled reductions of all summand pairs of f and g.
+
+    ``tables[shape]`` is the table of this product's shapes.
+    ``reduce_pair(fcomps, gcomps, out)`` reduces one pair over Z with
+    coefficient 1 and hpow 0; it runs only on a table miss.
     """
-    groups = [(set(ends), dots, chi) for ends, dots, chi in comps]
+    table = tables.get(shape)
+    if table is None:
+        table = tables[shape] = {}
     out: dict = {}
-    _finalize_groups(ring, groups, coeff, hpow, src, tgt, out)
+    for (fcomps, fh), fc in f.terms.items():
+        for (gcomps, gh), gc in g.terms.items():
+            coeff = ring.mul(fc, gc)
+            if ring.is_zero(coeff):
+                continue
+            summands = table.get((fcomps, gcomps))
+            if summands is None:
+                terms: dict = {}
+                reduce_pair(fcomps, gcomps, terms)
+                summands = table[(fcomps, gcomps)] = _as_summands(terms)
+            _add_summands(ring, out, summands, coeff, fh + gh)
     return out
+
+
+def _add_summands(ring, out, summands, coeff, hpow):
+    """Add coeff * H^hpow times the integer summands into the terms out."""
+    for comps, dh, v in summands:
+        c = coeff if v == 1 else ring.mul(coeff, ring.from_int(v))
+        key = (comps, hpow + dh)
+        old = out.get(key)
+        if old is not None:
+            c = ring.add(old, c)
+        if ring.is_zero(c):
+            out.pop(key, None)
+        else:
+            out[key] = c
+
+
+def _compose_pair(ring, fcomps, gcomps, coeff, hpow, src, mid, tgt, out):
+    """Glue a summand of src -> mid to one of mid -> tgt and reduce into out."""
+    f_owner = {}
+    for i, (ends, _dot) in enumerate(fcomps):
+        for side, kind, idx in ends:
+            if side == TGT:
+                f_owner[(kind, idx)] = i
+    g_owner = {}
+    for j, (ends, _dot) in enumerate(gcomps):
+        for side, kind, idx in ends:
+            if side == SRC:
+                g_owner[(kind, idx)] = j
+    uf = _UnionFind()
+    for i in range(len(fcomps)):
+        uf.find(("f", i))
+    for j in range(len(gcomps)):
+        uf.find(("g", j))
+    arc_interfaces = []
+    for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles)):
+        for idx in range(count):
+            fi = ("f", f_owner[(kind, idx)])
+            gj = ("g", g_owner[(kind, idx)])
+            uf.union(fi, gj)
+            if kind == ARC:
+                arc_interfaces.append(fi)
+    ends_of: dict = {}
+    dots_of: dict = {}
+    chi_of: dict = {}
+    for i, (ends, dot) in enumerate(fcomps):
+        r = uf.find(("f", i))
+        bucket = ends_of.setdefault(r, set())
+        bucket.update(e for e in ends if e[0] == SRC)
+        dots_of[r] = dots_of.get(r, 0) + dot
+        chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
+    for j, (ends, dot) in enumerate(gcomps):
+        r = uf.find(("g", j))
+        bucket = ends_of.setdefault(r, set())
+        bucket.update(e for e in ends if e[0] == TGT)
+        dots_of[r] = dots_of.get(r, 0) + dot
+        chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
+    for node in arc_interfaces:
+        chi_of[uf.find(node)] -= 1
+    groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
+    _finalize_groups(ring, groups, coeff, hpow, src, tgt, out)
+
+
+# (src, mid, tgt shapes) -> {(fcomps, gcomps): summands}, for the process.
+_COMPOSE_TABLES: dict = {}
 
 
 def compose(ring, g, f):
     """g after f; summands are glued along the middle object and reduced."""
     if f.tgt != g.src:
         raise MismatchError(f"cannot compose through {f.tgt} vs {g.src}")
-    mid = f.tgt
-    n_mid_arcs = len(mid.arcs())
-    out: dict = {}
-    for (fcomps, fh), fc in f.terms.items():
-        f_owner = {}
-        for i, (ends, _dot) in enumerate(fcomps):
-            for side, kind, idx in ends:
-                if side == TGT:
-                    f_owner[(kind, idx)] = i
-        for (gcomps, gh), gc in g.terms.items():
-            coeff = ring.mul(fc, gc)
-            if ring.is_zero(coeff):
-                continue
-            g_owner = {}
-            for j, (ends, _dot) in enumerate(gcomps):
-                for side, kind, idx in ends:
-                    if side == SRC:
-                        g_owner[(kind, idx)] = j
-            uf = _UnionFind()
-            for i in range(len(fcomps)):
-                uf.find(("f", i))
-            for j in range(len(gcomps)):
-                uf.find(("g", j))
-            arc_interfaces = []
-            for kind, count in ((ARC, n_mid_arcs), (CIRCLE, mid.circles)):
-                for idx in range(count):
-                    fi = ("f", f_owner[(kind, idx)])
-                    gj = ("g", g_owner[(kind, idx)])
-                    uf.union(fi, gj)
-                    if kind == ARC:
-                        arc_interfaces.append(fi)
-            ends_of: dict = {}
-            dots_of: dict = {}
-            chi_of: dict = {}
-            for i, (ends, dot) in enumerate(fcomps):
-                r = uf.find(("f", i))
-                bucket = ends_of.setdefault(r, set())
-                bucket.update(e for e in ends if e[0] == SRC)
-                dots_of[r] = dots_of.get(r, 0) + dot
-                chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
-            for j, (ends, dot) in enumerate(gcomps):
-                r = uf.find(("g", j))
-                bucket = ends_of.setdefault(r, set())
-                bucket.update(e for e in ends if e[0] == TGT)
-                dots_of[r] = dots_of.get(r, 0) + dot
-                chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
-            for node in arc_interfaces:
-                chi_of[uf.find(node)] -= 1
-            groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
-            _finalize_groups(ring, groups, coeff, fh + gh, f.src, g.tgt, out)
-    return Cob(f.src, g.tgt, out)
+    src, mid, tgt = f.src, f.tgt, g.tgt
+    shape = (src.match, src.circles, mid.match, mid.circles, tgt.match, tgt.circles)
+
+    def reduce_pair(fcomps, gcomps, out):
+        _compose_pair(Z, fcomps, gcomps, 1, 0, src, mid, tgt, out)
+
+    terms = _tabled_product(ring, f, g, _COMPOSE_TABLES, shape, reduce_pair)
+    return Cob(src, tgt, terms)
+
+
+@lru_cache(maxsize=None)
+def _deloop_summands(match, circles):
+    """Summands of (p_plus, p_minus, i_plus, i_minus) for one shape."""
+    t = Tangle(match, circles)
+    base = t.drop_last_circle()
+    k = base.circles
+    groups = _cylinder_groups(t, k)
+
+    def build(disc_end, variants):
+        src, dst = (t, base) if disc_end[0] == SRC else (base, t)
+        terms: dict = {}
+        for dot, hpow, coeff in variants:
+            _finalize_groups(
+                Z, groups + [({disc_end}, dot, 1)], coeff, hpow, src, dst, terms
+            )
+        return _as_summands(terms)
+
+    return (
+        build((SRC, CIRCLE, k), [(1, 0, 1), (0, 1, -1)]),
+        build((SRC, CIRCLE, k), [(0, 0, 1)]),
+        build((TGT, CIRCLE, k), [(0, 0, 1)]),
+        build((TGT, CIRCLE, k), [(1, 0, 1)]),
+    )
 
 
 def deloop_iso(ring, t):
@@ -432,39 +534,16 @@ def deloop_iso(ring, t):
     p_plus = dotted death - H death, p_minus = death, i_plus = birth and
     i_minus = dotted birth; both round trips reduce to identities.
     """
-    k = t.circles - 1
-    if k < 0:
-        raise NoCircleError("cannot deloop a circle-free tangle")
     base = t.drop_last_circle()
     t_plus = base.shifted(+1)
     t_minus = base.shifted(-1)
-
-    def build(tgt, disc_end, variants):
-        groups = [
-            ({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1)
-            for i in range(len(t.arcs()))
-        ]
-        groups += [({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(k)]
-        src, dst = (t, tgt) if disc_end[0] == SRC else (tgt, t)
+    maps = []
+    objects = ((t, t_plus), (t, t_minus), (t_plus, t), (t_minus, t))
+    for (src, dst), summands in zip(objects, _deloop_summands(t.match, t.circles)):
         terms: dict = {}
-        for dot, hpow, coeff in variants:
-            _finalize_groups(
-                ring,
-                groups + [({disc_end}, dot, 1)],
-                coeff,
-                hpow,
-                src,
-                dst,
-                terms,
-            )
-        return Cob(src, dst, terms)
-
-    one, mone = ring.one, ring.neg(ring.one)
-    p_plus = build(t_plus, (SRC, CIRCLE, k), [(1, 0, one), (0, 1, mone)])
-    p_minus = build(t_minus, (SRC, CIRCLE, k), [(0, 0, one)])
-    i_plus = build(t_plus, (TGT, CIRCLE, k), [(0, 0, one)])
-    i_minus = build(t_minus, (TGT, CIRCLE, k), [(1, 0, one)])
-    return (t_plus, t_minus), (p_plus, p_minus, i_plus, i_minus)
+        _add_summands(ring, terms, summands, ring.one, 0)
+        maps.append(Cob(src, dst, terms))
+    return (t_plus, t_minus), tuple(maps)
 
 
 def evaluate(ring, c):
@@ -591,7 +670,62 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
     return glued, end_map
 
 
-def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
+def _glue_pair(ring, fcomps, pcomps, coeff, hpow, f, phi, pairs, src_info,
+               tgt_info, self_pairs, out):
+    """Glue a summand of f beside one of phi and reduce into out."""
+    new_src, src_map = src_info
+    new_tgt, tgt_map = tgt_info
+    f_owner = {}
+    for i, (ends, _d) in enumerate(fcomps):
+        for side, kind, idx in ends:
+            if side == SRC and kind == ARC:
+                p, q = f.src.arcs()[idx]
+                f_owner[p] = i
+                f_owner[q] = i
+    p_owner = {}
+    for j, (ends, _d) in enumerate(pcomps):
+        for side, kind, idx in ends:
+            if side == SRC and kind == ARC:
+                a, b = phi.src.arcs()[idx]
+                p_owner[a] = j
+                p_owner[b] = j
+    uf = _UnionFind()
+    for i in range(len(fcomps)):
+        uf.find(("f", i))
+    for j in range(len(pcomps)):
+        uf.find(("p", j))
+    for bpos, xpos in pairs:
+        uf.union(("f", f_owner[bpos]), ("p", p_owner[xpos]))
+    for x1, x2 in self_pairs:
+        uf.union(("p", p_owner[x1]), ("p", p_owner[x2]))
+
+    ends_of: dict = {}
+    dots_of: dict = {}
+    chi_of: dict = {}
+
+    def add_part(root, tag, ends, dot):
+        bucket = ends_of.setdefault(root, set())
+        for side, kind, idx in ends:
+            emap = src_map if side == SRC else tgt_map
+            nk, ni = emap[(tag, kind, idx)]
+            bucket.add((side, nk, ni))
+        dots_of[root] = dots_of.get(root, 0) + dot
+        chi_of[root] = chi_of.get(root, 0) + _CANONICAL_CHI
+
+    for i, (ends, dot) in enumerate(fcomps):
+        add_part(uf.find(("f", i)), "b", ends, dot)
+    for j, (ends, dot) in enumerate(pcomps):
+        add_part(uf.find(("p", j)), "x", ends, dot)
+    for bpos, _xpos in pairs:
+        chi_of[uf.find(("f", f_owner[bpos]))] -= 1
+    for x1, _x2 in self_pairs:
+        chi_of[uf.find(("p", p_owner[x1]))] -= 1
+    groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
+    _finalize_groups(ring, groups, coeff, hpow, new_src, new_tgt, out)
+
+
+def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
+              tables):
     """Glue cobordisms side by side along the interface ``pairs``.
 
     ``f`` runs between tangles on the old boundary, ``phi`` between
@@ -599,60 +733,17 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
     :func:`glue_tangles` results (glued tangle, end map) for the source
     and target object pairs.  Each glued pair and each self-glued leg
     pair contributes one vertical interface to the Euler bookkeeping.
+
+    ``tables`` is the caller's dict of the reductions already made with
+    the same interface, keyed by the shapes of f and phi, then by the
+    summand pair; misses are added to it.
     """
-    new_src, src_map = src_info
-    new_tgt, tgt_map = tgt_info
-    out: dict = {}
-    for (fcomps, fh), fc in f.terms.items():
-        f_owner = {}
-        for i, (ends, _d) in enumerate(fcomps):
-            for side, kind, idx in ends:
-                if side == SRC and kind == ARC:
-                    p, q = f.src.arcs()[idx]
-                    f_owner[p] = i
-                    f_owner[q] = i
-        for (pcomps, ph), pc in phi.terms.items():
-            coeff = ring.mul(fc, pc)
-            if ring.is_zero(coeff):
-                continue
-            p_owner = {}
-            for j, (ends, _d) in enumerate(pcomps):
-                for side, kind, idx in ends:
-                    if side == SRC and kind == ARC:
-                        a, b = phi.src.arcs()[idx]
-                        p_owner[a] = j
-                        p_owner[b] = j
-            uf = _UnionFind()
-            for i in range(len(fcomps)):
-                uf.find(("f", i))
-            for j in range(len(pcomps)):
-                uf.find(("p", j))
-            for bpos, xpos in pairs:
-                uf.union(("f", f_owner[bpos]), ("p", p_owner[xpos]))
-            for x1, x2 in self_pairs:
-                uf.union(("p", p_owner[x1]), ("p", p_owner[x2]))
+    shape = (f.src.match, f.src.circles, f.tgt.match, f.tgt.circles,
+             phi.src.match, phi.src.circles, phi.tgt.match, phi.tgt.circles)
 
-            ends_of: dict = {}
-            dots_of: dict = {}
-            chi_of: dict = {}
+    def reduce_pair(fcomps, pcomps, out):
+        _glue_pair(Z, fcomps, pcomps, 1, 0, f, phi, pairs, src_info, tgt_info,
+                   self_pairs, out)
 
-            def add_part(root, tag, ends, dot):
-                bucket = ends_of.setdefault(root, set())
-                for side, kind, idx in ends:
-                    emap = src_map if side == SRC else tgt_map
-                    nk, ni = emap[(tag, kind, idx)]
-                    bucket.add((side, nk, ni))
-                dots_of[root] = dots_of.get(root, 0) + dot
-                chi_of[root] = chi_of.get(root, 0) + _CANONICAL_CHI
-
-            for i, (ends, dot) in enumerate(fcomps):
-                add_part(uf.find(("f", i)), "b", ends, dot)
-            for j, (ends, dot) in enumerate(pcomps):
-                add_part(uf.find(("p", j)), "x", ends, dot)
-            for bpos, _xpos in pairs:
-                chi_of[uf.find(("f", f_owner[bpos]))] -= 1
-            for x1, _x2 in self_pairs:
-                chi_of[uf.find(("p", p_owner[x1]))] -= 1
-            groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
-            _finalize_groups(ring, groups, coeff, fh + ph, new_src, new_tgt, out)
-    return Cob(new_src, new_tgt, out)
+    terms = _tabled_product(ring, f, phi, tables, shape, reduce_pair)
+    return Cob(src_info[0], tgt_info[0], terms)

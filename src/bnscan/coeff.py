@@ -19,11 +19,16 @@ class Ring:
     """A commutative ring with unit detection driving Gaussian elimination.
 
     Subclasses keep elements in canonical form; all arithmetic returns
-    canonical values.  Instances are stateless and safe to share.
+    canonical values.  Instances hold only their constants ``zero`` and
+    ``one`` and are safe to share.
     """
 
     name = "?"
     is_field = False
+
+    def __init__(self):
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def canon(self, a):
         raise NotImplementedError
@@ -49,14 +54,6 @@ class Ring:
     def invert(self, a):
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
     def is_zero(self, a):
         return a == self.zero
 
@@ -80,6 +77,7 @@ class PrimeField(Ring):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"f{p}"
+        super().__init__()
 
     def canon(self, a):
         return a % self.p

@@ -46,6 +46,10 @@ class NotCancellableError(ValueError):
     """Gaussian elimination requested along a non-invertible entry."""
 
 
+class InconsistentError(RuntimeError):
+    """A computed complex failed a check on the shape its result needs."""
+
+
 def crossing_complex(ring):
     """The two-term complex of one crossing: pieces and the saddle.
 
@@ -187,20 +191,27 @@ class FilteredComplex:
     # -- verification ------------------------------------------------------
 
     def check(self):
-        """Debug invariants: d^2 = 0 and non-negative filtration jumps."""
+        """Debug invariants: d^2 = 0 and non-negative filtration jumps.
+
+        Raises InconsistentError, so the check also runs under ``python -O``.
+        """
         e = self.entries
         for a, outs in self.out.items():
             acc: dict = {}
             for b, f in outs.items():
-                assert self.h[b] == self.h[a] + 1, "entry skips a degree"
-                assert e.filtered(f, self.obj[a], self.obj[b]), (
-                    "entry does not fit its objects or lowers the filtration"
-                )
+                if self.h[b] != self.h[a] + 1:
+                    raise InconsistentError(f"entry {a} -> {b} skips a degree")
+                if not e.filtered(f, self.obj[a], self.obj[b]):
+                    raise InconsistentError(
+                        f"entry {a} -> {b} does not fit its objects"
+                        " or lowers the filtration"
+                    )
                 for c, g in self.out[b].items():
                     gf = e.compose(g, f)
                     acc[c] = e.add(acc[c], gf) if c in acc else gf
             for c, total in acc.items():
-                assert e.is_zero(total), f"d^2 != 0 through {a} -> {c}"
+                if not e.is_zero(total):
+                    raise InconsistentError(f"d^2 != 0 through {a} -> {c}")
 
     def strictly_raising(self):
         return all(
@@ -245,6 +256,7 @@ def tensor_with_crossing(C, step):
 
     D = FilteredComplex(ring)
     glue_cache: dict = {}
+    glue_tables: dict = {}  # reductions under this step's interface
 
     def glued_info(oid, k):
         key = (oid, k)
@@ -275,7 +287,7 @@ def tensor_with_crossing(C, step):
                 entry = glue_cobs(
                     ring, f, piece_id[k], pairs,
                     glued_info(src, k), glued_info(tgt, k),
-                    self_pairs=self_pairs,
+                    self_pairs=self_pairs, tables=glue_tables,
                 )
                 D.add_to_entry(new_id[(src, k)], new_id[(tgt, k)], entry)
     for oid in C.obj:
@@ -284,7 +296,7 @@ def tensor_with_crossing(C, step):
         entry = glue_cobs(
             ring, ident, saddle, pairs,
             glued_info(oid, 0), glued_info(oid, 1),
-            self_pairs=self_pairs,
+            self_pairs=self_pairs, tables=glue_tables,
         ).scaled(ring, sign)
         D.add_to_entry(new_id[(oid, 0)], new_id[(oid, 1)], entry)
     if DEBUG:

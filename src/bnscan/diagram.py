@@ -483,16 +483,3 @@ def parse_knot_line(line: str):
         return parse_dt(compact, name.strip())
     raise ParseError(f"unknown code format in {line!r}")
 
-
-def parse_knot_file(text: str):
-    """Parse a knot table; returns a list of (line number, PDCode | error)."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            out.append((lineno, parse_knot_line(line)))
-        except (ParseError, NotAKnotError) as exc:
-            out.append((lineno, exc))
-    return out

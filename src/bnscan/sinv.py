@@ -15,12 +15,14 @@ from operator import neg
 
 from .cob import NotClosedError, evaluate
 from .coeff import mod2_of_z4, F2
-from .complex import FilteredComplex, gauss_eliminate, scalar_entries, scan
+from .complex import (
+    FilteredComplex,
+    InconsistentError,
+    gauss_eliminate,
+    scalar_entries,
+    scan,
+)
 from .diagram import orient_and_sign, scan_order
-
-
-class InconsistentError(RuntimeError):
-    """A computed complex failed a check on the shape its result needs."""
 
 
 @dataclass(frozen=True)
@@ -126,17 +128,14 @@ def khovanov_table(D: BasedComplex):
 
 
 def s_from_based(D: BasedComplex) -> SResult:
+    """The s-invariant of an evaluated scan; the ground ring must be a field."""
+    if not D.ring.is_field:
+        raise ValueError(f"the s readoff needs a field, not ring {D.ring.name!r}")
     return read_s(cancel_below(cancel_above(D)))
 
 
 def s_invariant(pd, ring) -> SResult:
-    """Scan a knot diagram and read off its s-invariant over a field.
-
-    Diagrams with at most one crossing are unknots and short-circuit to
-    s = 0 before any scanning.
-    """
-    if pd.n <= 1:
-        return SResult(0, ring.name, (1, -1))
+    """Scan a knot diagram and read off its s-invariant over a field."""
     order = scan_order(orient_and_sign(pd))
     return s_from_based(from_filtered(scan(order, ring, "s")))
 

@@ -3,14 +3,22 @@
 Everything here builds PD codes from scratch: braid closures (with Markov
 moves for same-knot diagram pairs), torus knots T(2,k), 2-bridge knots
 from continued fractions, pretzel knots, and DT codes read back off a PD.
-The package under test only ever sees the resulting PD text.
+The package under test only ever sees the resulting PD text.  Knot table
+files are read with ``parse_knot_file``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from bnscan.diagram import NotAKnotError, PDCode, parse_pd, trace_passages
+from bnscan.diagram import (
+    NotAKnotError,
+    ParseError,
+    PDCode,
+    parse_knot_line,
+    parse_pd,
+    trace_passages,
+)
 
 
 class _Labels:
@@ -278,3 +286,17 @@ def dt_from_pd(pd: PDCode):
 
 PD_TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 PD_FIGURE8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
+
+
+def parse_knot_file(text: str):
+    """Parse a knot table; returns a list of (line number, PDCode | error)."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            out.append((lineno, parse_knot_line(line)))
+        except (ParseError, NotAKnotError) as exc:
+            out.append((lineno, exc))
+    return out

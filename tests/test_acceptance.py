@@ -18,7 +18,6 @@ from bnscan.complex import gauss_eliminate, scan
 from bnscan.diagram import (
     mirror_pd,
     orient_and_sign,
-    parse_knot_file,
     parse_pd,
     scan_order,
 )
@@ -30,7 +29,7 @@ from bnscan.sinv import (
     s_from_based,
 )
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based, refine
-from knotgen import torus_pd
+from knotgen import parse_knot_file, torus_pd
 from oracle_dense import bn_s_invariant, khovanov_ranks
 from oracle_signature import signature
 

@@ -226,3 +226,19 @@ def test_non_field_rings_are_rejected_up_front(knot_file, capsys):
     assert "'z'" in capsys.readouterr().err
     code = main(["compute", "--input", knot_file, "--mode", "kh", "--ring", "z"])
     assert code == 1
+
+
+@pytest.mark.parametrize("name", ["a/b", "../x"])
+def test_dump_refuses_a_name_with_a_path_separator(tmp_path, name):
+    path = tmp_path / "in" / "knots.txt"
+    path.parent.mkdir()
+    path.write_text(f"{name} ; {PD_TREFOIL}\nfig8 ; {PD_FIGURE8}\n")
+    dump_dir = tmp_path / "in" / "dumps"
+    rows = run(Job(str(path), mode="s", rings=("f2",), dump_dir=str(dump_dir)))
+    assert rows[0].name == name and not rows[0].s_values
+    assert rows[0].error == (
+        f"ValueError: knot name {name!r} cannot name a dump file"
+    )
+    assert rows[1].error is None and rows[1].s_values == {"f2": 0}
+    assert os.listdir(dump_dir) == ["fig8.txt"]
+    assert sorted(os.listdir(tmp_path / "in")) == ["dumps", "knots.txt"]

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnscan.coeff import F2, F3, Q, Z
+from bnscan import cob
+from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.cob import (
     ARC,
     CIRCLE,
@@ -14,17 +16,35 @@ from bnscan.cob import (
     NoCircleError,
     NotClosedError,
     Tangle,
+    _compose_pair,
     _finalize_groups,
     compose,
     deloop_iso,
-    empty_tangle,
     evaluate,
     identity_cob,
 )
 from oracle_frobenius import run_moves
 
 
-# --- helpers: elementary cobordisms on circle-only tangles ----------------
+def empty_tangle(qshift=0, circles=0):
+    return Tangle((), circles, qshift)
+
+
+def reduce_surface(ring, src, tgt, comps, coeff, hpow=0):
+    """Reduce one dotted surface into canonical summands.
+
+    ``comps`` lists components as (ends, dots, chi) with arbitrary dot
+    counts and Euler characteristics (so handles and multi-cycle
+    components are allowed); the result maps canonical summand keys to
+    coefficients, applying the sphere, dot and neck-cutting relations.
+    """
+    groups = [(set(ends), dots, chi) for ends, dots, chi in comps]
+    out: dict = {}
+    _finalize_groups(ring, groups, coeff, hpow, src, tgt, out)
+    return out
+
+
+# --- helpers: elementary cobordisms on the circles of a tangle ------------
 
 
 def _annuli(csrc, ctgt, skip_src=(), index_shift=None):
@@ -37,22 +57,34 @@ def _annuli(csrc, ctgt, skip_src=(), index_shift=None):
     return groups
 
 
-def elem_cob(ring, move, src_circles, dotted=False):
-    """Package cobordism for one elementary move on circle-only tangles.
+SADDLE_FLIP = {(3, 2, 1, 0): (1, 0, 3, 2), (1, 0, 3, 2): (3, 2, 1, 0)}
 
+
+def elem_cob(ring, move, src_circles, dotted=False, match=()):
+    """Package cobordism for one elementary move on the circles of a tangle.
+
+    The arcs of ``match`` (none by default) run along as strips, except
+    under the move ("saddle",), which turns the matching (3, 2, 1, 0) into
+    (1, 0, 3, 2) or back by one saddle and leaves the circles alone.
     Returns (cob, tgt_circle_count, index_map) with index_map sending a
     source circle index to its target index (or None if it vanished).
     """
     c = src_circles
     op = move[0]
-    src = empty_tangle(0, c)
-    if op == "birth":
-        tgt = empty_tangle(0, c + 1)
+    src = Tangle(match, c)
+    arcs = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(match) // 2)]
+    if op == "saddle":
+        tgt = Tangle(SADDLE_FLIP[match], c)
+        arcs = [({(side, ARC, i) for side in (SRC, TGT) for i in (0, 1)}, 0, 1)]
+        groups = _annuli(c, c)
+        idx = {j: j for j in range(c)}
+    elif op == "birth":
+        tgt = Tangle(match, c + 1)
         groups = _annuli(c, c + 1) + [({(TGT, CIRCLE, c)}, 1 if dotted else 0, 1)]
         idx = {j: j for j in range(c)}
     elif op == "death":
         i = move[1]
-        tgt = empty_tangle(0, c - 1)
+        tgt = Tangle(match, c - 1)
         shift = lambda j: j if j < i else j - 1
         groups = _annuli(c, c - 1, skip_src=(i,), index_shift=shift)
         groups.append(({(SRC, CIRCLE, i)}, 1 if dotted else 0, 1))
@@ -60,14 +92,14 @@ def elem_cob(ring, move, src_circles, dotted=False):
         idx[i] = None
     elif op == "dot":
         i = move[1]
-        tgt = empty_tangle(0, c)
+        tgt = Tangle(match, c)
         groups = []
         for j in range(c):
             groups.append(({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 1 if j == i else 0, 0))
         idx = {j: j for j in range(c)}
     elif op == "merge":
         a, b = sorted(move[1:3])
-        tgt = empty_tangle(0, c - 1)
+        tgt = Tangle(match, c - 1)
         shift = lambda j: j if j < b else j - 1
         groups = _annuli(c, c - 1, skip_src=(a, b), index_shift=shift)
         groups.append(
@@ -78,7 +110,7 @@ def elem_cob(ring, move, src_circles, dotted=False):
         idx[b] = None
     elif op == "split":
         a = move[1]
-        tgt = empty_tangle(0, c + 1)
+        tgt = Tangle(match, c + 1)
         groups = _annuli(c, c + 1, skip_src=(a,))
         groups.append(
             ({(SRC, CIRCLE, a), (TGT, CIRCLE, a), (TGT, CIRCLE, c)}, 0, -1)
@@ -87,7 +119,7 @@ def elem_cob(ring, move, src_circles, dotted=False):
     else:
         raise ValueError(op)
     terms: dict = {}
-    _finalize_groups(ring, groups, ring.one, 0, src, tgt, terms)
+    _finalize_groups(ring, arcs + groups, ring.one, 0, src, tgt, terms)
     return Cob(src, tgt, terms), tgt.circles, idx
 
 
@@ -284,6 +316,66 @@ def test_degree_additivity_on_random_composables():
         assert cur.src.circles == c
 
 
+def uncached_compose(ring, g, f):
+    """g after f reduced pair by pair over the ring, without the tables."""
+    out: dict = {}
+    for (fcomps, fh), fc in f.terms.items():
+        for (gcomps, gh), gc in g.terms.items():
+            coeff = ring.mul(fc, gc)
+            if not ring.is_zero(coeff):
+                _compose_pair(
+                    ring, fcomps, gcomps, coeff, fh + gh, f.src, f.tgt, g.tgt, out
+                )
+    return out
+
+
+def ring_image(ring, terms):
+    """Integer terms mapped into the ring, zeros dropped."""
+    out = {k: ring.from_int(v) for k, v in terms.items()}
+    return {k: v for k, v in out.items() if not ring.is_zero(v)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    circles=st.integers(0, 2),
+    ops=st.lists(
+        st.sampled_from(("saddle", "dot", "birth", "death", "split", "merge")),
+        min_size=1, max_size=5,
+    ),
+    scales=st.lists(st.sampled_from((1, 2, 3, -1, 4, 6)), min_size=6, max_size=6),
+)
+def test_compose_table_hit_miss_and_uncached_reduction_agree(circles, ops, scales):
+    # A chain of elementary moves on a 4-point tangle with circles.  The
+    # first ring fills a fresh table (misses); later rings and the repeated
+    # call read it (hits).  Scales such as 2, 4 and 6 vanish in some rings
+    # only, and over Z/4Z a product of two 2s vanishes.
+    results = {}
+    with mock.patch.object(cob, "_COMPOSE_TABLES", {}):
+        for ring in (F2, Z4, F3, Q, Z):
+            cur = identity_cob(ring, Tangle((3, 2, 1, 0), circles))
+            cur = cur.scaled(ring, ring.from_int(scales[0]))
+            for op, k in zip(ops, scales[1:]):
+                alive = cur.tgt.circles
+                if op in ("saddle", "birth"):
+                    mv = (op,)
+                elif op == "merge" and alive >= 2:
+                    mv = (op, 0, alive - 1)
+                elif op != "merge" and alive:
+                    mv = (op, alive - 1)
+                else:
+                    continue
+                step, _, _ = elem_cob(ring, mv, alive, match=cur.tgt.match)
+                step = step.scaled(ring, ring.from_int(k))
+                expected = uncached_compose(ring, step, cur)
+                first = compose(ring, step, cur)
+                assert first.terms == expected
+                assert compose(ring, step, cur).terms == expected
+                cur = first
+            results[ring] = cur.terms
+    for ring, terms in results.items():
+        assert terms == ring_image(ring, results[Z])
+
+
 # --- oracle equivalence ----------------------------------------------------
 
 
@@ -390,8 +482,6 @@ def test_identity_coefficient_detection():
 
 
 def test_reduce_surface_public_contract():
-    from bnscan.cob import empty_tangle, reduce_surface
-
     t = empty_tangle()
     # plain sphere: chi = 2, closed, no dots: drops to zero
     assert reduce_surface(Z, t, t, [((), 0, 2)], 1) == {}

@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import bnscan.complex as cx
-from bnscan.cob import SRC, TGT, CIRCLE, Cob, Tangle, _finalize_groups, compose, deloop_iso, identity_cob
+from bnscan.cob import (
+    SRC,
+    TGT,
+    CIRCLE,
+    Cob,
+    Tangle,
+    _finalize_groups,
+    _glue_pair,
+    compose,
+    deloop_iso,
+    glue_cobs,
+    glue_tangles,
+    identity_cob,
+)
 from bnscan.coeff import F2, F3, Q, Z4
 from bnscan.complex import (
     FilteredComplex,
@@ -269,3 +286,81 @@ def test_dump_format():
     entries = [ln for ln in lines if len(ln.split()) == 5]
     assert len(gens) == C.n_objects()
     assert len(gens) + len(entries) == len(lines)
+
+
+def test_glue_tables_agree_with_the_reduction_over_the_ring():
+    # Every entry and identity of each step, glued beside each piece map:
+    # the rings scan in lockstep and share one step's tables, F2 filling
+    # them first; each result is checked against the pair-by-pair
+    # reduction over the ring itself.
+    rings = (F2, Z4, F3, Q)
+    for pd in (PD_FIGURE8, "PD[X[1,2,2,1]]"):  # the second has a loop edge
+        order = scan_order(orient_and_sign(parse_pd(pd)))
+        od = order.diagram
+        scans = {r: initial_complex(r, od.n_plus, od.n_minus) for r in rings}
+        for step in order.steps:
+            tables: dict = {}
+            for ring, C in scans.items():
+                (t0, t1), saddle = crossing_complex(ring)
+                entries = [f for outs in C.out.values() for f in outs.values()]
+                entries += [identity_cob(ring, t) for t in C.obj.values()]
+                for f in entries:
+                    for phi in (identity_cob(ring, t0), identity_cob(ring, t1), saddle):
+                        _check_glue(ring, f, phi, step, tables)
+                C = tensor_with_crossing(C, step)
+                scans[ring] = reduce_pass(deloop(C))
+
+
+def _check_glue(ring, f, phi, step, tables):
+    infos = [
+        glue_tangles(
+            t, piece.match, step.pairs, step.left_order, step.piece_order,
+            self_pairs=step.self_pairs,
+        )
+        for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
+    ]
+    expected: dict = {}
+    for (fcomps, fh), fc in f.terms.items():
+        for (pcomps, ph), pc in phi.terms.items():
+            coeff = ring.mul(fc, pc)
+            if not ring.is_zero(coeff):
+                _glue_pair(
+                    ring, fcomps, pcomps, coeff, fh + ph, f, phi, step.pairs,
+                    *infos, step.self_pairs, expected,
+                )
+    for _ in range(2):
+        got = glue_cobs(
+            ring, f, phi, step.pairs, *infos, self_pairs=step.self_pairs,
+            tables=tables,
+        )
+        assert got.terms == expected
+
+
+def test_check_raises_under_optimized_mode():
+    # a -> b -> d and a -> c -> d with entries 1, 1, 1, -1 square to zero;
+    # flipping the -1 leaves d^2 = 2, which check() must report even when
+    # assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.coeff import Q\n"
+        "from bnscan.sinv import BasedComplex, InconsistentError\n"
+        "D = BasedComplex(Q)\n"
+        "a, b, c, d = (D.add_object(h, 0) for h in (0, 1, 1, 2))\n"
+        "for src, tgt, k in ((a, b, 1), (a, c, 1), (b, d, 1), (c, d, -1)):\n"
+        "    D.set_entry(src, tgt, Q.from_int(k))\n"
+        "D.check()\n"
+        "D.set_entry(c, d, Q.one)\n"
+        "try:\n"
+        "    D.check()\n"
+        "except InconsistentError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr

@@ -10,7 +10,6 @@ from bnscan.diagram import (
     mirror_pd,
     orient_and_sign,
     parse_dt,
-    parse_knot_file,
     parse_knot_line,
     parse_pd,
     pd_from_dt,
@@ -21,6 +20,7 @@ from knotgen import (
     PD_TREFOIL,
     braid_pd,
     dt_from_pd,
+    parse_knot_file,
     pretzel_pd,
     rational_pd,
     torus_pd,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bnscan.coeff import F2, F3, Q, Z4
+from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.complex import gauss_eliminate, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import (
@@ -17,6 +17,7 @@ from bnscan.sinv import (
     mod2_reduction,
     read_s,
     s_from_based,
+    s_invariant,
 )
 from knotgen import PD_TREFOIL, rational_pd, torus_pd
 from oracle_dense import khovanov_ranks
@@ -229,3 +230,12 @@ def test_s_invariant_helper_and_short_circuit():
     assert s_invariant(parse_pd("PD[]"), Q).s == 0
     assert s_invariant(parse_pd("PD[X[1,1,2,2]]"), F2).s == 0
     assert s_invariant(parse_pd(PD_TREFOIL), F3).s == 2
+
+
+def test_s_readoff_refuses_a_non_field_ring():
+    with pytest.raises(ValueError, match="needs a field, not ring 'z'"):
+        s_invariant(parse_pd(PD_TREFOIL), Z)
+    with pytest.raises(ValueError, match="needs a field, not ring 'z'"):
+        s_invariant(parse_pd("PD[]"), Z)
+    with pytest.raises(ValueError, match="needs a field, not ring 'z4'"):
+        s_from_based(BasedComplex(Z4))
