@@ -115,14 +115,19 @@ class Tangle:
                 stack.pop()
         return not stack
 
-    def key(self):
-        return (self.match, self.circles, self.qshift)
-
     def __eq__(self, other):
-        return isinstance(other, Tangle) and self.key() == other.key()
+        if self is other:
+            return True
+        if not isinstance(other, Tangle):
+            return NotImplemented
+        return (
+            self.circles == other.circles
+            and self.qshift == other.qshift
+            and self.match == other.match
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.match, self.circles, self.qshift))
 
     def __repr__(self):
         return f"Tangle(match={self.match}, circles={self.circles}, q={self.qshift})"

@@ -2,15 +2,24 @@
 
 PD codes use the standard planar-diagram convention: each crossing is a
 4-tuple of edge labels listed counterclockwise starting at the incoming
-under-strand.  DT codes are converted to PD codes by searching for a
-planar embedding of the underlying 4-valent graph.
+under-strand.
+
+A DT code fixes the order in which the strand meets the crossings; its
+PD code also needs, at each crossing, the side from which the even
+passage crosses the odd one.  These flips are not searched for: in a
+planar curve, two interlaced crossings have opposite flips exactly when
+they share an even number of interlaced crossings (de Fraysseix and
+Ossona de Mendez, 1999).  Propagating these parities over the
+interlacement graph fixes every flip up to one choice per connected
+component, with O(n^2) operations on integer bitsets.  A face count
+(Euler: n + 2 faces) then confirms that the chosen state is planar.
 
 The scan order adds one crossing at a time so that every partial diagram
 is connected and the glue interface is a contiguous run of the current
 boundary cycle; a greedy girth minimizer with one step of lookahead picks
-among candidates, with backtracking as a safety net.  Kinks (loop edges
-whose two ends sit on the same crossing) glue to themselves within the
-step that adds their crossing.
+among candidates, with bounded backtracking as a safety net.  Kinks (loop
+edges whose two ends sit on the same crossing) glue to themselves within
+the step that adds their crossing.
 """
 
 from __future__ import annotations
@@ -290,11 +299,18 @@ def _glued_boundary(boundary, legs, iface):
     )
 
 
+# Planar diagrams rarely need a backtrack at all (at most one on 1,179
+# corpus diagrams and random braid closures); without a bound, a
+# non-planar PD code searches an exponential tree.
+_BACKTRACK_BUDGET = 1000
+
+
 def scan_order(od: OrientedDiagram) -> ScanOrder:
     """Order the crossings for scanning, minimizing boundary growth.
 
     Greedy with one step of lookahead; connected prefixes, contiguous
-    interfaces.  Backtracks over candidates if a greedy branch gets stuck.
+    interfaces.  Backtracks over candidates if a greedy branch gets stuck,
+    and raises NotAKnotError after ``_BACKTRACK_BUDGET`` backtracks.
     """
     pd = od.pd
     n = pd.n
@@ -328,36 +344,43 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
                 )
         return (len(bnd), best_next, ci)
 
-    steps: list[ScanStep] = []
-
-    def dfs(done, boundary):
-        if len(done) == n:
-            return not boundary
+    def ranked(done, boundary):
         cands = candidates(done, boundary)
         cands.sort(key=lambda item: score(boundary, item[0], item[1], done))
-        for ci, iface in cands:
-            legs = pd.crossings[ci]
-            bnd = _glued_boundary(boundary, legs, iface)
-            steps.append(
-                ScanStep(
-                    ci,
-                    od.signs[ci],
-                    tuple(boundary),
-                    bnd,
-                    iface[0],
-                    iface[1],
-                    iface[2],
-                    iface[3],
-                )
-            )
-            if dfs(done | {ci}, bnd):
-                return True
-            steps.pop()
-        return False
+        return iter(cands)
 
-    if not dfs(frozenset(), ()):
-        raise NotAKnotError("no planar scan order found (is the PD planar?)")
-    return ScanOrder(od, tuple(steps))
+    # Depth-first search on an explicit stack: frames[k] holds the prefix
+    # after k steps and its untried candidates; steps[k] leads out of it.
+    steps: list[ScanStep] = []
+    frames = [(frozenset(), (), ranked(frozenset(), ()))]
+    backtracks = deepest = 0
+    while frames:
+        done, boundary, untried = frames[-1]
+        nxt = next(untried, None)
+        if nxt is not None:
+            ci, iface = nxt
+            bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
+            steps.append(ScanStep(ci, od.signs[ci], boundary, bnd, *iface))
+            done2 = done | {ci}
+            deepest = max(deepest, len(done2))
+            if len(done2) < n:
+                frames.append((done2, bnd, ranked(done2, bnd)))
+                continue
+            if not bnd:
+                return ScanOrder(od, tuple(steps))
+        else:
+            frames.pop()
+            if not steps:
+                break
+        steps.pop()
+        backtracks += 1
+        if backtracks > _BACKTRACK_BUDGET:
+            raise NotAKnotError(
+                f"no planar scan order found: gave up after {_BACKTRACK_BUDGET} "
+                f"backtracks, having placed at most {deepest} of {n} crossings "
+                "(is the PD planar?)"
+            )
+    raise NotAKnotError("no planar scan order found (is the PD planar?)")
 
 
 # --- DT codes -----------------------------------------------------------------
@@ -366,12 +389,18 @@ _DT_RE = re.compile(r"^DT\[(.*)\]$")
 
 
 def parse_dt(text: str, name: str | None = None) -> PDCode:
-    """Convert ``DT[a1,a2,...]`` to a PD code via planar embedding search.
+    """Convert ``DT[a1,a2,...]`` to a PD code.
 
-    Convention: entry i pairs passage 2i-1 with |a_i|, and the even
-    passage runs over exactly when a_i > 0.  A DT code determines a knot
-    only up to mirror image; the first embedding found (deterministic
-    search order) is returned.
+    Convention: entry i (from 1) pairs passage 2i-1 with passage |a_i|,
+    and the even passage runs under exactly when a_i > 0.  At each
+    crossing, slots 0..3 are counterclockwise and the odd passage runs
+    from slot 0 to slot 2; the even passage runs 1 -> 3 or 3 -> 1, as
+    the interlacement parities demand.  A DT code determines a knot only
+    up to mirror image, and a composite one up to mirroring each summand;
+    the embedding returned is the one in which, in each connected
+    component of the interlacement graph, the highest-index crossing's
+    even passage runs from slot 3 to slot 1.  Raises ParseError when the
+    code has no planar realization.
     """
     compact = "".join(text.split())
     m = _DT_RE.match(compact)
@@ -387,82 +416,119 @@ def parse_dt(text: str, name: str | None = None) -> PDCode:
     return pd_from_dt(evens, name)
 
 
+def _interlacement(evens):
+    """Bitsets of the crossings interlaced with each crossing.
+
+    Crossing i is visited at times 2i+1 and |a_i|; crossing b is
+    interlaced with a when exactly one visit of b lies strictly between
+    the two visits of a.  With ``prefix[t]`` the XOR of the bits of the
+    crossings visited up to time t, the crossings visited an odd number
+    of times between the visits of a are one XOR of two prefixes.
+    """
+    n = len(evens)
+    at = [0] * (2 * n + 1)
+    for i, a in enumerate(evens):
+        at[2 * i + 1] = i
+        at[abs(a)] = i
+    prefix = [0] * (2 * n + 1)
+    for t in range(1, 2 * n + 1):
+        prefix[t] = prefix[t - 1] ^ (1 << at[t])
+    nbrs = []
+    for i, a in enumerate(evens):
+        p, q = sorted((2 * i + 1, abs(a)))
+        nbrs.append(prefix[q - 1] ^ prefix[p])
+    return nbrs
+
+
+def _flip_state(evens):
+    """The flip of each crossing's even passage, from interlacement parities.
+
+    In a planar realization, interlaced crossings a and b have opposite
+    flips exactly when they have an even number of common interlaced
+    neighbours (de Fraysseix and Ossona de Mendez, *On a
+    characterization of Gauss codes*, 1999).  This fixes the flips of a
+    connected component of the interlacement graph up to one global
+    choice.  The highest-index crossing of each component gets False;
+    among the states the rule allows, this one is the smallest read as a
+    bit mask with bit i for crossing i.  Raises ParseError when the
+    constraints contradict.
+    """
+    nbrs = _interlacement(evens)
+    state = [None] * len(nbrs)
+    for root in reversed(range(len(nbrs))):
+        if state[root] is not None:
+            continue
+        state[root] = False
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            rest = nbrs[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                want = state[a] ^ ((nbrs[a] & nbrs[b]).bit_count() % 2 == 0)
+                if state[b] is None:
+                    state[b] = want
+                    stack.append(b)
+                elif state[b] != want:
+                    raise ParseError(
+                        "DT code admits no planar embedding: the interlaced "
+                        f"crossings of entries {a + 1} and {b + 1} break the "
+                        "parity rule (flips differ exactly when two interlaced "
+                        "crossings share an even number of interlaced crossings)"
+                    )
+    return state
+
+
 def pd_from_dt(evens, name: str | None = None) -> PDCode:
+    """The PD code of a DT code, given as its list of even labels."""
     n = len(evens)
     if sorted(abs(e) for e in evens) != list(range(2, 2 * n + 1, 2)):
         raise ParseError("DT entries must cover each even label once")
-    crossing_of = {}
-    for i, a in enumerate(evens):
-        crossing_of[2 * i + 1] = i
-        crossing_of[abs(a)] = i
-    even_over = [a > 0 for a in evens]
-
-    # Slots 0..3 counterclockwise at each crossing; the odd passage runs
-    # slot 0 -> 2 and the even passage slot 1 -> 3 or 3 -> 1 per state.
-    def in_out(state, lab):
-        i = crossing_of[lab]
-        if lab % 2:
-            return (i, 0), (i, 2)
-        return ((i, 1), (i, 3)) if state[i] else ((i, 3), (i, 1))
-
-    def is_planar(state):
-        ins = {}
-        outs = {}
-        for lab in range(1, 2 * n + 1):
-            s_in, s_out = in_out(state, lab)
-            ins[lab] = s_in
-            outs[lab] = s_out
-        leave = {}
-        arrive = {}
-        for lab in range(1, 2 * n + 1):
-            nxt = lab % (2 * n) + 1
-            # edge "lab" runs from outs[lab] to ins[nxt]; two darts
-            leave[outs[lab]] = (lab, 0)
-            leave[ins[nxt]] = (lab, 1)
-            arrive[(lab, 0)] = ins[nxt]
-            arrive[(lab, 1)] = outs[lab]
-        faces = 0
-        seen = set()
-        for d0 in arrive:
-            if d0 in seen:
-                continue
-            faces += 1
-            d = d0
-            while True:
-                seen.add(d)
-                i, s = arrive[d]
-                d = leave[(i, (s + 1) % 4)]
-                if d == d0:
-                    break
-        return faces == n + 2
-
-    state = None
-    for mask in range(1 << n):
-        cand = [bool((mask >> i) & 1) for i in range(n)]
-        if is_planar(cand):
-            state = cand
-            break
-    if state is None:
-        raise ParseError("DT code admits no planar embedding")
-
-    def edge_in(lab):
-        return (lab - 2) % (2 * n) + 1
-
+    state = _flip_state(evens)
     crossings = []
-    for i in range(n):
-        odd = 2 * i + 1
-        even = abs(evens[i])
-        legs = [None] * 4
-        for lab in (odd, even):
-            (_, s_in), (_, s_out) = in_out(state, lab)
-            legs[s_in] = edge_in(lab)
-            legs[s_out] = lab
-        under = even if even_over[i] else odd
-        (_, s_under_in), _ = in_out(state, under)
-        crossings.append(tuple(legs[(s_under_in + k) % 4] for k in range(4)))
+    for i, a in enumerate(evens):
+        # Slots 0..3 counterclockwise: the odd passage runs 0 -> 2 and the
+        # even one 1 -> 3 when flipped, else 3 -> 1.  Edge e leads from
+        # passage e into passage e + 1 (mod 2n).
+        odd, even = 2 * i + 1, abs(a)
+        even_in = 1 if state[i] else 3
+        legs = [odd - 1 or 2 * n, 0, odd, 0]
+        legs[even_in], legs[even_in ^ 2] = even - 1, even
+        under_in = even_in if a > 0 else 0
+        crossings.append(tuple(legs[(under_in + k) % 4] for k in range(4)))
     pd = PDCode(tuple(crossings), name)
+    # The parity rule is necessary, not sufficient: the state is planar
+    # exactly when its rotation system has n + 2 faces (Euler).
+    faces = _count_faces(pd)
+    if faces != n + 2:
+        raise ParseError(
+            f"DT code admits no planar embedding: the flips forced by the "
+            f"interlacement parities give {faces} faces, not {n + 2}"
+        )
     validate_pd(pd)
     return pd
+
+
+def _count_faces(pd: PDCode) -> int:
+    """Faces of the rotation system of a PD code (legs counterclockwise)."""
+    slots = _edge_slots(pd)
+    seen = set()
+    faces = 0
+    for start in ((ci, leg) for ci in range(pd.n) for leg in range(4)):
+        if start in seen:
+            continue
+        faces += 1
+        # leave along a leg, arrive at the far end of its edge, and leave
+        # again by the next leg counterclockwise
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            end1, end2 = slots[pd.crossings[dart[0]][dart[1]]]
+            ci, leg = end2 if end1 == dart else end1
+            dart = (ci, (leg + 1) % 4)
+    return faces
 
 
 # --- knot files ----------------------------------------------------------------

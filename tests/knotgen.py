@@ -15,6 +15,7 @@ from bnscan.diagram import (
     NotAKnotError,
     ParseError,
     PDCode,
+    _interlacement,
     parse_knot_line,
     parse_pd,
     trace_passages,
@@ -268,7 +269,11 @@ def pretzel_pd(p, q, r, name=None):
 
 
 def dt_from_pd(pd: PDCode):
-    """Read the DT code off a PD (convention matching diagram.parse_dt)."""
+    """Read the DT code off a PD, in the convention of ``diagram.parse_dt``.
+
+    The walk starts at the incoming under-leg of crossing 0; an entry is
+    positive when the even passage through its crossing runs under.
+    """
     passages = trace_passages(pd)
     times: dict[int, list[tuple[int, int]]] = {}
     for t, (ci, leg) in enumerate(passages, start=1):
@@ -279,9 +284,27 @@ def dt_from_pd(pd: PDCode):
         (t1, l1), (t2, l2) = visits
         odd, even = (t1, t2) if t1 % 2 else (t2, t1)
         even_leg = l2 if even == t2 else l1
-        over = even_leg in (1, 3)
-        evens[odd] = even if over else -even
+        under = even_leg in (0, 2)
+        evens[odd] = even if under else -even
     return [evens[t] for t in sorted(evens)]
+
+
+def interlacement_connected(evens):
+    """True when the DT code's interlacement graph is connected.
+
+    Then its planar realization is unique up to mirror image, so
+    ``parse_dt`` returns the diagram the code was read from or its
+    mirror.  Kinks, nugatory crossings and connected sums of diagrams
+    break the graph up.
+    """
+    nbrs = _interlacement(evens)
+    seen = 1
+    todo = [0]
+    while todo:
+        new = nbrs[todo.pop()] & ~seen
+        seen |= new
+        todo.extend(i for i in range(len(nbrs)) if new >> i & 1)
+    return seen == (1 << len(nbrs)) - 1
 
 
 PD_TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"

@@ -5,7 +5,8 @@ Run from the repository root:  python3 tests/make_corpus.py
 Families: 2-bridge knots from positive continued fractions (complete up
 to the stated crossing numbers, deduplicated by classifying fraction up
 to inversion), odd pretzels, (2,k) torus knots, assorted braid closures,
-plus same-knot diagram pairs (fraction duals and Markov moves).
+plus same-knot diagram pairs (fraction duals and Markov moves), and
+braid closures of 20-40 crossings given as DT codes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 from knotgen import (
     all_rational_vectors,
     braid_pd,
+    dt_from_pd,
     fraction_of,
+    interlacement_connected,
     pretzel_pd,
     rational_pd,
     torus_pd,
@@ -132,6 +135,34 @@ def markov_pairs():
     return pairs
 
 
+def dt_braid_corpus():
+    """Random braid closures of 20-40 crossings, as (name, pd, dt) rows.
+
+    Letters are three-quarters positive so that s is far from 0.  A word
+    is kept when its closure is a knot whose DT code has a connected
+    interlacement graph: then any DT parser must return this diagram or
+    its mirror, and |s| must not change.  A closure on k strands is a
+    knot only when the word length has the parity of k - 1.
+    """
+    rng = random.Random(11)
+    out = []
+    for length, strands in ((20, 3), (25, 4), (28, 3), (30, 5), (33, 4), (40, 3)):
+        while True:
+            word = [
+                rng.choice((1, 1, 1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(length)
+            ]
+            try:
+                pd = braid_pd(word, strands)
+            except ValueError:  # a link
+                continue
+            dt = dt_from_pd(pd)
+            if interlacement_connected(dt):
+                break
+        out.append((f"dtb{length}_{strands}", pd, dt))
+    return out
+
+
 def write_corpus():
     os.makedirs(DATA, exist_ok=True)
     with open(os.path.join(DATA, "rational_upto10.txt"), "w") as f:
@@ -154,6 +185,10 @@ def write_corpus():
         f.write("# a 16-crossing non-alternating knot (engineering target)\n")
         pd = braid_pd([-4, -1, 1, -2, -1, -3, 2, 2, 2, 4, 4, 1, -2, -2, -4, 3], 5, "k16")
         f.write(f"k16 ; {pd_text(pd)}\n")
+    with open(os.path.join(DATA, "dt_braids.txt"), "w") as f:
+        f.write("# braid closures of 20-40 crossings as DT codes (see dt_braid_corpus)\n")
+        for name, _pd, dt in dt_braid_corpus():
+            f.write(f"{name} ; DT[{','.join(map(str, dt))}]\n")
     print("corpus written to", DATA)
 
 

@@ -242,3 +242,33 @@ def test_dump_refuses_a_name_with_a_path_separator(tmp_path, name):
     assert rows[1].error is None and rows[1].s_values == {"f2": 0}
     assert os.listdir(dump_dir) == ["fig8.txt"]
     assert sorted(os.listdir(tmp_path / "in")) == ["dumps", "knots.txt"]
+
+
+def test_dt_corpus_rows_match_their_pd_closures(tmp_path, capsys):
+    # every row of dt_braids.txt is the DT code of a braid closure whose
+    # interlacement graph is connected, so it parses to that diagram or its
+    # mirror: |s| must equal |s| of the closure scanned from its PD code
+    from make_corpus import dt_braid_corpus, pd_text
+
+    corpus = dt_braid_corpus()
+    with open(os.path.join(DATA, "dt_braids.txt")) as f:
+        rows = [line.split(";") for line in f if not line.startswith("#")]
+    assert [(name.strip(), code.strip()) for name, code in rows] == [
+        (name, "DT[" + ",".join(map(str, dt)) + "]") for name, _pd, dt in corpus
+    ]
+    pd_file = tmp_path / "pd.txt"
+    pd_file.write_text("".join(f"{name} ; {pd_text(pd)}\n" for name, pd, _dt in corpus))
+    results = {}
+    for label, path in (("dt", os.path.join(DATA, "dt_braids.txt")), ("pd", pd_file)):
+        out = tmp_path / f"{label}.json"
+        args = ["compute", "--input", str(path), "--ring", "f2", "--out", str(out)]
+        assert main(args + ["--format", "json"]) == 0
+        results[label] = json.loads(out.read_text())
+    capsys.readouterr()
+    names = [name for name, _pd, _dt in corpus]
+    assert [r["name"] for r in results["dt"]] == names
+    assert [r["name"] for r in results["pd"]] == names
+    for dt_row, pd_row in zip(results["dt"], results["pd"]):
+        assert "error" not in dt_row and "error" not in pd_row
+        assert abs(dt_row["s"]["f2"]) == abs(pd_row["s"]["f2"]), dt_row["name"]
+    assert any(r["s"]["f2"] for r in results["pd"])

@@ -1,6 +1,12 @@
+import glob
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnscan.diagram import (
     DisconnectedError,
@@ -14,17 +20,23 @@ from bnscan.diagram import (
     parse_pd,
     pd_from_dt,
     scan_order,
+    trace_passages,
+    validate_pd,
 )
 from knotgen import (
     PD_FIGURE8,
     PD_TREFOIL,
     braid_pd,
     dt_from_pd,
+    interlacement_connected,
     parse_knot_file,
     pretzel_pd,
     rational_pd,
     torus_pd,
 )
+from oracle_dt import search_pd_from_dt
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_parse_trefoil():
@@ -244,3 +256,182 @@ def test_orientation_reversal_keeps_signs():
             tuple((c, d, a, b) for a, b, c, d in pd.crossings), pd.name
         )
         assert orient_and_sign(reversed_pd).signs == orient_and_sign(pd).signs
+
+
+# --- DT realization against the exhaustive search ------------------------------
+
+
+def _realize(parser, evens):
+    try:
+        return parser(evens)
+    except (ParseError, NotAKnotError) as exc:
+        return type(exc)
+
+
+def _braid_dt(strands_word):
+    strands, word = strands_word
+    try:
+        return dt_from_pd(braid_pd(word, strands))
+    except ValueError:  # the closure is a link
+        return None
+
+
+random_dts = st.integers(1, 11).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(2, 2 * n + 1, 2)),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+).map(lambda t: [e if keep else -e for e, keep in zip(*t)])
+
+braid_dts = (
+    st.integers(2, 5)
+    .flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.integers(1, k - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                min_size=1, max_size=11,
+            ),
+        )
+    )
+    .map(_braid_dt)
+    .filter(lambda dt: dt is not None)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evens=st.one_of(random_dts, braid_dts))
+def test_parity_rule_matches_exhaustive_search(evens):
+    # random sequences are mostly not realizable from 6 crossings on;
+    # braid closures always are, kinks and composites included
+    assert _realize(pd_from_dt, evens) == _realize(search_pd_from_dt, evens)
+
+
+def _gauss(pd):
+    """(crossing, passes over) along the strand, from the under-entry of 0."""
+    return [(ci, leg in (1, 3)) for ci, leg in trace_passages(pd)]
+
+
+def _dt_gauss(evens):
+    """The same sequence read off a DT code, from crossing 0's under-visit.
+
+    A positive entry makes the even passage the under-strand.
+    """
+    seq = {}
+    for i, a in enumerate(evens):
+        seq[2 * i + 1] = (i, a > 0)
+        seq[abs(a)] = (i, a < 0)
+    start = abs(evens[0]) if evens[0] > 0 else 1
+    times = sorted(seq)
+    return [seq[t] for t in times[start - 1:] + times[: start - 1]]
+
+
+def _random_closures(rng, lengths):
+    out = []
+    for length in lengths:
+        while True:
+            strands = rng.randint(3, 6)
+            if length % 2 != (strands - 1) % 2:
+                continue
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+            try:
+                out.append(braid_pd(word, strands))
+                break
+            except ValueError:
+                continue
+    return out
+
+
+def test_dt_round_trips_on_corpora_and_large_closures():
+    pds = []
+    for path in sorted(glob.glob(os.path.join(DATA, "*.txt"))):
+        with open(path) as f:
+            pds += [pd for _line, pd in parse_knot_file(f.read()) if isinstance(pd, PDCode)]
+    corpus_count = len(pds)
+    pds += _random_closures(random.Random(4), range(20, 81, 4))
+    connected = 0
+    for pd in pds:
+        if pd.n == 0:
+            continue
+        dt = dt_from_pd(pd)
+        pd2 = pd_from_dt(dt)
+        assert pd2.n == pd.n
+        # the parsed diagram runs through the DT code's signed Gauss word
+        assert _gauss(pd2) == _dt_gauss(dt)
+        if interlacement_connected(dt):
+            # then it is the original diagram or its mirror, crossing for
+            # crossing: DT crossing i is the one first met at odd time 2i+1
+            connected += 1
+            signs = orient_and_sign(pd).signs
+            signs2 = orient_and_sign(pd2).signs
+            times = {}
+            for t, (ci, _leg) in enumerate(trace_passages(pd), start=1):
+                times.setdefault(ci, []).append(t)
+            moved = [0] * pd.n
+            for ci, ts in times.items():
+                odd = next(t for t in ts if t % 2)
+                moved[(odd - 1) // 2] = signs[ci]
+            assert signs2 in (tuple(moved), tuple(-x for x in moved))
+    # 396 corpus diagrams; 384 of the 412 codes have a connected graph
+    assert corpus_count >= 396 and connected >= 384
+
+
+def test_nonrealizable_dt_codes_raise_under_optimized_mode():
+    # DT[4,6,8,10,2] breaks the parity rule; DT[4,8,2,10,6] satisfies it,
+    # but the forced flips give 5 faces instead of 7, so only the face
+    # count refuses it.  Both must raise with asserts compiled away.
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.diagram import ParseError, parse_dt\n"
+        "for code, words in (('DT[4,6,8,10,2]', 'entries 2 and 1'),\n"
+        "                    ('DT[4,8,2,10,6]', 'give 5 faces, not 7')):\n"
+        "    try:\n"
+        "        parse_dt(code)\n"
+        "    except ParseError as exc:\n"
+        "        if words not in str(exc):\n"
+        "            raise SystemExit(5)\n"
+        "    else:\n"
+        "        raise SystemExit(6)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+
+
+# --- scan order robustness --------------------------------------------------------
+
+
+def test_scan_order_uses_no_stack_frame_per_crossing():
+    od = orient_and_sign(torus_pd(151))
+    depth = 0
+    frame = sys._getframe()
+    while frame:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        so = scan_order(od)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(so.steps) == 151 and so.steps[-1].boundary_after == ()
+
+
+def test_scan_order_refuses_a_nonplanar_pd_within_its_budget():
+    # Reflecting one crossing of T(2,31) keeps a valid one-component PD
+    # code whose rotation system is not planar; an unbounded search would
+    # backtrack through exponentially many prefixes before giving up.
+    xs = list(torus_pd(31).crossings)
+    a, b, c, d = xs[15]
+    xs[15] = (a, d, c, b)
+    pd = PDCode(tuple(xs))
+    validate_pd(pd)
+    with pytest.raises(NotAKnotError, match="gave up after 1000 backtracks"):
+        scan_order(orient_and_sign(pd))
