@@ -17,11 +17,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .coeff import Z4, ring_from_name
-from .complex import dump, scan
+from .coeff import Z, Z4, ring_from_name
+from .complex import dump, reduce_pass, scan
 from .diagram import orient_and_sign, parse_knot_line, scan_order
-from .sinv import from_filtered, khovanov_table, s_from_based
-from .sq1 import refine
+from .sinv import base_change, from_filtered, khovanov_table, s_from_based
+from .sq1 import refine_scanned
+
+# the scan window of each mode
+_WINDOWS = {"s": "s", "kh": "full", "sq1": "sq1"}
 
 
 @dataclass
@@ -58,40 +61,49 @@ def _write_dump(dump_dir, filename, C):
         f.write(dump(C))
 
 
+def _scan_ring(mode, rings):
+    """The one ring a row scans over.
+
+    Mode sq1 scans over Z/4Z.  Modes s and kh scan over their field when
+    one is asked for, else over Z, whose complex every field reads
+    through ``base_change``.
+    """
+    if mode == "sq1":
+        return Z4
+    fields = {ring_from_name(rname) for rname in rings}
+    return fields.pop() if len(fields) == 1 else Z
+
+
 def _compute_row(args):
     name, line, mode, rings, dump_dir = args
     t0 = time.perf_counter()
     row = ResultRow(name=name, mode=mode)
     try:
+        if mode not in _WINDOWS:
+            raise ValueError(f"unknown mode {mode!r}")
         if dump_dir:
             _check_dump_name(name)
         pd = parse_knot_line(line)
+        order = scan_order(orient_and_sign(pd))
+        C = scan(order, _scan_ring(mode, rings), _WINDOWS[mode])
         if mode == "sq1":
-            s_f2, quad = refine(pd)
+            s_f2, quad = refine_scanned(C)
             row.s_values["f2"] = s_f2
             row.quadruple = quad.as_tuple()
-            if dump_dir:
-                C = scan(scan_order(orient_and_sign(pd)), Z4, "sq1")
-                _write_dump(dump_dir, f"{name}.txt", C)
-        elif mode == "s":
-            order = scan_order(orient_and_sign(pd))
-            for i, rname in enumerate(rings):
-                C = scan(order, ring_from_name(rname), "s")
-                row.s_values[rname] = s_from_based(from_filtered(C)).s
-                if dump_dir and i == 0:
-                    _write_dump(dump_dir, f"{name}.txt", C)
-        elif mode == "kh":
-            order = scan_order(orient_and_sign(pd))
-            for rname in rings:
-                C = scan(order, ring_from_name(rname), "full")
-                table = khovanov_table(from_filtered(C))
-                row.kh_tables[rname] = {
-                    f"{h},{q}": v for (h, q), v in sorted(table.items())
-                }
-                if dump_dir:
-                    _write_dump(dump_dir, f"{name}.{rname}.txt", C)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            D = from_filtered(C)
+            for rname in rings:
+                # over the scan ring itself both steps change nothing
+                E = reduce_pass(base_change(D, ring_from_name(rname)))
+                if mode == "s":
+                    row.s_values[rname] = s_from_based(E).s
+                else:
+                    row.kh_tables[rname] = {
+                        f"{h},{q}": v
+                        for (h, q), v in sorted(khovanov_table(E).items())
+                    }
+        if dump_dir:
+            _write_dump(dump_dir, f"{name}.txt", C)
     except Exception as exc:  # any failure belongs to this row alone
         row.error = f"{type(exc).__name__}: {exc}"
     row.time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -102,11 +114,16 @@ def run(job: Job):
     """Compute one row per knot of the input file, in input order.
 
     Modes s and kh read their numbers off a saturated complex, which
-    needs a field; mode sq1 always works over Z/4Z and F2.  With
-    ``fail_fast`` the first failing row raises RuntimeError at once.
+    needs a field; their ring names are lower-cased and kept once each,
+    in order.  Mode sq1 always works over Z/4Z and F2.  Every row scans
+    its diagram once.  With ``fail_fast`` the first failing row raises
+    RuntimeError at once.
     """
+    rings = tuple(dict.fromkeys(rname.strip().lower() for rname in job.rings))
     if job.mode != "sq1":
-        for rname in job.rings:
+        if not rings:
+            raise ValueError(f"mode {job.mode} needs at least one ring")
+        for rname in rings:
             if not ring_from_name(rname).is_field:
                 raise ValueError(f"mode {job.mode} needs a field, not ring {rname!r}")
     with open(job.input_path) as f:
@@ -117,7 +134,7 @@ def run(job: Job):
         if not stripped or stripped.startswith("#"):
             continue
         name = stripped.split(";", 1)[0].strip() if ";" in stripped else f"line{lineno}"
-        tasks.append((name, stripped, job.mode, job.rings, job.dump_dir))
+        tasks.append((name, stripped, job.mode, rings, job.dump_dir))
     if job.dump_dir:
         os.makedirs(job.dump_dir, exist_ok=True)
     pool = None

@@ -94,27 +94,6 @@ class Tangle:
             raise NoCircleError("tangle has no circle")
         return Tangle(self.match, self.circles - 1, self.qshift)
 
-    def is_planar(self):
-        """Check the matching is a non-crossing involution."""
-        n = len(self.match)
-        if n % 2:
-            return False
-        if any(
-            self.match[self.match[p]] != p or self.match[p] == p
-            for p in range(n)
-        ):
-            return False
-        stack = []
-        for p in range(n):
-            q = self.match[p]
-            if q > p:
-                stack.append(q)
-            else:
-                if not stack or stack[-1] != p:
-                    return False
-                stack.pop()
-        return not stack
-
     def __eq__(self, other):
         if self is other:
             return True

@@ -30,8 +30,6 @@ class Ring:
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
-    def canon(self, a):
-        raise NotImplementedError
 
     def from_int(self, n):
         raise NotImplementedError
@@ -79,8 +77,6 @@ class PrimeField(Ring):
         self.name = f"f{p}"
         super().__init__()
 
-    def canon(self, a):
-        return a % self.p
 
     def from_int(self, n):
         return n % self.p
@@ -109,8 +105,6 @@ class Rationals(Ring):
     name = "q"
     is_field = True
 
-    def canon(self, a):
-        return Fraction(a)
 
     def from_int(self, n):
         return Fraction(n)
@@ -138,8 +132,6 @@ class Integers(Ring):
 
     name = "z"
 
-    def canon(self, a):
-        return int(a)
 
     def from_int(self, n):
         return int(n)
@@ -167,8 +159,6 @@ class IntegersMod4(Ring):
 
     name = "z4"
 
-    def canon(self, a):
-        return a % 4
 
     def from_int(self, n):
         return n % 4
@@ -212,7 +202,3 @@ def ring_from_name(name: str) -> Ring:
         return ring
     raise ValueError(f"unknown ring {name!r}")
 
-
-def mod2_of_z4(a: int) -> int:
-    """Reduce a canonical Z/4Z value to F2."""
-    return a % 2

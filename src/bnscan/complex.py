@@ -168,9 +168,6 @@ class FilteredComplex:
     def objects_at(self, h):
         return list(self.by_h.get(h, []))
 
-    def n_objects(self):
-        return len(self.obj)
-
     def rebuild(self, into, label=None, entry=None, flip=False):
         """Copy every object and entry into the empty ``into``, keeping ids.
 
@@ -212,11 +209,6 @@ class FilteredComplex:
             for c, total in acc.items():
                 if not e.is_zero(total):
                     raise InconsistentError(f"d^2 != 0 through {a} -> {c}")
-
-    def strictly_raising(self):
-        return all(
-            f.degree() > 0 for outs in self.out.values() for f in outs.values()
-        )
 
 
 # -- the scan steps ----------------------------------------------------------
@@ -377,10 +369,12 @@ def gauss_eliminate(C, a, b):
 def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
     """Saturate eliminations inside the window, then truncate outside it.
 
-    Candidates are processed lowest homological degree first, then by an
-    estimate of the fill-in they cause, then by object ids; the queue is
-    revalidated lazily.  Afterwards no unit-identity equal-degree entry
-    remains with source degree inside [elim_lo, elim_hi].
+    Candidates are unit-identity entries between objects with equal
+    labels: equal tangles in the scan, equal quantum degrees once
+    evaluated.  They are processed lowest homological degree first, then
+    by an estimate of the fill-in they cause, then by object ids; the
+    queue is revalidated lazily.  Afterwards no such entry remains with
+    source degree inside [elim_lo, elim_hi].
     """
     def fill_estimate(a, b):
         return (len(C.inc[b]) - 1) * (len(C.out[a]) - 1)
@@ -393,7 +387,8 @@ def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
         h = C.h[a]
         if not (elim_lo <= h <= elim_hi):
             return
-        if cancellable_coefficient(C, a, b) is not None:
+        if (cancellable_coefficient(C, a, b) is not None
+                and C.obj[a] == C.obj[b]):
             heapq.heappush(heap, (h, fill_estimate(a, b), a, b))
 
     for a, outs in C.out.items():

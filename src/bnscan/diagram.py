@@ -128,7 +128,13 @@ def parse_pd(text: str, name: str | None = None) -> PDCode:
     return pd
 
 
-def validate_pd(pd: PDCode) -> None:
+def validate_pd(pd: PDCode, legs="its legs") -> None:
+    """Refuse a PD code that is not a planar one-component knot diagram.
+
+    The legs, read counterclockwise, form a rotation system; it is planar
+    exactly when it has n + 2 faces (Euler).  ``legs`` names what fixed
+    the leg order in the error message.
+    """
     counts: dict[int, int] = {}
     for x in pd.crossings:
         for e in x:
@@ -138,6 +144,12 @@ def validate_pd(pd: PDCode) -> None:
         raise ParseError(f"edge labels {sorted(bad)} do not occur exactly twice")
     if pd.n:
         trace_passages(pd)
+        faces = _count_faces(pd)
+        if faces != pd.n + 2:
+            raise ParseError(
+                f"no planar embedding: {legs} give {faces} faces, "
+                f"not {pd.n + 2}"
+            )
 
 
 def _edge_slots(pd: PDCode) -> dict[int, list[tuple[int, int]]]:
@@ -499,15 +511,8 @@ def pd_from_dt(evens, name: str | None = None) -> PDCode:
         under_in = even_in if a > 0 else 0
         crossings.append(tuple(legs[(under_in + k) % 4] for k in range(4)))
     pd = PDCode(tuple(crossings), name)
-    # The parity rule is necessary, not sufficient: the state is planar
-    # exactly when its rotation system has n + 2 faces (Euler).
-    faces = _count_faces(pd)
-    if faces != n + 2:
-        raise ParseError(
-            f"DT code admits no planar embedding: the flips forced by the "
-            f"interlacement parities give {faces} faces, not {n + 2}"
-        )
-    validate_pd(pd)
+    # The parity rule is necessary, not sufficient: the face count decides.
+    validate_pd(pd, "the flips forced by the DT code's interlacement parities")
     return pd
 
 

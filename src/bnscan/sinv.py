@@ -6,6 +6,11 @@ absorbed by the grading).  The readoff cancels homological-degree-0
 generators from above (largest quantum degree with nonzero coboundary
 first) and then from below (smallest quantum degree hit by the
 coboundary first); the two survivors sit in quantum degrees s +- 1.
+
+One scan over Z serves every field: elimination along +-1 entries and
+window truncation commute with base change, so ``base_change`` followed
+by ``reduce_pass`` on the units that appear reads off the same s and the
+same homology as a scan over the field.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from operator import neg
 
 from .cob import NotClosedError, evaluate
-from .coeff import mod2_of_z4, F2
 from .complex import (
     FilteredComplex,
     InconsistentError,
@@ -140,6 +144,12 @@ def s_invariant(pd, ring) -> SResult:
     return s_from_based(from_filtered(scan(order, ring, "s")))
 
 
-def mod2_reduction(D: BasedComplex) -> BasedComplex:
-    """Reduce a Z/4Z based complex to F2, keeping the grading and ids."""
-    return D.rebuild(BasedComplex(F2), entry=mod2_of_z4)
+def base_change(D: BasedComplex, ring) -> BasedComplex:
+    """D with its entries mapped into ``ring``, keeping the grading and ids.
+
+    Entries go through ``ring.from_int``, which is the ring map from Z, or
+    from Z/4Z into F2, or from a ring into itself; entries that vanish in
+    ``ring`` are dropped.  Units of ``ring`` may now join equal quantum
+    degrees: ``reduce_pass`` cancels them.
+    """
+    return D.rebuild(BasedComplex(ring), entry=ring.from_int)

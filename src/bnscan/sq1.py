@@ -8,7 +8,9 @@ summands landing in homological degree 0 span the image of the first
 differential of the Bockstein, read as classes mod 2.  Intersecting with
 the classes extending to filtered cocycles and testing survival in the
 low quotient decides whether each refinement gains 2 over the base
-invariant; the mirror diagram supplies the other half of the quadruple.
+invariant.  The dual complex (degrees and quantum gradings negated,
+entries transposed) is the mirror's complex, so the same scan supplies
+the other half of the quadruple.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from dataclasses import dataclass
 
 from .coeff import F2, Z4
 from .complex import scan
-from .diagram import mirror_pd, orient_and_sign, scan_order
+from .diagram import orient_and_sign, scan_order
 from .sinv import (
     BasedComplex,
     InconsistentError,
+    base_change,
     from_filtered,
-    mod2_reduction,
     s_from_based,
 )
 
@@ -266,9 +268,9 @@ def half_refinement_from_based(D: BasedComplex):
     ``D`` must be the saturated scan output (or any complex in the same
     position); it is consumed by the normal-form slides.
     """
-    s_f2 = s_from_based(mod2_reduction(D)).s
+    s_f2 = s_from_based(base_change(D, F2)).s
     nf = normal_form(D)
-    E = mod2_reduction(nf.based)
+    E = base_change(nf.based, F2)
 
     def gained(level_q, q_cut):
         subspace = intersect_with_p(E, level_q, sq1_image(nf, level_q))
@@ -279,22 +281,24 @@ def half_refinement_from_based(D: BasedComplex):
     return s_f2, r_plus, s_plus
 
 
-def _half_refinement(pd):
-    od = orient_and_sign(pd)
-    order = scan_order(od)
-    C = scan(order, Z4, mode="sq1")
-    return half_refinement_from_based(from_filtered(C))
+def refine_scanned(C) -> tuple[int, Sq1Quadruple]:
+    """The refinement quadruple from a knot's ``sq1`` scan over Z/4Z.
+
+    Returns (s over F2, (r+, s+, r-, s-)).  The negative pair is the
+    positive pair of the dual complex, which is the mirror's complex,
+    with signs flipped.
+    """
+    D = from_filtered(C)
+    dual = D.flipped()  # before the normal-form slides consume D
+    s_f2, r_plus, s_plus = half_refinement_from_based(D)
+    s_m, r_plus_m, s_plus_m = half_refinement_from_based(dual)
+    if s_m != -s_f2:
+        raise InconsistentError(
+            f"dual complex gives s = {s_m}, not {-s_f2}"
+        )
+    return s_f2, Sq1Quadruple(r_plus, s_plus, -r_plus_m, -s_plus_m)
 
 
 def refine(pd) -> tuple[int, Sq1Quadruple]:
-    """The full Bockstein refinement quadruple of a knot diagram.
-
-    Returns (s over F2, (r+, s+, r-, s-)); the negative pair comes from
-    the mirror diagram with signs flipped.
-    """
-    s_f2, r_plus, s_plus = _half_refinement(pd)
-    s_m, r_plus_m, s_plus_m = _half_refinement(mirror_pd(pd))
-    if s_m != -s_f2:
-        raise AssertionError("mirror scan disagrees on the base invariant")
-    quad = Sq1Quadruple(r_plus, s_plus, -r_plus_m, -s_plus_m)
-    return s_f2, quad
+    """The full Bockstein refinement quadruple of a knot diagram."""
+    return refine_scanned(scan(scan_order(orient_and_sign(pd)), Z4, "sq1"))

@@ -25,10 +25,10 @@ from bnscan.sinv import (
     BasedComplex,
     from_filtered,
     khovanov_table,
-    mod2_reduction,
     s_from_based,
 )
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based, refine
+from helpers import strictly_raising
 from knotgen import parse_knot_file, torus_pd
 from oracle_dense import bn_s_invariant, khovanov_ranks
 from oracle_signature import signature
@@ -289,7 +289,7 @@ def test_criterion_7_structural_invariants():
                 C = scan(so, ring, "s")
                 C.check()
                 if ring.is_field:
-                    assert C.strictly_raising(), (pd.name, ring.name)
+                    assert strictly_raising(C), (pd.name, ring.name)
     finally:
         cx.DEBUG = old
 

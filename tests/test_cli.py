@@ -7,7 +7,7 @@ import pytest
 
 import bnscan.cli as cli
 from bnscan.cli import Job, main, report, rows_to_csv, rows_to_json, run
-from bnscan.coeff import F2
+from bnscan.coeff import Q, Z, Z4
 from bnscan.complex import dump, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from knotgen import PD_FIGURE8, PD_TREFOIL
@@ -151,22 +151,96 @@ def test_rerun_bit_identical(knot_file):
     assert a == b
 
 
-def test_mode_s_scans_once_per_ring_and_dumps_the_first(tmp_path, monkeypatch):
-    calls = {"scan": 0, "scan_order": 0}
-    for fname in calls:
-        def counted(*args, _real=getattr(cli, fname), _name=fname):
-            calls[_name] += 1
-            return _real(*args)
+def count_scans(monkeypatch):
+    """Record the ring of every scan and count the scan orders built."""
+    calls = {"scan": [], "scan_order": 0}
 
-        monkeypatch.setattr(cli, fname, counted)
-    path = tmp_path / "one.txt"
-    path.write_text(f"trefoil ; {PD_TREFOIL}\n")
+    def scan_counted(order, ring, mode, _real=cli.scan):
+        calls["scan"].append(ring.name)
+        return _real(order, ring, mode)
+
+    def order_counted(od, _real=cli.scan_order):
+        calls["scan_order"] += 1
+        return _real(od)
+
+    monkeypatch.setattr(cli, "scan", scan_counted)
+    monkeypatch.setattr(cli, "scan_order", order_counted)
+    return calls
+
+
+def test_mode_s_scans_once_per_row_and_dumps_that_scan(
+    tmp_path, knot_file, monkeypatch
+):
+    calls = count_scans(monkeypatch)
     dump_dir = tmp_path / "dumps"
-    (row,) = run(Job(str(path), mode="s", rings=("f2", "q"), dump_dir=str(dump_dir)))
-    assert row.s_values == {"f2": 2, "q": 2}
-    assert calls == {"scan": 2, "scan_order": 1}
+    rows = run(Job(knot_file, mode="s", rings=("f2", "q"), dump_dir=str(dump_dir)))
+    assert rows[0].s_values == {"f2": 2, "q": 2}
+    # several fields share one scan over Z
+    assert calls == {"scan": ["z"] * 3, "scan_order": 3}
     so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
-    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, F2, "s"))
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "s"))
+    # one field is scanned over itself
+    calls["scan"].clear()
+    rows = run(Job(knot_file, mode="s", rings=("q",), dump_dir=str(dump_dir)))
+    assert [r.s_values for r in rows] == [{"q": 2}, {"q": 0}, {"q": 0}]
+    assert calls["scan"] == ["q"] * 3
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Q, "s"))
+    assert sorted(os.listdir(dump_dir)) == ["fig8.txt", "trefoil.txt", "unknot.txt"]
+
+
+def test_mode_kh_scans_once_per_row_and_dumps_that_scan(
+    tmp_path, knot_file, monkeypatch
+):
+    calls = count_scans(monkeypatch)
+    dump_dir = tmp_path / "dumps"
+    rows = run(Job(knot_file, mode="kh", rings=("f2", "q"), dump_dir=str(dump_dir)))
+    assert rows[0].kh_tables["q"] == {"0,1": 1, "0,3": 1, "2,5": 1, "3,9": 1}
+    assert rows[0].kh_tables["f2"] == {
+        "0,1": 1, "0,3": 1, "2,5": 1, "2,7": 1, "3,7": 1, "3,9": 1
+    }
+    assert calls == {"scan": ["z"] * 3, "scan_order": 3}
+    assert sorted(os.listdir(dump_dir)) == ["fig8.txt", "trefoil.txt", "unknot.txt"]
+    so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "full"))
+
+
+def test_mode_sq1_scans_once_per_row_and_dumps_that_scan(
+    tmp_path, knot_file, monkeypatch
+):
+    calls = count_scans(monkeypatch)
+    dump_dir = tmp_path / "dumps"
+    rows = run(Job(knot_file, mode="sq1", rings=("z4", "f2"), dump_dir=str(dump_dir)))
+    assert [r.quadruple for r in rows] == [(2, 2, 2, 2), (0,) * 4, (0,) * 4]
+    assert calls == {"scan": ["z4"] * 3, "scan_order": 3}
+    assert sorted(os.listdir(dump_dir)) == ["fig8.txt", "trefoil.txt", "unknot.txt"]
+    so = scan_order(orient_and_sign(parse_pd(PD_FIGURE8)))
+    assert (dump_dir / "fig8.txt").read_text() == dump(scan(so, Z4, "sq1"))
+
+
+def test_an_empty_ring_list_is_rejected(knot_file, capsys):
+    for mode in ("s", "kh"):
+        with pytest.raises(ValueError, match=f"mode {mode} needs at least one ring"):
+            run(Job(knot_file, mode=mode, rings=()))
+        assert main(["compute", "--input", knot_file, "--mode", mode, "--ring", ""]) == 1
+        assert "needs at least one ring" in capsys.readouterr().err
+    # mode sq1 chooses its own rings
+    assert run(Job(knot_file, mode="sq1", rings=()))[0].quadruple == (2, 2, 2, 2)
+
+
+def test_ring_names_are_lowercased_and_kept_once(knot_file, monkeypatch, capsys):
+    calls = count_scans(monkeypatch)
+    rows = run(Job(knot_file, mode="s", rings=("f2", "F2")))
+    assert [r.s_values for r in rows] == [{"f2": 2}, {"f2": 0}, {"f2": 0}]
+    assert calls["scan"] == ["f2"] * 3  # one field: no scan over Z
+    calls["scan"].clear()
+    rows = run(Job(knot_file, mode="s", rings=("Q", "f3", "q", "F3")))
+    assert list(rows[0].s_values) == ["q", "f3"]
+    assert calls["scan"] == ["z"] * 3
+    out = os.path.join(os.path.dirname(knot_file), "out.csv")
+    assert main(["compute", "--input", knot_file, "--ring", "f2,F2", "--out", out]) == 0
+    capsys.readouterr()
+    with open(out) as f:
+        assert next(csv.reader(f))[:3] == ["name", "s_f2", "r_plus"]
 
 
 def test_any_row_exception_is_captured_per_row(knot_file, monkeypatch):
@@ -272,3 +346,44 @@ def test_dt_corpus_rows_match_their_pd_closures(tmp_path, capsys):
         assert "error" not in dt_row and "error" not in pd_row
         assert abs(dt_row["s"]["f2"]) == abs(pd_row["s"]["f2"]), dt_row["name"]
     assert any(r["s"]["f2"] for r in results["pd"])
+
+
+FIELDS = ("f2", "f3", "f5", "q")
+
+
+def corpus_file(tmp_path, filename, step):
+    """The corpus file, or every step-th knot of it in a copy."""
+    path = os.path.join(DATA, filename)
+    if step == 1:
+        return path
+    with open(path) as f:
+        knots = [ln for ln in f if ln.strip() and not ln.startswith("#")]
+    out = tmp_path / filename
+    out.write_text("".join(knots[::step]))
+    return str(out)
+
+
+@pytest.mark.parametrize("filename, step, modes", [
+    ("mixed_knots.txt", 1, ("s", "kh")),
+    ("k16.txt", 1, ("s", "kh")),
+    ("dt_braids.txt", 1, ("s",)),
+    ("rational_upto10.txt", 4, ("s",)),
+    ("pairs.txt", 4, ("s",)),
+])
+def test_one_scan_over_z_gives_every_field_its_own_numbers(
+    tmp_path, filename, step, modes
+):
+    # several fields read one scan over Z; each field alone is scanned
+    # over itself, so the two paths must agree row by row
+    path = corpus_file(tmp_path, filename, step)
+    for mode in modes:
+        shared = run(Job(path, mode=mode, rings=FIELDS))
+        assert shared and all(r.error is None for r in shared)
+        for rname in FIELDS:
+            alone = run(Job(path, mode=mode, rings=(rname,)))
+            for a, b in zip(shared, alone):
+                assert b.error is None, (b.name, b.error)
+                if mode == "s":
+                    assert a.s_values[rname] == b.s_values[rname], (a.name, rname)
+                else:
+                    assert a.kh_tables[rname] == b.kh_tables[rname], (a.name, rname)

@@ -35,6 +35,7 @@ from bnscan.complex import (
 )
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import from_filtered, khovanov_table, s_from_based
+from helpers import strictly_raising
 from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, rational_pd, torus_pd
 from oracle_dense import bn_s_invariant, khovanov_ranks
 
@@ -173,7 +174,7 @@ def test_gauss_two_term_identity_to_zero():
     b = C.add_object(1, t)
     C.set_entry(a, b, identity_cob(Q, t))
     gauss_eliminate(C, a, b)
-    assert C.n_objects() == 0
+    assert len(C.obj) == 0
 
 
 def test_gauss_square_cancels_to_zero_entry():
@@ -188,7 +189,7 @@ def test_gauss_square_cancels_to_zero_entry():
     for x, y in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)):
         C.set_entry(x, y, identity_cob(F2, t))
     gauss_eliminate(C, a1, b1)
-    assert C.n_objects() == 2
+    assert len(C.obj) == 2
     assert not C.out[a2], "corrected entry must vanish"
 
 
@@ -214,7 +215,7 @@ def test_reduce_pass_saturates():
                     k = f.identity_coefficient()
                     assert k is None or not ring.is_unit(k)
             if ring.is_field:
-                assert C.strictly_raising()
+                assert strictly_raising(C)
 
 
 def test_scan_unknots_normalize():
@@ -284,7 +285,7 @@ def test_dump_format():
     lines = text.strip().splitlines()
     gens = [ln for ln in lines if len(ln.split()) == 3]
     entries = [ln for ln in lines if len(ln.split()) == 5]
-    assert len(gens) == C.n_objects()
+    assert len(gens) == len(C.obj)
     assert len(gens) + len(entries) == len(lines)
 
 

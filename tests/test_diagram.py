@@ -425,13 +425,16 @@ def test_scan_order_uses_no_stack_frame_per_crossing():
 
 
 def test_scan_order_refuses_a_nonplanar_pd_within_its_budget():
-    # Reflecting one crossing of T(2,31) keeps a valid one-component PD
-    # code whose rotation system is not planar; an unbounded search would
-    # backtrack through exponentially many prefixes before giving up.
+    # Reflecting one crossing of T(2,31) keeps a one-component PD code
+    # whose rotation system is not planar: the parser refuses it by its
+    # face count, and the scan order, given the raw code, gives up within
+    # its budget instead of backtracking through exponentially many
+    # prefixes.
     xs = list(torus_pd(31).crossings)
     a, b, c, d = xs[15]
     xs[15] = (a, d, c, b)
     pd = PDCode(tuple(xs))
-    validate_pd(pd)
+    with pytest.raises(ParseError, match="its legs give 31 faces, not 33"):
+        validate_pd(pd)
     with pytest.raises(NotAKnotError, match="gave up after 1000 backtracks"):
         scan_order(orient_and_sign(pd))

@@ -3,23 +3,24 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bnscan.coeff import F2, F3, Q, Z, Z4
-from bnscan.complex import gauss_eliminate, scan
+from bnscan.coeff import F2, F3, Q, Z, Z4, PrimeField
+from bnscan.complex import gauss_eliminate, reduce_pass, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import (
     BasedComplex,
     InconsistentError,
+    base_change,
     cancel_above,
     cancel_below,
     from_filtered,
     khovanov_table,
-    mod2_reduction,
     read_s,
     s_from_based,
     s_invariant,
 )
-from knotgen import PD_TREFOIL, rational_pd, torus_pd
+from knotgen import PD_TREFOIL, braid_pd, rational_pd, torus_pd
 from oracle_dense import khovanov_ranks
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -73,7 +74,7 @@ def test_figure2_unknown_signs_do_not_change_f2_answer():
         for a, b, c in fix["edges"]:
             sign = rng.choice((1, -1))
             D.set_entry(ids[a], ids[b], Z4.from_int(c * sign))
-        E = mod2_reduction(D)
+        E = base_change(D, F2)
         assert s_from_based(E).s == -2
 
 
@@ -239,3 +240,56 @@ def test_s_readoff_refuses_a_non_field_ring():
         s_invariant(parse_pd("PD[]"), Z)
     with pytest.raises(ValueError, match="needs a field, not ring 'z4'"):
         s_from_based(BasedComplex(Z4))
+
+
+# --- one integral scan, finished per field -------------------------------------
+
+
+def _closure(strands_word):
+    strands, word = strands_word
+    try:
+        return braid_pd(word, strands)
+    except ValueError:  # the closure is a link
+        return None
+
+
+braid_knots = (
+    st.integers(2, 4)
+    .flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.integers(1, k - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                min_size=1, max_size=11,
+            ),
+        )
+    )
+    .map(_closure)
+    .filter(lambda pd: pd is not None)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd=braid_knots)
+def test_integral_scan_finished_per_field_matches_the_field_scan(pd):
+    # base change to the field, then reduce_pass on the equal-q units that
+    # appear there: the s readoff and the homology table must be those of
+    # the scan over the field itself
+    order = scan_order(orient_and_sign(pd))
+    for mode in ("s", "full"):
+        D = from_filtered(scan(order, Z, mode))
+        for ring in (F2, F3, PrimeField(5), Q):
+            E = reduce_pass(base_change(D, ring))
+            direct = from_filtered(scan(order, ring, mode))
+            if mode == "s":
+                assert s_from_based(E) == s_from_based(direct)
+            else:
+                assert khovanov_table(E) == khovanov_table(direct)
+
+
+def test_base_change_over_the_scan_ring_changes_nothing():
+    order = scan_order(orient_and_sign(torus_pd(5)))
+    for ring in (F3, Q):
+        D = from_filtered(scan(order, ring, "s"))
+        E = reduce_pass(base_change(D, ring))
+        assert (E.q, E.h, E.out) == (D.q, D.h, D.out)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bnscan.coeff import Z4, F2
-from bnscan.sinv import BasedComplex, mod2_reduction, s_from_based
+from bnscan.sinv import BasedComplex, base_change, s_from_based
 from bnscan.sq1 import (
     NotSaturatedError,
     Sq1Quadruple,
@@ -18,7 +18,8 @@ from bnscan.sq1 import (
     sq1_image,
     survives_quotient,
 )
-from knotgen import PD_FIGURE8, PD_TREFOIL, rational_pd, torus_pd
+from helpers import two_scan_refine
+from knotgen import PD_FIGURE8, PD_TREFOIL, parse_knot_file, rational_pd, torus_pd
 from bnscan.diagram import parse_pd
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -125,7 +126,7 @@ def test_figure2_sq1_image():
 def test_figure2_intersections_and_survival():
     D, ids = load_figure2()
     nf = normal_form(D)
-    E = mod2_reduction(nf.based)
+    E = base_change(nf.based, F2)
     # generator ids carry over unchanged
     gid_map = {g: g for g in E.h}
     inv = {v: k for k, v in ids.items()}
@@ -197,7 +198,7 @@ def test_mod2_reduction_matches_f2_scan_window():
     for pd in (parse_pd(PD_TREFOIL), rational_pd([2, 2])):
         so = scan_order(orient_and_sign(pd))
         D = from_filtered(scan(so, Z4, "sq1"))
-        E = mod2_reduction(D)
+        E = base_change(D, F2)
         counts_z4 = {}
         for g, h in E.h.items():
             counts_z4[(h, E.q[g])] = counts_z4.get((h, E.q[g]), 0) + 1
@@ -233,3 +234,17 @@ def test_normal_form_checks_survive_optimized_mode():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("filename", ["mixed_knots.txt", "k16.txt", "pairs.txt"])
+def test_dual_complex_gives_the_quadruple_of_the_mirror_scan(filename):
+    # refine reads the negative pair off the dual of the diagram's scan;
+    # scanning the mirror diagram as well must give the same quadruple
+    with open(os.path.join(DATA, filename)) as f:
+        knots = [pd for _ln, pd in parse_knot_file(f.read())]
+    assert knots
+    for pd in knots:
+        assert not isinstance(pd, Exception), pd
+        s_f2, quad = refine(pd)
+        assert (s_f2, quad) == two_scan_refine(pd), pd.name
+
