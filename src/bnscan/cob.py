@@ -17,6 +17,15 @@ exactly the dot patterns on cycles times powers of H; equality of
 morphisms is equality of these patterns.  H is never destructively set
 to 1, so the same engine serves both the plain and the deformed complex.
 
+Both products, ``compose`` (stacking along the middle tangle) and
+``glue_cobs`` (side by side, beside a crossing piece), reduce a pair of
+summands by one routine.  Every disc of either summand becomes a part,
+its ends renamed onto the result's boundary, and every interface line
+joining two parts becomes a seam.  Parts joined by seams merge into one
+surface; all parts are discs (Euler characteristic 1), an arc seam
+lowers the characteristic by one and a circle seam leaves it, which
+fixes each surface's genus for the neck-cutting expansion.
+
 The reduction of a glued pair of summands depends only on the summands
 and the shapes (matching and circle count, not the quantum shift) of the
 tangles involved, so it is made once, with coefficient 1 over the
@@ -198,11 +207,6 @@ def _cycles(ends, src, tgt):
     return tuple(sorted(cycles))
 
 
-# Stored cobordisms are always canonical, so each component is a disc
-# bounded by a single cycle; its Euler characteristic is 1.
-_CANONICAL_CHI = 1
-
-
 class Cob:
     """A K-linear combination of canonical dotted surfaces src -> tgt.
 
@@ -295,27 +299,6 @@ def identity_cob(ring, t):
     return Cob(t, t, terms)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 # One object per canonical component tuple, shared by the tables and the
 # terms of live cobordisms.
 _CANONICAL: dict = {}
@@ -371,6 +354,46 @@ def _finalize_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
             out_terms[key] = v
 
 
+def _glue_summands(ring, parts, seams, coeff, hpow, src, tgt, out):
+    """Glue canonical discs along seams and reduce into out.
+
+    ``parts`` lists discs ``(ends, dot)`` whose ends are already named on
+    the boundary of the result src -> tgt; ``seams`` lists ``(i, j, arc)``
+    for each interface line joining part i to part j.  Every part has
+    Euler characteristic 1; an arc seam glues along an interval and
+    subtracts one, a circle seam glues along a circle and subtracts
+    nothing.
+    """
+    parent = list(range(len(parts)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j, _arc in seams:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups: dict = {}
+    for i, (ends, dot) in enumerate(parts):
+        r = find(i)
+        group = groups.get(r)
+        if group is None:
+            groups[r] = [set(ends), dot, 1]
+        else:
+            group[0].update(ends)
+            group[1] += dot
+            group[2] += 1
+    for i, _j, arc in seams:
+        if arc:
+            groups[find(i)][2] -= 1
+    _finalize_groups(
+        ring, [groups[r] for r in sorted(groups)], coeff, hpow, src, tgt, out
+    )
+
+
 # ---------------------------------------------------------------------------
 # Shape-keyed tables.  A table maps a pair of summand patterns (the comps
 # of one summand of each factor) to the canonical summands (comps, dh, v)
@@ -423,49 +446,25 @@ def _add_summands(ring, out, summands, coeff, hpow):
 
 
 def _compose_pair(ring, fcomps, gcomps, coeff, hpow, src, mid, tgt, out):
-    """Glue a summand of src -> mid to one of mid -> tgt and reduce into out."""
-    f_owner = {}
-    for i, (ends, _dot) in enumerate(fcomps):
-        for side, kind, idx in ends:
-            if side == TGT:
-                f_owner[(kind, idx)] = i
-    g_owner = {}
-    for j, (ends, _dot) in enumerate(gcomps):
-        for side, kind, idx in ends:
-            if side == SRC:
-                g_owner[(kind, idx)] = j
-    uf = _UnionFind()
-    for i in range(len(fcomps)):
-        uf.find(("f", i))
-    for j in range(len(gcomps)):
-        uf.find(("g", j))
-    arc_interfaces = []
-    for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles)):
-        for idx in range(count):
-            fi = ("f", f_owner[(kind, idx)])
-            gj = ("g", g_owner[(kind, idx)])
-            uf.union(fi, gj)
-            if kind == ARC:
-                arc_interfaces.append(fi)
-    ends_of: dict = {}
-    dots_of: dict = {}
-    chi_of: dict = {}
-    for i, (ends, dot) in enumerate(fcomps):
-        r = uf.find(("f", i))
-        bucket = ends_of.setdefault(r, set())
-        bucket.update(e for e in ends if e[0] == SRC)
-        dots_of[r] = dots_of.get(r, 0) + dot
-        chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
-    for j, (ends, dot) in enumerate(gcomps):
-        r = uf.find(("g", j))
-        bucket = ends_of.setdefault(r, set())
-        bucket.update(e for e in ends if e[0] == TGT)
-        dots_of[r] = dots_of.get(r, 0) + dot
-        chi_of[r] = chi_of.get(r, 0) + _CANONICAL_CHI
-    for node in arc_interfaces:
-        chi_of[uf.find(node)] -= 1
-    groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
-    _finalize_groups(ring, groups, coeff, hpow, src, tgt, out)
+    """Glue a summand of src -> mid to one of mid -> tgt and reduce into out.
+
+    The parts are the discs of f, then those of g, each keeping its ends
+    off mid; every arc and circle of mid is a seam.
+    """
+    parts = []
+    f_owner, g_owner = {}, {}  # (kind, idx) on mid -> part
+    for comps, keep, owner in ((fcomps, SRC, f_owner), (gcomps, TGT, g_owner)):
+        for ends, dot in comps:
+            for side, kind, idx in ends:
+                if side != keep:
+                    owner[(kind, idx)] = len(parts)
+            parts.append(([e for e in ends if e[0] == keep], dot))
+    seams = [
+        (f_owner[(kind, idx)], g_owner[(kind, idx)], kind == ARC)
+        for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles))
+        for idx in range(count)
+    ]
+    _glue_summands(ring, parts, seams, coeff, hpow, src, tgt, out)
 
 
 # (src, mid, tgt shapes) -> {(fcomps, gcomps): summands}, for the process.
@@ -575,82 +574,52 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
         hops[("x", x1)] = ("x", x2)
         hops[("x", x2)] = ("x", x1)
     piece_arcs = sorted({min(a, piece_match[a]) for a in range(len(piece_match))})
-
-    def match_node(node):
-        tag, p = node
-        return (tag, (left.match if tag == "b" else piece_match)[p])
-
-    def glue_partner(node):
-        return hops.get(node)
-
     new_pos = {("b", p): i for i, p in enumerate(left_order)}
     for i, x in enumerate(piece_order):
         new_pos[("x", x)] = len(left_order) + i
 
-    total = len(left_order) + len(piece_order)
-    new_match = [None] * total
+    # One walk for every strand: open strands from their first new
+    # position, then closed ones from their first old position, b before
+    # x.  A strand alternates an arc of one side with a hop across a glued
+    # pair, and ends at an unglued leg or back at its start.
+    new_match = [None] * len(new_pos)
     visited = set()
     open_paths = []
-    for node0 in sorted(new_pos, key=lambda n: new_pos[n]):
+    closed_paths = []
+    starts = sorted(new_pos, key=new_pos.get)
+    starts += [("b", p) for p in range(len(left.match))]
+    starts += [("x", x) for x in range(len(piece_match))]
+    for node0 in starts:
         if node0 in visited:
             continue
         arcs_seen = []
         node = node0
-        visited.add(node)
-        while True:
-            other = match_node(node)
-            arcs_seen.append((node[0], min(node[1], other[1])))
-            visited.add(other)
-            hop = glue_partner(other)
-            if hop is None:
-                end = other
-                break
-            node = hop
+        while node is not None and node not in visited:
             visited.add(node)
-        a, b = new_pos[node0], new_pos[end]
-        new_match[a], new_match[b] = b, a
-        open_paths.append((min(a, b), arcs_seen))
-
-    closed_paths = []
-    for tag, count in (("b", len(left.match)), ("x", len(piece_match))):
-        for p in range(count):
-            node = (tag, p)
-            if node in visited:
-                continue
-            arcs_seen = []
-            cur = node
-            while cur not in visited:
-                visited.add(cur)
-                other = match_node(cur)
-                arcs_seen.append((cur[0], min(cur[1], other[1])))
-                visited.add(other)
-                hop = glue_partner(other)
-                if hop is None:
-                    raise AssertionError("open end inside a closed gluing path")
-                cur = hop
+            tag, p = node
+            end = (tag, (left.match if tag == "b" else piece_match)[p])
+            arcs_seen.append((tag, min(p, end[1])))
+            visited.add(end)
+            node = hops.get(end)
+        if node0 in new_pos:
+            a, b = new_pos[node0], new_pos[end]
+            new_match[a], new_match[b] = b, a
+            open_paths.append((min(a, b), arcs_seen))
+        elif node is None:
+            raise AssertionError("open end inside a closed gluing path")
+        else:
             closed_paths.append((min(p for _t, p in arcs_seen), arcs_seen))
     closed_paths.sort(key=lambda item: item[0])
 
     glued = Tangle(tuple(new_match), left.circles + len(closed_paths), 0)
     arc_ids = {p: i for i, (p, _q) in enumerate(glued.arcs())}
-
-    end_map: dict = {}
-    for j in range(left.circles):
-        end_map[("b", CIRCLE, j)] = (CIRCLE, j)
-    for lo_new, arcs_seen in open_paths:
-        dest = (ARC, arc_ids[lo_new])
+    dests = [(ARC, arc_ids[lo]) for lo, _arcs in open_paths]
+    dests += [(CIRCLE, left.circles + ci) for ci in range(len(closed_paths))]
+    end_map = {("b", CIRCLE, j): (CIRCLE, j) for j in range(left.circles)}
+    for dest, (_lo, arcs_seen) in zip(dests, open_paths + closed_paths):
         for tag, lo in arcs_seen:
-            if tag == "b":
-                end_map[("b", ARC, left.arc_index(lo))] = dest
-            else:
-                end_map[("x", ARC, piece_arcs.index(lo))] = dest
-    for ci, (_lo, arcs_seen) in enumerate(closed_paths):
-        dest = (CIRCLE, left.circles + ci)
-        for tag, lo in arcs_seen:
-            if tag == "b":
-                end_map[("b", ARC, left.arc_index(lo))] = dest
-            else:
-                end_map[("x", ARC, piece_arcs.index(lo))] = dest
+            idx = left.arc_index(lo) if tag == "b" else piece_arcs.index(lo)
+            end_map[(tag, ARC, idx)] = dest
     return glued, end_map
 
 
@@ -659,53 +628,20 @@ def _glue_pair(ring, fcomps, pcomps, coeff, hpow, f, phi, pairs, src_info,
     """Glue a summand of f beside one of phi and reduce into out."""
     new_src, src_map = src_info
     new_tgt, tgt_map = tgt_info
-    f_owner = {}
-    for i, (ends, _d) in enumerate(fcomps):
-        for side, kind, idx in ends:
-            if side == SRC and kind == ARC:
-                p, q = f.src.arcs()[idx]
-                f_owner[p] = i
-                f_owner[q] = i
-    p_owner = {}
-    for j, (ends, _d) in enumerate(pcomps):
-        for side, kind, idx in ends:
-            if side == SRC and kind == ARC:
-                a, b = phi.src.arcs()[idx]
-                p_owner[a] = j
-                p_owner[b] = j
-    uf = _UnionFind()
-    for i in range(len(fcomps)):
-        uf.find(("f", i))
-    for j in range(len(pcomps)):
-        uf.find(("p", j))
-    for bpos, xpos in pairs:
-        uf.union(("f", f_owner[bpos]), ("p", p_owner[xpos]))
-    for x1, x2 in self_pairs:
-        uf.union(("p", p_owner[x1]), ("p", p_owner[x2]))
-
-    ends_of: dict = {}
-    dots_of: dict = {}
-    chi_of: dict = {}
-
-    def add_part(root, tag, ends, dot):
-        bucket = ends_of.setdefault(root, set())
-        for side, kind, idx in ends:
-            emap = src_map if side == SRC else tgt_map
-            nk, ni = emap[(tag, kind, idx)]
-            bucket.add((side, nk, ni))
-        dots_of[root] = dots_of.get(root, 0) + dot
-        chi_of[root] = chi_of.get(root, 0) + _CANONICAL_CHI
-
-    for i, (ends, dot) in enumerate(fcomps):
-        add_part(uf.find(("f", i)), "b", ends, dot)
-    for j, (ends, dot) in enumerate(pcomps):
-        add_part(uf.find(("p", j)), "x", ends, dot)
-    for bpos, _xpos in pairs:
-        chi_of[uf.find(("f", f_owner[bpos]))] -= 1
-    for x1, _x2 in self_pairs:
-        chi_of[uf.find(("p", p_owner[x1]))] -= 1
-    groups = [(ends_of[r], dots_of[r], chi_of[r]) for r in sorted(ends_of)]
-    _finalize_groups(ring, groups, coeff, hpow, new_src, new_tgt, out)
+    emaps = (src_map, tgt_map)  # indexed by side
+    parts = []
+    owner = {}  # ("b" | "x", source position) -> part
+    for tag, t, comps in (("b", f.src, fcomps), ("x", phi.src, pcomps)):
+        for ends, dot in comps:
+            for side, kind, idx in ends:
+                if side == SRC and kind == ARC:
+                    for pos in t.arcs()[idx]:
+                        owner[(tag, pos)] = len(parts)
+            named = [(sd,) + emaps[sd][(tag, kd, ix)] for sd, kd, ix in ends]
+            parts.append((named, dot))
+    seams = [(owner[("b", p)], owner[("x", x)], True) for p, x in pairs]
+    seams += [(owner[("x", x1)], owner[("x", x2)], True) for x1, x2 in self_pairs]
+    _glue_summands(ring, parts, seams, coeff, hpow, new_src, new_tgt, out)
 
 
 def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
@@ -716,7 +652,7 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
     crossing pieces; ``src_info`` / ``tgt_info`` are the
     :func:`glue_tangles` results (glued tangle, end map) for the source
     and target object pairs.  Each glued pair and each self-glued leg
-    pair contributes one vertical interface to the Euler bookkeeping.
+    pair is one arc seam.
 
     ``tables`` is the caller's dict of the reductions already made with
     the same interface, keyed by the shapes of f and phi, then by the

@@ -37,9 +37,6 @@ class Ring:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 

@@ -418,6 +418,14 @@ def scan(order, ring, mode="s"):
     Modes: "full" keeps everything (the final complex computes the graded
     homology), "s" truncates to the window needed for the s-invariant,
     "sq1" to the wider window needed for the Bockstein refinement.
+
+    The truncating modes share one rule with half-width w (1 for "s", 2
+    for "sq1").  Degrees never fall, and the last n - i crossings raise
+    them by at most n - i, so after step i only degrees -w - n + i to w
+    can reach the final window [-w, w]; those are kept.  Eliminations
+    run from one degree lower, -w - 1 - n + i: a pair cancelled with its
+    source there removes from the lowest kept degree a cocycle that is
+    a boundary, which leaves the kept differentials their images.
     """
     if mode not in ("full", "s", "sq1"):
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -435,10 +443,9 @@ def scan(order, ring, mode="s"):
         deloop(C)
         if mode == "full":
             reduce_pass(C)
-        elif mode == "s":
-            reduce_pass(C, -2 - n + i, 1, -1 - n + i, 1)
         else:
-            reduce_pass(C, -2 - n + i, 2, -2 - n + i, 2)
+            w = 1 if mode == "s" else 2
+            reduce_pass(C, -w - 1 - n + i, w, -w - n + i, w)
     if any(t.n_points or t.circles for t in C.obj.values()):
         raise NotClosedError("scan left open objects")
     return C

@@ -150,34 +150,41 @@ def sq1_image(nf: Z4NormalForm, q) -> list[int]:
     ]
 
 
+def _xor_reduce(v, basis, tag=0):
+    """Reduce the F2 vector v (an int bitmask) by an echelon basis.
+
+    ``basis`` maps the top bit of each of its vectors to (vector, tag).
+    The tags of the basis vectors used are XORed onto ``tag``, so a tag
+    can record which inputs a vector combines.  Returns (reduced v, tag);
+    a nonzero reduced v has a top bit no basis vector has, so it can
+    join the basis.
+    """
+    while v:
+        hit = basis.get(v.bit_length())
+        if hit is None:
+            break
+        v ^= hit[0]
+        tag ^= hit[1]
+    return v, tag
+
+
 def _f2_span_solve(vectors, target):
     """Is target in the F2 span of the vectors (sets of generator ids)?"""
     coords = sorted({x for v in vectors for x in v} | set(target))
     idx = {c: i for i, c in enumerate(coords)}
 
-    def top(v):
-        return v.bit_length() - 1
-
-    def reduce(cur, pivots):
-        while cur:
-            hit = next((p for p in pivots if top(p) == top(cur)), None)
-            if hit is None:
-                return cur
-            cur ^= hit
-        return cur
-
-    pivots: list[int] = []
-    for v in vectors:
-        cur = 0
+    def bits(v):
+        out = 0
         for x in v:
-            cur ^= 1 << idx[x]
-        cur = reduce(cur, pivots)
+            out ^= 1 << idx[x]
+        return out
+
+    basis: dict[int, tuple[int, int]] = {}
+    for v in vectors:
+        cur, _ = _xor_reduce(bits(v), basis)
         if cur:
-            pivots.append(cur)
-    cur = 0
-    for x in target:
-        cur ^= 1 << idx[x]
-    return reduce(cur, pivots) == 0
+            basis[cur.bit_length()] = (cur, 0)
+    return _xor_reduce(bits(target), basis)[0] == 0
 
 
 def intersect_with_p(E: BasedComplex, q, classes) -> list[frozenset]:
@@ -204,39 +211,26 @@ def intersect_with_p(E: BasedComplex, q, classes) -> list[frozenset]:
                 i = eq_index.setdefault(t, len(eq_index))
                 cols[j] |= 1 << i
 
-    def top(v):
-        return v.bit_length() - 1
-
-    # kernel of the column system, tracking unknown combinations
-    reduced: list[tuple[int, int]] = []
+    # kernel of the column system, tagging each column with its unknown
+    reduced: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     for j in range(n):
-        v, tag = cols[j], 1 << j
-        while v:
-            hit = next((rw for rw in reduced if top(rw[0]) == top(v)), None)
-            if hit is None:
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
+        v, tag = _xor_reduce(cols[j], reduced, 1 << j)
         if v:
-            reduced.append((v, tag))
+            reduced[v.bit_length()] = (v, tag)
         else:
             kernel.append(tag)
 
     # project kernel vectors to class coordinates and take a basis
-    proj: list[int] = []
+    proj: dict[int, tuple[int, int]] = {}
     mask = (1 << k) - 1
     for tag in kernel:
-        p = tag & mask
-        while p:
-            hit = next((rp for rp in proj if top(rp) == top(p)), None)
-            if hit is None:
-                break
-            p ^= hit
+        p, _ = _xor_reduce(tag & mask, proj)
         if p:
-            proj.append(p)
+            proj[p.bit_length()] = (p, 0)
     return [
-        frozenset(classes[j] for j in range(k) if (p >> j) & 1) for p in proj
+        frozenset(classes[j] for j in range(k) if (p >> j) & 1)
+        for p, _ in proj.values()
     ]
 
 

@@ -5,12 +5,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnscan.coeff import Z4, F2
+from bnscan.complex import scan
+from bnscan.diagram import orient_and_sign, scan_order
 from bnscan.sinv import BasedComplex, base_change, s_from_based
 from bnscan.sq1 import (
     NotSaturatedError,
     Sq1Quadruple,
+    _f2_span_solve,
     half_refinement_from_based,
     intersect_with_p,
     normal_form,
@@ -191,8 +195,6 @@ def test_refine_bounds_and_mirror_relations():
 
 
 def test_mod2_reduction_matches_f2_scan_window():
-    from bnscan.complex import scan
-    from bnscan.diagram import orient_and_sign, scan_order
     from bnscan.sinv import from_filtered, khovanov_table
 
     for pd in (parse_pd(PD_TREFOIL), rational_pd([2, 2])):
@@ -248,3 +250,104 @@ def test_dual_complex_gives_the_quadruple_of_the_mirror_scan(filename):
         s_f2, quad = refine(pd)
         assert (s_f2, quad) == two_scan_refine(pd), pd.name
 
+
+def test_sq1_scan_keeps_no_more_low_generators_than_the_full_scan():
+    # the sq1 window eliminates from one degree below the lowest it keeps,
+    # as mode s does; eliminating from the lowest kept degree only leaves
+    # P(3,5,5) with 1,792 generators in degree -2, where the full scan
+    # ends with 6
+    with open(os.path.join(DATA, "mixed_knots.txt")) as f:
+        knots = [pd for _ln, pd in parse_knot_file(f.read())]
+    assert knots
+    for pd in knots:
+        order = scan_order(orient_and_sign(pd))
+        kept = scan(order, Z4, "sq1")
+        full = scan(order, Z4, "full")
+        for h in (-2, -1):
+            assert len(kept.objects_at(h)) <= len(full.objects_at(h)), (pd.name, h)
+
+
+# -- the F2 quotient algebra against enumeration ------------------------------
+
+
+def _span(vectors):
+    """Every F2 combination of the vectors (sets), as frozensets."""
+    out = {frozenset()}
+    for v in vectors:
+        out |= {c ^ frozenset(v) for c in out}
+    return out
+
+
+def _row(E, g, below=None):
+    """The mod-2 coboundary of g, cut to quantum degrees below ``below``."""
+    return frozenset(
+        t for t, v in E.out[g].items()
+        if v % 2 and (below is None or E.q[t] < below)
+    )
+
+
+@st.composite
+def f2_complexes(draw):
+    """A small mod-2 based complex in degrees -1, 0, 1 with filtered entries.
+
+    Few quantum levels and few degree-1 generators make dependent
+    coboundaries common.
+    """
+    E = BasedComplex(F2)
+    ids = [
+        E.add_object(h, q)
+        for h, most in ((-1, 4), (0, 6), (1, 3))
+        for q in draw(st.lists(st.integers(-1, 1), max_size=most))
+    ]
+    for a in ids:
+        for b in ids:
+            if E.h[b] == E.h[a] + 1 and E.q[b] >= E.q[a] and draw(st.booleans()):
+                E.set_entry(a, b, F2.one)
+    return E
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vectors=st.lists(st.frozensets(st.integers(0, 5)), max_size=8),
+    target=st.frozensets(st.integers(0, 5)),
+)
+def test_f2_span_solve_matches_enumeration(vectors, target):
+    assert _f2_span_solve(vectors, target) == (target in _span(vectors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(E=f2_complexes(), data=st.data())
+def test_intersect_with_p_matches_enumeration(E, data):
+    # the class combinations c at level q for which some degree-0 h above
+    # q makes c + h a cocycle, found by trying every c and h
+    zero = E.objects_at(0)
+    if not zero:
+        return
+    q = data.draw(st.sampled_from(sorted({E.q[g] for g in zero})))
+    level = [g for g in zero if E.q[g] == q]
+    classes = data.draw(st.lists(st.sampled_from(level), unique=True))
+    unknowns = classes + [g for g in zero if E.q[g] > q]
+    expected = set()
+    for mask in range(1 << len(unknowns)):
+        chosen = [g for j, g in enumerate(unknowns) if (mask >> j) & 1]
+        d = frozenset()
+        for g in chosen:
+            d ^= _row(E, g)
+        if not d:
+            expected.add(frozenset(g for g in chosen if g in classes))
+    basis = intersect_with_p(E, q, classes)
+    assert _span(basis) == expected
+    assert len(_span(basis)) == 1 << len(basis)  # independent
+
+
+@settings(max_examples=150, deadline=None)
+@given(E=f2_complexes(), data=st.data())
+def test_survives_quotient_matches_enumeration(E, data):
+    # a class below the cut survives unless some combination of degree -1
+    # generators below the cut has it as truncated coboundary
+    q_cut = data.draw(st.integers(-1, 2))
+    low = [g for g in E.objects_at(0) if E.q[g] < q_cut]
+    cls = data.draw(st.frozensets(st.sampled_from(low))) if low else frozenset()
+    sources = [z for z in E.objects_at(-1) if E.q[z] < q_cut]
+    boundaries = _span([_row(E, z, q_cut) for z in sources])
+    assert survives_quotient(E, q_cut, cls) == (bool(cls) and cls not in boundaries)
