@@ -33,8 +33,6 @@ class Job:
     mode: str = "s"
     rings: tuple[str, ...] = ("f2",)
     jobs: int = 1
-    out_path: str | None = None
-    out_format: str = "csv"
     fail_fast: bool = False
     dump_dir: str | None = None
 
@@ -79,8 +77,6 @@ def _compute_row(args):
     t0 = time.perf_counter()
     row = ResultRow(name=name, mode=mode)
     try:
-        if mode not in _WINDOWS:
-            raise ValueError(f"unknown mode {mode!r}")
         if dump_dir:
             _check_dump_name(name)
         pd = parse_knot_line(line)
@@ -116,9 +112,12 @@ def run(job: Job):
     Modes s and kh read their numbers off a saturated complex, which
     needs a field; their ring names are lower-cased and kept once each,
     in order.  Mode sq1 always works over Z/4Z and F2.  Every row scans
-    its diagram once.  With ``fail_fast`` the first failing row raises
+    its diagram once.  An unknown mode or ring raises ValueError before
+    the input is read.  With ``fail_fast`` the first failing row raises
     RuntimeError at once.
     """
+    if job.mode not in _WINDOWS:
+        raise ValueError(f"unknown mode {job.mode!r}")
     rings = tuple(dict.fromkeys(rname.strip().lower() for rname in job.rings))
     if job.mode != "sq1":
         if not rings:
@@ -249,15 +248,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rings = tuple(r.strip() for r in args.ring.split(",") if r.strip())
-    if args.mode == "sq1":
-        rings = ("z4", "f2")
     job = Job(
         input_path=args.input,
         mode=args.mode,
         rings=rings,
         jobs=max(1, args.jobs),
-        out_path=args.out,
-        out_format=args.format,
         fail_fast=args.fail_fast,
         dump_dir=args.dump_dir,
     )
@@ -269,10 +264,10 @@ def main(argv=None):
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows) if job.out_format == "csv" else rows_to_json(rows)
-    if job.out_path:
+    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
+    if args.out:
         try:
-            with open(job.out_path, "w") as f:
+            with open(args.out, "w") as f:
                 f.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

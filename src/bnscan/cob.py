@@ -34,9 +34,14 @@ integers, and kept in a table; a ring applies it through ``from_int``.
 source, middle and target and then by the summand pair.  ``glue_cobs``
 takes its tables from the caller, because the result also depends on
 the gluing interface: the scan keeps them for one tensor step.  The
-identity and the delooping maps are kept per tangle shape, and the
-canonical component tuples are interned, so that the tables and the
-live cobordisms share one object per pattern.
+identity is kept per tangle shape, and the canonical component tuples
+are interned, so that the tables and the live cobordisms share one
+object per pattern.
+
+Delooping reads the canonical form and makes no product: every circle
+bounds a disc of its own in each summand, and each delooping map only
+caps that disc into a sphere, so ``deloop_iso`` keeps or drops each
+summand by the dot on the disc.
 """
 
 from __future__ import annotations
@@ -273,22 +278,14 @@ def _strip_comps(match):
     ))
 
 
-def _cylinder_groups(t, circles):
-    """Vertical strips on the arcs of t and annuli on its first circles."""
-    groups = [
-        ({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(t.arcs()))
-    ]
-    groups += [
-        ({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(circles)
-    ]
-    return groups
-
-
 @lru_cache(maxsize=None)
 def _identity_summands(match, circles):
+    """Vertical strips on the arcs and annuli on the circles, reduced."""
     t = Tangle(match, circles)
+    groups = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(t.arcs()))]
+    groups += [({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(circles)]
     terms: dict = {}
-    _finalize_groups(Z, _cylinder_groups(t, circles), 1, 0, t, t, terms)
+    _finalize_groups(Z, groups, 1, 0, t, t, terms)
     return _as_summands(terms)
 
 
@@ -485,48 +482,42 @@ def compose(ring, g, f):
     return Cob(src, tgt, terms)
 
 
-@lru_cache(maxsize=None)
-def _deloop_summands(match, circles):
-    """Summands of (p_plus, p_minus, i_plus, i_minus) for one shape."""
-    t = Tangle(match, circles)
-    base = t.drop_last_circle()
-    k = base.circles
-    groups = _cylinder_groups(t, k)
+def deloop_iso(ring, f, side):
+    """The halves of f at the last circle of f.tgt (TGT) or of f.src (SRC).
 
-    def build(disc_end, variants):
-        src, dst = (t, base) if disc_end[0] == SRC else (base, t)
-        terms: dict = {}
-        for dot, hpow, coeff in variants:
-            _finalize_groups(
-                Z, groups + [({disc_end}, dot, 1)], coeff, hpow, src, dst, terms
-            )
-        return _as_summands(terms)
-
-    return (
-        build((SRC, CIRCLE, k), [(1, 0, 1), (0, 1, -1)]),
-        build((SRC, CIRCLE, k), [(0, 0, 1)]),
-        build((TGT, CIRCLE, k), [(0, 0, 1)]),
-        build((TGT, CIRCLE, k), [(1, 0, 1)]),
-    )
-
-
-def deloop_iso(ring, t):
-    """Split off the last circle: t ~ t'{+1} + t'{-1} with explicit maps.
-
-    Returns ((t_plus, t_minus), (p_plus, p_minus, i_plus, i_minus)) where
-    p_plus = dotted death - H death, p_minus = death, i_plus = birth and
-    i_minus = dotted birth; both round trips reduce to identities.
+    The delooping isomorphism t ~ t'{+1} + t'{-1} splits off that circle
+    by p_plus = dotted death - H death, p_minus = death, i_plus = birth
+    and i_minus = dotted birth.  In canonical form the circle bounds a
+    disc of its own, with a dot d, in every summand of f, and each map
+    only caps that disc into a sphere (1 with one dot, H with two, 0
+    with none).  So p_plus f keeps the summands with d = 0, p_minus f
+    those with d = 1, f i_plus those with d = 1, and f i_minus all of
+    them with hpow raised by d; the disc is dropped.  Returns
+    (p_plus f, p_minus f) for TGT and (f i_plus, f i_minus) for SRC.
     """
+    t = f.tgt if side == TGT else f.src
     base = t.drop_last_circle()
-    t_plus = base.shifted(+1)
-    t_minus = base.shifted(-1)
-    maps = []
-    objects = ((t, t_plus), (t, t_minus), (t_plus, t), (t_minus, t))
-    for (src, dst), summands in zip(objects, _deloop_summands(t.match, t.circles)):
-        terms: dict = {}
-        _add_summands(ring, terms, summands, ring.one, 0)
-        maps.append(Cob(src, dst, terms))
-    return (t_plus, t_minus), tuple(maps)
+    disc = ((side, CIRCLE, base.circles),)
+    plus: dict = {}
+    minus: dict = {}
+    for (comps, hpow), c in f.terms.items():
+        for i, (ends, dot) in enumerate(comps):
+            if ends == disc:
+                break
+        else:
+            raise AssertionError("delooped circle bounds no disc of its own")
+        rest = _intern(comps[:i] + comps[i + 1:])
+        if side == TGT:
+            (minus if dot else plus)[(rest, hpow)] = c
+        else:
+            if dot:
+                plus[(rest, hpow)] = c
+            # summands differing by a dot against one H can collide here
+            _add_summands(ring, minus, ((rest, dot, 1),), c, hpow)
+    t_plus, t_minus = base.shifted(+1), base.shifted(-1)
+    if side == TGT:
+        return Cob(f.src, t_plus, plus), Cob(f.src, t_minus, minus)
+    return Cob(t_plus, f.tgt, plus), Cob(t_minus, f.tgt, minus)
 
 
 def evaluate(ring, c):

@@ -20,6 +20,8 @@ from typing import Callable, NamedTuple
 
 from . import cob
 from .cob import (
+    SRC,
+    TGT,
     Cob,
     MismatchError,
     NotClosedError,
@@ -238,47 +240,37 @@ def tensor_with_crossing(C, step):
             )
     (t0, t1), saddle = crossing_complex(ring)
     pieces = (t0, t1)
-    ids0 = identity_cob(ring, t0)
-    ids1 = identity_cob(ring, t1)
-    piece_id = (ids0, ids1)
+    piece_id = (identity_cob(ring, t0), identity_cob(ring, t1))
     pairs = step.pairs
     self_pairs = step.self_pairs
     left_order = step.left_order
     piece_order = step.piece_order
 
     D = FilteredComplex(ring)
-    glue_cache: dict = {}
     glue_tables: dict = {}  # reductions under this step's interface
-
-    def glued_info(oid, k):
-        key = (oid, k)
-        got = glue_cache.get(key)
-        if got is None:
-            src_t = C.obj[oid]
-            piece = pieces[k]
-            raw, end_map = glue_tangles(
-                src_t, piece.match, pairs, left_order, piece_order,
-                self_pairs=self_pairs,
-            )
-            shifted = Tangle(
-                raw.match, raw.circles, src_t.qshift + piece.qshift
-            )
-            got = (shifted, end_map)
-            glue_cache[key] = got
-        return got
-
+    shapes: dict = {}  # (match, circles, k) -> glued tangle and end map
+    info: dict = {}  # (oid, k) -> glued object and end map
     new_id: dict = {}
     for h in C.degrees():
         for oid in C.objects_at(h):
-            for k in (0, 1):
-                tangle, _emap = glued_info(oid, k)
-                new_id[(oid, k)] = D.add_object(h + k, tangle)
+            t = C.obj[oid]
+            for k, piece in enumerate(pieces):
+                key = (t.match, t.circles, k)
+                if key not in shapes:
+                    shapes[key] = glue_tangles(
+                        t, piece.match, pairs, left_order, piece_order,
+                        self_pairs=self_pairs,
+                    )
+                raw, end_map = shapes[key]
+                glued = Tangle(raw.match, raw.circles, t.qshift + piece.qshift)
+                info[oid, k] = (glued, end_map)
+                new_id[oid, k] = D.add_object(h + k, glued)
     for src, outs in C.out.items():
         for tgt, f in outs.items():
             for k in (0, 1):
                 entry = glue_cobs(
                     ring, f, piece_id[k], pairs,
-                    glued_info(src, k), glued_info(tgt, k),
+                    info[src, k], info[tgt, k],
                     self_pairs=self_pairs, tables=glue_tables,
                 )
                 D.add_to_entry(new_id[(src, k)], new_id[(tgt, k)], entry)
@@ -287,7 +279,7 @@ def tensor_with_crossing(C, step):
         ident = identity_cob(ring, C.obj[oid])
         entry = glue_cobs(
             ring, ident, saddle, pairs,
-            glued_info(oid, 0), glued_info(oid, 1),
+            info[oid, 0], info[oid, 1],
             self_pairs=self_pairs, tables=glue_tables,
         ).scaled(ring, sign)
         D.add_to_entry(new_id[(oid, 0)], new_id[(oid, 1)], entry)
@@ -297,7 +289,14 @@ def tensor_with_crossing(C, step):
 
 
 def deloop(C):
-    """Replace every circled object by its two shifted circle-free halves."""
+    """Replace every circled object by its two shifted circle-free halves.
+
+    The last circle of an object t splits off as t'{+1} + t'{-1}; each
+    entry into t is replaced by its (p_plus, p_minus) halves and each
+    entry out of t by its (i_plus, i_minus) halves, both read off the
+    entry's canonical form by ``deloop_iso``, one call per entry.
+    Objects with more circles go back on the queue.
+    """
     ring = C.ring
     queue = [
         oid for h in C.degrees() for oid in C.objects_at(h)
@@ -311,18 +310,19 @@ def deloop(C):
         if t.circles == 0:
             continue
         h = C.h[oid]
-        (tp, tm), (p_plus, p_minus, i_plus, i_minus) = deloop_iso(ring, t)
-        id_p = C.add_object(h, tp)
-        id_m = C.add_object(h, tm)
+        base = t.drop_last_circle()
+        id_p = C.add_object(h, base.shifted(+1))
+        id_m = C.add_object(h, base.shifted(-1))
         for src in list(C.inc[oid]):
-            f = C.out[src][oid]
-            C.add_to_entry(src, id_p, compose(ring, p_plus, f))
-            C.add_to_entry(src, id_m, compose(ring, p_minus, f))
+            f_plus, f_minus = deloop_iso(ring, C.out[src][oid], TGT)
+            C.add_to_entry(src, id_p, f_plus)
+            C.add_to_entry(src, id_m, f_minus)
         for tgt, g in list(C.out[oid].items()):
-            C.add_to_entry(id_p, tgt, compose(ring, g, i_plus))
-            C.add_to_entry(id_m, tgt, compose(ring, g, i_minus))
+            g_plus, g_minus = deloop_iso(ring, g, SRC)
+            C.add_to_entry(id_p, tgt, g_plus)
+            C.add_to_entry(id_m, tgt, g_minus)
         C.remove_object(oid)
-        if tp.circles:
+        if base.circles:
             queue.append(id_p)
             queue.append(id_m)
     if DEBUG:
@@ -366,15 +366,16 @@ def gauss_eliminate(C, a, b):
     return touched
 
 
-def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
-    """Saturate eliminations inside the window, then truncate outside it.
+def reduce_pass(C, lo=-INF, hi=INF):
+    """Saturate eliminations, then keep only the degrees [lo, hi].
 
     Candidates are unit-identity entries between objects with equal
     labels: equal tangles in the scan, equal quantum degrees once
     evaluated.  They are processed lowest homological degree first, then
     by an estimate of the fill-in they cause, then by object ids; the
-    queue is revalidated lazily.  Afterwards no such entry remains with
-    source degree inside [elim_lo, elim_hi].
+    queue is revalidated lazily.  Eliminations run from one degree below
+    the kept window: afterwards no such entry remains with source degree
+    inside [lo - 1, hi], and every object outside [lo, hi] is removed.
     """
     def fill_estimate(a, b):
         return (len(C.inc[b]) - 1) * (len(C.out[a]) - 1)
@@ -385,7 +386,7 @@ def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
         if a not in C.obj or b not in C.obj:
             return
         h = C.h[a]
-        if not (elim_lo <= h <= elim_hi):
+        if not (lo - 1 <= h <= hi):
             return
         if (cancellable_coefficient(C, a, b) is not None
                 and C.obj[a] == C.obj[b]):
@@ -404,7 +405,7 @@ def reduce_pass(C, elim_lo=-INF, elim_hi=INF, retain_lo=-INF, retain_hi=INF):
         for s, t in touched:
             push(s, t)
     for h in C.degrees():
-        if h < retain_lo or h > retain_hi:
+        if h < lo or h > hi:
             for oid in C.objects_at(h):
                 C.remove_object(oid)
     if DEBUG:
@@ -445,7 +446,7 @@ def scan(order, ring, mode="s"):
             reduce_pass(C)
         else:
             w = 1 if mode == "s" else 2
-            reduce_pass(C, -w - 1 - n + i, w, -w - n + i, w)
+            reduce_pass(C, -w - n + i, w)
     if any(t.n_points or t.circles for t in C.obj.values()):
         raise NotClosedError("scan left open objects")
     return C

@@ -56,26 +56,18 @@ class Z4NormalForm:
         return list(self.elementary.get(q, []))
 
 
-def _slide_source(D: BasedComplex, s_prime, s0, u):
-    """Replace s' by s' + u*s0 (same degree, q(s0) >= q(s'))."""
-    ring = D.ring
-    if D.h[s_prime] != D.h[s0] or D.q[s0] < D.q[s_prime]:
-        raise ValueError("source slide must stay in degree and filtration")
-    for t, v in list(D.out[s0].items()):
-        D.add_to_entry(s_prime, t, ring.mul(u, v))
-    for z in list(D.inc[s_prime]):
-        D.add_to_entry(z, s0, ring.neg(ring.mul(u, D.out[z][s_prime])))
+def _slide(D: BasedComplex, x, y, u):
+    """The handle slide x -> x + u*y (same degree, q(y) >= q(x)).
 
-
-def _slide_target(D: BasedComplex, t0, t_prime, u):
-    """Replace t0 by t0 + u*t' (same degree, q(t') >= q(t0))."""
+    Row x gains u times row y and column y loses u times column x.
+    """
     ring = D.ring
-    if D.h[t0] != D.h[t_prime] or D.q[t_prime] < D.q[t0]:
-        raise ValueError("target slide must stay in degree and filtration")
-    for w, v in list(D.out[t_prime].items()):
-        D.add_to_entry(t0, w, ring.mul(u, v))
-    for z in list(D.inc[t0]):
-        D.add_to_entry(z, t_prime, ring.neg(ring.mul(u, D.out[z][t0])))
+    if D.h[x] != D.h[y] or D.q[y] < D.q[x]:
+        raise ValueError("slide must stay in degree and filtration")
+    for t, v in list(D.out[y].items()):
+        D.add_to_entry(x, t, ring.mul(u, v))
+    for z in list(D.inc[x]):
+        D.add_to_entry(z, y, ring.neg(ring.mul(u, D.out[z][x])))
 
 
 def normal_form(D: BasedComplex) -> Z4NormalForm:
@@ -115,12 +107,12 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
                 for t_prime in sorted(D.out[s0]):
                     if t_prime == t0 or D.q.get(t_prime) != q:
                         continue
-                    _slide_target(D, t0, t_prime, 1)
+                    _slide(D, t0, t_prime, 1)
                     nf.slides += 1
                 for s_prime in sorted(D.inc[t0]):
                     if s_prime == s0 or D.q.get(s_prime) != q:
                         continue
-                    _slide_source(D, s_prime, s0, 1)
+                    _slide(D, s_prime, s0, 1)
                     nf.slides += 1
                 if any(D.q[t] == q for t in D.out[s0] if t != t0) or any(
                     D.q[s] == q for s in D.inc[t0] if s != s0

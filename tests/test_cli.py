@@ -302,6 +302,14 @@ def test_non_field_rings_are_rejected_up_front(knot_file, capsys):
     assert code == 1
 
 
+def test_an_unknown_mode_is_rejected_before_the_input_is_read(tmp_path, knot_file):
+    # a missing input would raise FileNotFoundError if it were opened first
+    missing = str(tmp_path / "missing.txt")
+    for path in (missing, knot_file):
+        with pytest.raises(ValueError, match="unknown mode 'khovanov'"):
+            run(Job(path, mode="khovanov", rings=("f2",)))
+
+
 @pytest.mark.parametrize("name", ["a/b", "../x"])
 def test_dump_refuses_a_name_with_a_path_separator(tmp_path, name):
     path = tmp_path / "in" / "knots.txt"

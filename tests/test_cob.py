@@ -17,12 +17,14 @@ from bnscan.cob import (
     NotClosedError,
     Tangle,
     _compose_pair,
+    _cycles,
     _finalize_groups,
     compose,
     deloop_iso,
     evaluate,
     identity_cob,
 )
+from helpers import deloop_maps, neck_cut_deloop_maps
 from oracle_frobenius import run_moves
 
 
@@ -229,7 +231,9 @@ def test_closed_torus_evaluates_to_two():
 def test_deloop_round_trip_identities():
     for t in (circle_tangle(1), Tangle((1, 0), 1, 3), circle_tangle(2, -1)):
         for ring in (Q, F2, F3):
-            (tp, tm), (pp, pm, ip, im) = deloop_iso(ring, t)
+            pp, pm, ip, im = deloop_maps(ring, t)
+            tp, tm = pp.tgt, pm.tgt
+            assert (ip.src, im.src) == (tp, tm)
             assert tp.qshift == t.qshift + 1 and tm.qshift == t.qshift - 1
             assert compose(ring, pp, ip).terms == identity_cob(ring, tp).terms
             assert compose(ring, pm, im).terms == identity_cob(ring, tm).terms
@@ -240,13 +244,84 @@ def test_deloop_round_trip_identities():
 
 
 def test_deloop_on_bare_circle_gives_empty_objects():
-    (tp, tm), _maps = deloop_iso(Q, circle_tangle(1, qshift=0))
-    assert tp == empty_tangle(1) and tm == empty_tangle(-1)
+    pp, pm, ip, im = deloop_maps(Q, circle_tangle(1, qshift=0))
+    assert pp.tgt == ip.src == empty_tangle(1)
+    assert pm.tgt == im.src == empty_tangle(-1)
 
 
 def test_deloop_requires_circle():
-    with pytest.raises(NoCircleError):
-        deloop_iso(Q, empty_tangle())
+    for side in (SRC, TGT):
+        with pytest.raises(NoCircleError):
+            deloop_iso(Q, identity_cob(Q, empty_tangle()), side)
+
+
+def test_deloop_refuses_a_summand_without_the_disc():
+    # a bare term on a circled tangle is not in canonical form
+    t = circle_tangle(1)
+    for side in (SRC, TGT):
+        with pytest.raises(AssertionError, match="no disc"):
+            deloop_iso(Q, Cob(t, t, {((), 0): 1}), side)
+
+
+# Non-crossing matchings by number of boundary points.
+MATCHINGS = {0: [()], 2: [(1, 0)], 4: [(1, 0, 3, 2), (3, 2, 1, 0)]}
+
+
+def random_canonical_cob(ring, rng, src, tgt):
+    """A random sum of reduced surfaces src -> tgt.
+
+    Each surface joins the boundary cycles into components with random
+    dots and genus, so neck-cutting spreads it over several summands,
+    with coefficients such as 2 and -1 and raised hpow.
+    """
+    ends = [
+        (side, kind, i)
+        for side, t in ((SRC, src), (TGT, tgt))
+        for kind, count in ((ARC, len(t.arcs())), (CIRCLE, t.circles))
+        for i in range(count)
+    ]
+    cycles = _cycles(tuple(ends), src, tgt)
+    terms: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        parts: dict = {}
+        for cyc in cycles:
+            parts.setdefault(rng.randrange(len(cycles)), []).append(cyc)
+        groups = [
+            ({e for cyc in cs for e in cyc}, rng.randint(0, 2),
+             2 - 2 * rng.randint(0, 1) - len(cs))
+            for cs in parts.values()
+        ]
+        coeff = ring.from_int(rng.choice((1, 2, 3, -1)))
+        _finalize_groups(ring, groups, coeff, rng.randint(0, 1), src, tgt, terms)
+    return Cob(src, tgt, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from((0, 2, 4)),
+    looped_circles=st.integers(1, 2),
+    other_circles=st.integers(0, 2),
+    side=st.sampled_from((SRC, TGT)),
+)
+def test_deloop_iso_matches_composition_with_neck_cut_maps(
+    seed, n_points, looped_circles, other_circles, side
+):
+    rng = random.Random(seed)
+    looped = Tangle(rng.choice(MATCHINGS[n_points]), looped_circles, rng.randint(-2, 2))
+    other = Tangle(rng.choice(MATCHINGS[n_points]), other_circles, rng.randint(-2, 2))
+    src, tgt = (other, looped) if side == TGT else (looped, other)
+    for ring in (F2, Z4, F3, Q, Z):
+        # the same surfaces in every ring
+        f = random_canonical_cob(ring, random.Random(seed), src, tgt)
+        _objects, (pp, pm, ip, im) = neck_cut_deloop_maps(ring, looped)
+        if side == TGT:
+            expected = (compose(ring, pp, f), compose(ring, pm, f))
+        else:
+            expected = (compose(ring, f, ip), compose(ring, f, im))
+        got = deloop_iso(ring, f, side)
+        for g, e in zip(got, expected):
+            assert (g.src, g.tgt, g.terms) == (e.src, e.tgt, e.terms)
 
 
 def test_evaluate_identity_and_hpow():

@@ -35,7 +35,7 @@ from bnscan.complex import (
 )
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import from_filtered, khovanov_table, s_from_based
-from helpers import strictly_raising
+from helpers import deloop_maps, strictly_raising
 from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, rational_pd, torus_pd
 from oracle_dense import bn_s_invariant, khovanov_ranks
 
@@ -126,44 +126,50 @@ def _circle_cyl(ring, dot=0, hpow=0):
     return Cob(t, t2, terms), t, t2
 
 
+def _conjugated(ring, f):
+    """{(a, b): p_a f i_b} over a, b in "+-", each read off by deloop_iso."""
+    out = {}
+    for b, f_i in zip("+-", deloop_iso(ring, f, SRC)):
+        for a, p_f_i in zip("+-", deloop_iso(ring, f_i, TGT)):
+            out[a, b] = p_f_i
+    return out
+
+
 def test_conjugated_plain_cylinder_is_diagonal():
     ring = Q
     t = Tangle((), 1, 0)
-    (_tp, _tm), (pp, pm, ip, im) = deloop_iso(ring, t)
+    pp, pm, ip, im = deloop_maps(ring, t)
     ident = identity_cob(ring, t)
     assert compose(ring, pp, compose(ring, ident, ip)).identity_coefficient() == 1
     assert compose(ring, pm, compose(ring, ident, im)).identity_coefficient() == 1
     assert compose(ring, pp, compose(ring, ident, im)).is_zero()
     assert compose(ring, pm, compose(ring, ident, ip)).is_zero()
+    m = _conjugated(ring, ident)
+    assert m["+", "+"].identity_coefficient() == 1
+    assert m["-", "-"].identity_coefficient() == 1
+    assert m["+", "-"].is_zero() and m["-", "+"].is_zero()
 
 
 def test_conjugated_dotted_cylinder_matches_case_analysis():
     # the dotted cylinder conjugates to a lower-triangular matrix with an
     # identity on the diagonal and the grading-raising generator below
     ring = Q
-    fdot, t, t2 = _circle_cyl(ring, dot=1)
-    (_a, _b), (_pp_s, pm_s, ip_s, im_s) = deloop_iso(ring, t)
-    (_c, _d), (pp_t, pm_t, _ip_t, _im_t) = deloop_iso(ring, t2)
-    top = compose(ring, pp_t, compose(ring, fdot, ip_s))
-    assert top.is_zero()  # {+1} -> {+3} vanishes
-    diag = compose(ring, pm_t, compose(ring, fdot, ip_s))
-    assert diag.identity_coefficient() == 1  # {+1} -> {+1} identity
-    low = compose(ring, pm_t, compose(ring, fdot, im_s))
-    ((comps, hpow), k) = next(iter(low.terms.items()))
+    fdot, _t, _t2 = _circle_cyl(ring, dot=1)
+    m = _conjugated(ring, fdot)
+    assert m["+", "+"].is_zero()  # {+1} -> {+3} vanishes
+    assert m["-", "+"].identity_coefficient() == 1  # {+1} -> {+1} identity
+    ((comps, hpow), k) = next(iter(m["-", "-"].terms.items()))
     assert comps == () and hpow == 1 and k == 1  # {-1} -> {+1} is I
 
 
 def test_conjugated_hpow_cylinder_matches_case_analysis():
     ring = Q
-    f_i, t, t2 = _circle_cyl(ring, hpow=1)
-    (_a, _b), (_pp_s, _pm_s, ip_s, im_s) = deloop_iso(ring, t)
-    (_c, _d), (pp_t, pm_t, _ip, _im) = deloop_iso(ring, t2)
-    top = compose(ring, pp_t, compose(ring, f_i, ip_s))
-    ((comps, hpow), k) = next(iter(top.terms.items()))
+    f_i, _t, _t2 = _circle_cyl(ring, hpow=1)
+    m = _conjugated(ring, f_i)
+    ((comps, hpow), k) = next(iter(m["+", "+"].terms.items()))
     assert comps == () and hpow == 1 and k == 1  # {+1} -> {+3} is I
-    assert compose(ring, pm_t, compose(ring, f_i, ip_s)).is_zero()
-    low = compose(ring, pm_t, compose(ring, f_i, im_s))
-    ((comps, hpow), k) = next(iter(low.terms.items()))
+    assert m["-", "+"].is_zero()
+    ((comps, hpow), k) = next(iter(m["-", "-"].terms.items()))
     assert comps == () and hpow == 1 and k == 1  # {-1} -> {+1} is I
 
 

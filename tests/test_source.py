@@ -2,9 +2,11 @@
 
 import ast
 import glob
+import importlib
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "bnscan")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+SRC = os.path.join(ROOT, "src", "bnscan")
 
 
 def test_the_package_has_no_assert_statements():
@@ -22,3 +24,24 @@ def test_the_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/spans.py finds the layers by rebinding these names; a
+    # rename in the package would silently drop a layer from the trace
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), filename=path)
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert targets
+    missing = []
+    for module, name, _span in targets:
+        mod = importlib.import_module(f"bnscan.{module}")
+        if not callable(getattr(mod, name, None)):
+            missing.append(f"{module}.{name}")
+    assert not missing, missing
