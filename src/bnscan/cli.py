@@ -111,20 +111,21 @@ def run(job: Job):
 
     Modes s and kh read their numbers off a saturated complex, which
     needs a field; their ring names are lower-cased and kept once each,
-    in order.  Mode sq1 always works over Z/4Z and F2.  Every row scans
-    its diagram once.  An unknown mode or ring raises ValueError before
-    the input is read.  With ``fail_fast`` the first failing row raises
+    in order.  Mode sq1 always works over Z/4Z and F2, whatever known
+    rings it is given.  Every row scans its diagram once.  An unknown
+    mode or ring name raises ValueError, in every mode, before the input
+    is read.  With ``fail_fast`` the first failing row raises
     RuntimeError at once.
     """
     if job.mode not in _WINDOWS:
         raise ValueError(f"unknown mode {job.mode!r}")
     rings = tuple(dict.fromkeys(rname.strip().lower() for rname in job.rings))
-    if job.mode != "sq1":
-        if not rings:
-            raise ValueError(f"mode {job.mode} needs at least one ring")
-        for rname in rings:
-            if not ring_from_name(rname).is_field:
-                raise ValueError(f"mode {job.mode} needs a field, not ring {rname!r}")
+    if job.mode != "sq1" and not rings:
+        raise ValueError(f"mode {job.mode} needs at least one ring")
+    for rname in rings:
+        ring = ring_from_name(rname)
+        if job.mode != "sq1" and not ring.is_field:
+            raise ValueError(f"mode {job.mode} needs a field, not ring {rname!r}")
     with open(job.input_path) as f:
         text = f.read()
     tasks = []

@@ -11,32 +11,33 @@ counter which doubles as the quantum-degree jump bookkeeping.
 Reduction uses the local relations: an undotted sphere is 0, a
 once-dotted sphere is 1, two dots on a component cost one H, and
 neck-cutting trades a handle or a connecting tube for ``dot-on-one-side
-+ dot-on-other-side - H*(disconnected)``.  Since the boundary cycles of
-a morphism are determined by its endpoints, the canonical summands are
-exactly the dot patterns on cycles times powers of H; equality of
-morphisms is equality of these patterns.  H is never destructively set
++ dot-on-other-side - H*(disconnected)``.  H is never destructively set
 to 1, so the same engine serves both the plain and the deformed complex.
 
-Both products, ``compose`` (stacking along the middle tangle) and
-``glue_cobs`` (side by side, beside a crossing piece), reduce a pair of
-summands by one routine.  Every disc of either summand becomes a part,
-its ends renamed onto the result's boundary, and every interface line
-joining two parts becomes a seam.  Parts joined by seams merge into one
-surface; all parts are discs (Euler characteristic 1), an arc seam
-lowers the characteristic by one and a circle seam leaves it, which
-fixes each surface's genus for the neck-cutting expansion.
+The boundary cycles of a morphism are fixed by its endpoints, and in
+canonical form each bounds exactly one disc, so a summand is a dot per
+cycle and a power of H: ``Cob.terms`` is keyed by ``(mask, hpow)``, bit
+i of ``mask`` the dot on the disc of cycle i of ``shape_cycles(src,
+tgt)``.  Equality of morphisms is equality of these terms.
 
-The reduction of a glued pair of summands depends only on the summands
-and the shapes (matching and circle count, not the quantum shift) of the
-tangles involved, so it is made once, with coefficient 1 over the
-integers, and kept in a table; a ring applies it through ``from_int``.
-``compose`` keeps one table for the process, keyed by the shapes of its
-source, middle and target and then by the summand pair.  ``glue_cobs``
-takes its tables from the caller, because the result also depends on
-the gluing interface: the scan keeps them for one tensor step.  The
-identity is kept per tangle shape, and the canonical component tuples
-are interned, so that the tables and the live cobordisms share one
-object per pattern.
+Both products, ``compose`` (stacking along the middle tangle) and
+``glue_cobs`` (side by side, beside a crossing piece), reduce through a
+gluing plan made once per shape.  The discs of the two factors are the
+parts, and every interface line joining two of them is a seam: in
+``compose`` each middle arc or circle, in ``glue_cobs`` each glued pair
+of legs.  Parts joined by seams merge into one surface; each part is a
+disc (Euler characteristic 1), an arc seam lowers the characteristic by
+one and a circle seam leaves it, which fixes the surface's genus.  For
+each surface the plan keeps the dot bits it takes from either factor,
+its genus and the result cycles it bounds.  A pair of summands then
+reduces by counting its dots on each surface and expanding the surface
+by neck-cutting onto those cycles.  The reduction of a pair is made once,
+with coefficient 1 over the integers, and kept in the plan; a ring
+applies it through ``from_int``, a ring homomorphism.  ``compose`` keeps
+its plans for the process, keyed by the shapes (matching and circle
+count, not the quantum shift) of its source, middle and target.
+``glue_cobs`` takes its plans from the caller, because they also depend
+on the gluing interface: the scan keeps them for one tensor step.
 
 Delooping reads the canonical form and makes no product: every circle
 bounds a disc of its own in each summand, and each delooping map only
@@ -47,8 +48,6 @@ summand by the dot on the disc.
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .coeff import Z
 
 
 class MismatchError(ValueError):
@@ -164,61 +163,67 @@ def _expand(genus, b, dots):
     return {k: c for k, c in out.items() if c}
 
 
-def _cycles(ends, src, tgt):
-    """Partition component ends into boundary cycles.
+@lru_cache(maxsize=None)
+def _expand_bits(genus, bits, dots):
+    """``_expand`` with each pattern placed on the result cycles ``bits``.
+
+    ``bits`` are the sorted indices of the component's boundary cycles;
+    returns (mask, dh, v) triples.
+    """
+    return tuple(
+        (sum(1 << bit for bit, dot in zip(bits, pattern) if dot), dh, v)
+        for (pattern, dh), v in _expand(genus, len(bits), dots).items()
+    )
+
+
+def shape_cycles(src, tgt):
+    """The boundary cycles of src -> tgt and the cycle index of each end.
 
     Arc ends chain through vertical boundary lines into cycles of the
     2-regular graph whose edges are the source and target arcs; each
-    circle end forms a cycle of its own.  Returns a sorted tuple of
-    sorted end tuples.
+    circle end forms a cycle of its own.  Returns the sorted tuple of
+    sorted end tuples and a dict from end to its cycle's index there.
     """
-    arc_of_src = {}
-    arc_of_tgt = {}
-    spos, tpos = set(), set()
-    singles = []
-    for end in ends:
-        side, kind, idx = end
-        if kind == CIRCLE:
-            singles.append((end,))
+    return _shape_cycles(src.match, src.circles, tgt.match, tgt.circles)
+
+
+@lru_cache(maxsize=None)
+def _shape_cycles(smatch, scircles, tmatch, tcircles):
+    src_arc = Tangle(smatch).arc_index
+    tgt_arc = Tangle(tmatch).arc_index
+    cycles = [(_end(SRC, CIRCLE, j),) for j in range(scircles)]
+    cycles += [(_end(TGT, CIRCLE, j),) for j in range(tcircles)]
+    seen = set()
+    for p0 in range(len(smatch)):
+        if p0 in seen:
             continue
-        t = src if side == SRC else tgt
-        p, q = t.arcs()[idx]
-        if side == SRC:
-            arc_of_src[p] = end
-            arc_of_src[q] = end
-            spos.update((p, q))
-        else:
-            arc_of_tgt[p] = end
-            arc_of_tgt[q] = end
-            tpos.update((p, q))
-    if spos != tpos:
-        raise AssertionError("component arcs do not pair up across the boundary")
-    cycles = list(singles)
-    visited = set()
-    for p0 in sorted(spos):
-        if p0 in visited:
-            continue
-        cyc = set()
-        p, on_src = p0, True
+        cyc = []
+        p = p0
         while True:
-            visited.add(p)
-            cyc.add(arc_of_src[p] if on_src else arc_of_tgt[p])
-            p = (src.match if on_src else tgt.match)[p]
-            visited.add(p)
-            on_src = not on_src
-            if p == p0 and on_src:
+            q = smatch[p]
+            seen.update((p, q))
+            cyc += (_end(SRC, ARC, src_arc(p)), _end(TGT, ARC, tgt_arc(q)))
+            p = tmatch[q]
+            if p == p0:
                 break
         cycles.append(tuple(sorted(cyc)))
-    return tuple(sorted(cycles))
+    cycles.sort()
+    index = {end: i for i, cyc in enumerate(cycles) for end in cyc}
+    return tuple(cycles), index
+
+
+@lru_cache(maxsize=None)
+def _end(side, kind, idx):
+    """One shared tuple per surface end, for the memoized cycles."""
+    return side, kind, idx
 
 
 class Cob:
     """A K-linear combination of canonical dotted surfaces src -> tgt.
 
-    ``terms`` maps a summand key ``(comps, hpow)`` to a nonzero
-    coefficient, where ``comps`` is a sorted tuple of disc components
-    ``(ends, dot)`` and ``ends`` is a sorted tuple of surface ends
-    forming one boundary cycle.
+    ``terms`` maps a summand key ``(mask, hpow)`` to a nonzero
+    coefficient: bit i of ``mask`` is the dot on the disc bounded by
+    cycle i of ``shape_cycles(src, tgt)``.
     """
 
     __slots__ = ("src", "tgt", "terms")
@@ -256,37 +261,51 @@ class Cob:
     def identity_coefficient(self):
         """The k with self == k * id, or None.
 
-        In canonical form a degree-0 dot-free summand between equal
-        circle-free tangles must consist of strips, so a single shape
-        comparison suffices.
+        Between equal circle-free tangles the cycles are the strips, so
+        the identity is the one dot-free summand at hpow 0.
         """
-        if self.src != self.tgt or len(self.terms) != 1:
+        if self.src != self.tgt or self.src.circles or len(self.terms) != 1:
             return None
-        (comps, hpow), k = next(iter(self.terms.items()))
-        if hpow != 0 or comps != _strip_comps(self.src.match):
-            return None
-        return k
+        key, k = next(iter(self.terms.items()))
+        return k if key == (0, 0) else None
+
+    def overflow(self):
+        """Does some summand carry a dot beyond the cycles of its shape?"""
+        width = len(shape_cycles(self.src, self.tgt)[0])
+        return any(mask >> width for mask, _h in self.terms)
 
     def __repr__(self):
         return f"Cob({len(self.terms)} terms, {self.src} -> {self.tgt})"
 
 
-@lru_cache(maxsize=None)
-def _strip_comps(match):
-    return _intern(tuple(
-        sorted((((SRC, ARC, i), (TGT, ARC, i)), 0) for i in range(len(match) // 2))
-    ))
+def _combine(alternatives):
+    """Integer summands (mask, dh, v) of a product of per-surface sums.
+
+    ``alternatives`` lists, per surface, its (mask, dh, v) summands on
+    disjoint bits; the sum over all choices is collected, zeros dropped.
+    """
+    partial = [(0, 0, 1)]
+    for alts in alternatives:
+        partial = [
+            (m | am, h + ah, c * ac)
+            for m, h, c in partial
+            for am, ah, ac in alts
+        ]
+    terms: dict = {}
+    for m, h, c in partial:
+        terms[m, h] = terms.get((m, h), 0) + c
+    return tuple((m, h, v) for (m, h), v in terms.items() if v)
 
 
 @lru_cache(maxsize=None)
 def _identity_summands(match, circles):
     """Vertical strips on the arcs and annuli on the circles, reduced."""
     t = Tangle(match, circles)
-    groups = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(t.arcs()))]
-    groups += [({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(circles)]
-    terms: dict = {}
-    _finalize_groups(Z, groups, 1, 0, t, t, terms)
-    return _as_summands(terms)
+    index = shape_cycles(t, t)[1]
+    return _combine(
+        _expand_bits(0, (index[SRC, CIRCLE, j], index[TGT, CIRCLE, j]), 0)
+        for j in range(circles)
+    )
 
 
 def identity_cob(ring, t):
@@ -296,143 +315,94 @@ def identity_cob(ring, t):
     return Cob(t, t, terms)
 
 
-# One object per canonical component tuple, shared by the tables and the
-# terms of live cobordisms.
-_CANONICAL: dict = {}
+class _Plan:
+    """How the discs of two factors glue into the surfaces of a product.
 
-
-def _intern(comps):
-    return _CANONICAL.setdefault(comps, comps)
-
-
-def _finalize_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
-    """Canonicalize merged component groups and fold them into out_terms.
-
-    ``groups`` is a list of (set of ends, dots, chi).  Each group is
-    split into its boundary cycles, its genus recovered from the Euler
-    bookkeeping, and the neck-cutting expansion applied; the cartesian
-    product of per-group alternatives is accumulated with ring
-    coefficients.
+    ``parts`` gives, for every disc of the first factor and then of the
+    second, the mask of the result cycles it touches; ``seams`` lists
+    ``(i, j, arc)`` for each interface line joining part i to part j.
+    Each merged surface becomes a group ``(fbits, gbits, genus, bits)``:
+    the dot bits it takes from each factor, its genus and the sorted
+    result cycles it bounds.  ``table`` keeps the reduction of each
+    summand pair made so far, keyed by the two masks.
     """
-    alternatives = []
-    for ends, dots, chi in groups:
-        cycles = _cycles(tuple(ends), src, tgt)
-        b = len(cycles)
-        defect = 2 - chi - b
-        if defect % 2 or defect < 0:
-            raise AssertionError(f"bad Euler bookkeeping: chi={chi} b={b}")
-        expansion = _expand(defect // 2, b, dots)
-        if not expansion:
-            return
-        alts = []
-        for (pattern, dh), c in expansion.items():
-            comps = tuple(zip(cycles, pattern))
-            alts.append((comps, dh, c))
-        alternatives.append(alts)
 
-    partial = [((), hpow, coeff)]
-    for alts in alternatives:
-        nxt = []
-        for comps, h0, c0 in partial:
-            for comp, dh, f in alts:
-                c = c0 if f == 1 else ring.mul(c0, ring.from_int(f))
-                if ring.is_zero(c):
-                    continue
-                nxt.append((comps + comp, h0 + dh, c))
-        partial = nxt
-        if not partial:
-            return
-    for comps, h, c in partial:
-        key = (_intern(tuple(sorted(comps))), h)
-        v = ring.add(out_terms.get(key, ring.zero), c)
-        if ring.is_zero(v):
-            out_terms.pop(key, None)
-        else:
-            out_terms[key] = v
+    __slots__ = ("groups", "table")
 
-
-def _glue_summands(ring, parts, seams, coeff, hpow, src, tgt, out):
-    """Glue canonical discs along seams and reduce into out.
-
-    ``parts`` lists discs ``(ends, dot)`` whose ends are already named on
-    the boundary of the result src -> tgt; ``seams`` lists ``(i, j, arc)``
-    for each interface line joining part i to part j.  Every part has
-    Euler characteristic 1; an arc seam glues along an interval and
-    subtracts one, a circle seam glues along a circle and subtracts
-    nothing.
-    """
-    parent = list(range(len(parts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _arc in seams:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict = {}
-    for i, (ends, dot) in enumerate(parts):
-        r = find(i)
-        group = groups.get(r)
-        if group is None:
-            groups[r] = [set(ends), dot, 1]
-        else:
-            group[0].update(ends)
-            group[1] += dot
+    def __init__(self, n_first, parts, seams):
+        root = list(range(len(parts)))
+        for i, j, _arc in seams:
+            while root[i] != i:
+                i = root[i]
+            while root[j] != j:
+                j = root[j]
+            root[j] = i
+        merged: dict = {}  # root -> [fbits, gbits, chi, result cycle mask]
+        for i, cycles in enumerate(parts):
+            r = i
+            while root[r] != r:
+                r = root[r]
+            root[i] = r
+            group = merged.get(r)
+            if group is None:
+                group = merged[r] = [0, 0, 0, 0]
+            if i < n_first:
+                group[0] |= 1 << i
+            else:
+                group[1] |= 1 << (i - n_first)
             group[2] += 1
-    for i, _j, arc in seams:
-        if arc:
-            groups[find(i)][2] -= 1
-    _finalize_groups(
-        ring, [groups[r] for r in sorted(groups)], coeff, hpow, src, tgt, out
-    )
+            group[3] |= cycles
+        for i, _j, arc in seams:
+            if arc:
+                merged[root[i]][2] -= 1
+        groups = []
+        for fbits, gbits, chi, cycles in merged.values():
+            bits = tuple(k for k in range(cycles.bit_length()) if cycles >> k & 1)
+            # every part is a disc; an arc seam lowers chi by one
+            defect = 2 - chi - len(bits)
+            if defect % 2 or defect < 0:
+                raise AssertionError(f"bad Euler bookkeeping: chi={chi} b={len(bits)}")
+            groups.append((fbits, gbits, defect // 2, bits))
+        self.groups = tuple(groups)
+        self.table: dict = {}
+
+    def reduce(self, fmask, gmask):
+        """The integer summands of one pair of factor summands."""
+        alternatives = []
+        for fbits, gbits, genus, bits in self.groups:
+            dots = (fmask & fbits).bit_count() + (gmask & gbits).bit_count()
+            alts = _expand_bits(genus, bits, dots)
+            if not alts:
+                return ()
+            alternatives.append(alts)
+        return _combine(alternatives)
 
 
-# ---------------------------------------------------------------------------
-# Shape-keyed tables.  A table maps a pair of summand patterns (the comps
-# of one summand of each factor) to the canonical summands (comps, dh, v)
-# of their reduction with coefficient 1 and hpow 0, v a nonzero integer.
-# Applying it to ring coefficients goes through ``ring.from_int``, a ring
-# homomorphism, so the integer tables serve every ring.
+def _product(ring, f, g, plan):
+    """Sum the reductions of all summand pairs of f and g under plan.
 
-
-def _as_summands(terms):
-    return tuple((comps, dh, v) for (comps, dh), v in terms.items())
-
-
-def _tabled_product(ring, f, g, tables, shape, reduce_pair):
-    """Sum the tabled reductions of all summand pairs of f and g.
-
-    ``tables[shape]`` is the table of this product's shapes.
-    ``reduce_pair(fcomps, gcomps, out)`` reduces one pair over Z with
-    coefficient 1 and hpow 0; it runs only on a table miss.
+    Each pair is reduced over Z with coefficient 1 and hpow 0 once and
+    kept in ``plan.table``; the ring reads it through ``from_int``.
     """
-    table = tables.get(shape)
-    if table is None:
-        table = tables[shape] = {}
+    table = plan.table
     out: dict = {}
-    for (fcomps, fh), fc in f.terms.items():
-        for (gcomps, gh), gc in g.terms.items():
+    for (fm, fh), fc in f.terms.items():
+        for (gm, gh), gc in g.terms.items():
             coeff = ring.mul(fc, gc)
             if ring.is_zero(coeff):
                 continue
-            summands = table.get((fcomps, gcomps))
+            summands = table.get((fm, gm))
             if summands is None:
-                terms: dict = {}
-                reduce_pair(fcomps, gcomps, terms)
-                summands = table[(fcomps, gcomps)] = _as_summands(terms)
+                summands = table[fm, gm] = plan.reduce(fm, gm)
             _add_summands(ring, out, summands, coeff, fh + gh)
     return out
 
 
 def _add_summands(ring, out, summands, coeff, hpow):
     """Add coeff * H^hpow times the integer summands into the terms out."""
-    for comps, dh, v in summands:
+    for mask, dh, v in summands:
         c = coeff if v == 1 else ring.mul(coeff, ring.from_int(v))
-        key = (comps, hpow + dh)
+        key = (mask, hpow + dh)
         old = out.get(key)
         if old is not None:
             c = ring.add(old, c)
@@ -442,30 +412,35 @@ def _add_summands(ring, out, summands, coeff, hpow):
             out[key] = c
 
 
-def _compose_pair(ring, fcomps, gcomps, coeff, hpow, src, mid, tgt, out):
-    """Glue a summand of src -> mid to one of mid -> tgt and reduce into out.
+def _compose_plan(src, mid, tgt):
+    """The plan of stacking src -> mid on mid -> tgt.
 
-    The parts are the discs of f, then those of g, each keeping its ends
-    off mid; every arc and circle of mid is a seam.
+    The discs of f keep their ends on src and those of g their ends on
+    tgt, which name the result's ends as they are; every arc and circle
+    of mid is a seam.
     """
+    fcycles, findex = shape_cycles(src, mid)
+    gcycles, gindex = shape_cycles(mid, tgt)
+    rindex = shape_cycles(src, tgt)[1]
     parts = []
-    f_owner, g_owner = {}, {}  # (kind, idx) on mid -> part
-    for comps, keep, owner in ((fcomps, SRC, f_owner), (gcomps, TGT, g_owner)):
-        for ends, dot in comps:
-            for side, kind, idx in ends:
-                if side != keep:
-                    owner[(kind, idx)] = len(parts)
-            parts.append(([e for e in ends if e[0] == keep], dot))
+    for cycles, keep in ((fcycles, SRC), (gcycles, TGT)):
+        for cyc in cycles:
+            mask = 0
+            for end in cyc:
+                if end[0] == keep:
+                    mask |= 1 << rindex[end]
+            parts.append(mask)
+    n = len(fcycles)
     seams = [
-        (f_owner[(kind, idx)], g_owner[(kind, idx)], kind == ARC)
-        for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles))
-        for idx in range(count)
+        (findex[TGT, kind, i], n + gindex[SRC, kind, i], kind == ARC)
+        for kind, count in ((ARC, len(mid.match) // 2), (CIRCLE, mid.circles))
+        for i in range(count)
     ]
-    _glue_summands(ring, parts, seams, coeff, hpow, src, tgt, out)
+    return _Plan(n, parts, seams)
 
 
-# (src, mid, tgt shapes) -> {(fcomps, gcomps): summands}, for the process.
-_COMPOSE_TABLES: dict = {}
+# (src, mid, tgt shapes) -> plan, for the process.
+_COMPOSE_PLANS: dict = {}
 
 
 def compose(ring, g, f):
@@ -473,13 +448,13 @@ def compose(ring, g, f):
     if f.tgt != g.src:
         raise MismatchError(f"cannot compose through {f.tgt} vs {g.src}")
     src, mid, tgt = f.src, f.tgt, g.tgt
+    if not f.terms or not g.terms:
+        return Cob(src, tgt)
     shape = (src.match, src.circles, mid.match, mid.circles, tgt.match, tgt.circles)
-
-    def reduce_pair(fcomps, gcomps, out):
-        _compose_pair(Z, fcomps, gcomps, 1, 0, src, mid, tgt, out)
-
-    terms = _tabled_product(ring, f, g, _COMPOSE_TABLES, shape, reduce_pair)
-    return Cob(src, tgt, terms)
+    plan = _COMPOSE_PLANS.get(shape)
+    if plan is None:
+        plan = _COMPOSE_PLANS[shape] = _compose_plan(src, mid, tgt)
+    return Cob(src, tgt, _product(ring, f, g, plan))
 
 
 def deloop_iso(ring, f, side):
@@ -492,21 +467,19 @@ def deloop_iso(ring, f, side):
     only caps that disc into a sphere (1 with one dot, H with two, 0
     with none).  So p_plus f keeps the summands with d = 0, p_minus f
     those with d = 1, f i_plus those with d = 1, and f i_minus all of
-    them with hpow raised by d; the disc is dropped.  Returns
+    them with hpow raised by d; the disc's bit is dropped, which leaves
+    the other cycles in their order on the smaller shape.  Returns
     (p_plus f, p_minus f) for TGT and (f i_plus, f i_minus) for SRC.
     """
     t = f.tgt if side == TGT else f.src
     base = t.drop_last_circle()
-    disc = ((side, CIRCLE, base.circles),)
+    i = shape_cycles(f.src, f.tgt)[1][side, CIRCLE, base.circles]
+    low = (1 << i) - 1
     plus: dict = {}
     minus: dict = {}
-    for (comps, hpow), c in f.terms.items():
-        for i, (ends, dot) in enumerate(comps):
-            if ends == disc:
-                break
-        else:
-            raise AssertionError("delooped circle bounds no disc of its own")
-        rest = _intern(comps[:i] + comps[i + 1:])
+    for (mask, hpow), c in f.terms.items():
+        dot = mask >> i & 1
+        rest = mask & low | mask >> (i + 1) << i  # bit i squeezed out
         if side == TGT:
             (minus if dot else plus)[(rest, hpow)] = c
         else:
@@ -531,8 +504,8 @@ def evaluate(ring, c):
         raise NotClosedError("evaluation needs closed empty endpoints")
     jump = c.tgt.qshift - c.src.qshift
     coeff = ring.zero
-    for (comps, hpow), v in c.terms.items():
-        if comps:
+    for (mask, hpow), v in c.terms.items():
+        if mask:
             raise AssertionError("unreduced component in a closed cobordism")
         if 2 * hpow != jump:
             raise AssertionError("hpow inconsistent with quantum jump")
@@ -614,25 +587,36 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
     return glued, end_map
 
 
-def _glue_pair(ring, fcomps, pcomps, coeff, hpow, f, phi, pairs, src_info,
-               tgt_info, self_pairs, out):
-    """Glue a summand of f beside one of phi and reduce into out."""
-    new_src, src_map = src_info
-    new_tgt, tgt_map = tgt_info
+def _glue_plan(f, phi, pairs, src_info, tgt_info, self_pairs):
+    """The plan of gluing f beside phi along the interface.
+
+    The end maps of ``src_info`` and ``tgt_info`` name every disc's ends
+    on the glued boundary; each glued pair and each self-glued leg pair
+    joins the discs through its source arcs by an arc seam.
+    """
+    (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
     emaps = (src_map, tgt_map)  # indexed by side
+    rindex = shape_cycles(new_src, new_tgt)[1]
+    fcycles, findex = shape_cycles(f.src, f.tgt)
+    pcycles, pindex = shape_cycles(phi.src, phi.tgt)
+    n = len(fcycles)
     parts = []
-    owner = {}  # ("b" | "x", source position) -> part
-    for tag, t, comps in (("b", f.src, fcomps), ("x", phi.src, pcomps)):
-        for ends, dot in comps:
-            for side, kind, idx in ends:
-                if side == SRC and kind == ARC:
-                    for pos in t.arcs()[idx]:
-                        owner[(tag, pos)] = len(parts)
-            named = [(sd,) + emaps[sd][(tag, kd, ix)] for sd, kd, ix in ends]
-            parts.append((named, dot))
-    seams = [(owner[("b", p)], owner[("x", x)], True) for p, x in pairs]
-    seams += [(owner[("x", x1)], owner[("x", x2)], True) for x1, x2 in self_pairs]
-    _glue_summands(ring, parts, seams, coeff, hpow, new_src, new_tgt, out)
+    for tag, cycles in (("b", fcycles), ("x", pcycles)):
+        for cyc in cycles:
+            mask = 0
+            for side, kind, i in cyc:
+                mask |= 1 << rindex[(side,) + emaps[side][tag, kind, i]]
+            parts.append(mask)
+
+    def left(p):
+        return findex[SRC, ARC, f.src.arc_index(p)]
+
+    def leg(x):
+        return n + pindex[SRC, ARC, phi.src.arc_index(x)]
+
+    seams = [(left(p), leg(x), True) for p, x in pairs]
+    seams += [(leg(x1), leg(x2), True) for x1, x2 in self_pairs]
+    return _Plan(n, parts, seams)
 
 
 def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
@@ -645,16 +629,15 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
     and target object pairs.  Each glued pair and each self-glued leg
     pair is one arc seam.
 
-    ``tables`` is the caller's dict of the reductions already made with
-    the same interface, keyed by the shapes of f and phi, then by the
-    summand pair; misses are added to it.
+    ``tables`` is the caller's dict of the plans already made with the
+    same interface, keyed by the shapes of f and phi; new plans are
+    added to it.
     """
     shape = (f.src.match, f.src.circles, f.tgt.match, f.tgt.circles,
              phi.src.match, phi.src.circles, phi.tgt.match, phi.tgt.circles)
-
-    def reduce_pair(fcomps, pcomps, out):
-        _glue_pair(Z, fcomps, pcomps, 1, 0, f, phi, pairs, src_info, tgt_info,
-                   self_pairs, out)
-
-    terms = _tabled_product(ring, f, phi, tables, shape, reduce_pair)
-    return Cob(src_info[0], tgt_info[0], terms)
+    plan = tables.get(shape)
+    if plan is None:
+        plan = tables[shape] = _glue_plan(
+            f, phi, pairs, src_info, tgt_info, self_pairs
+        )
+    return Cob(src_info[0], tgt_info[0], _product(ring, f, phi, plan))

@@ -18,7 +18,6 @@ import heapq
 import os
 from typing import Callable, NamedTuple
 
-from . import cob
 from .cob import (
     SRC,
     TGT,
@@ -60,11 +59,8 @@ def crossing_complex(ring):
     """
     t0 = Tangle(PIECE0_MATCH, 0, 0)
     t1 = Tangle(PIECE1_MATCH, 0, 1)
-    ends = tuple(sorted((
-        (cob.SRC, cob.ARC, 0), (cob.SRC, cob.ARC, 1),
-        (cob.TGT, cob.ARC, 0), (cob.TGT, cob.ARC, 1),
-    )))
-    saddle = Cob(t0, t1, {(((ends, 0),), 0): ring.one})
+    # one disc bounded by the single cycle through all four legs, undotted
+    saddle = Cob(t0, t1, {(0, 0): ring.one})
     return (t0, t1), saddle
 
 
@@ -73,7 +69,8 @@ class Entries(NamedTuple):
 
     ``compose(g, f)`` is g after f; ``coefficient(f)`` is the k with
     f = k * id, or None; ``filtered(f, a, b)`` tells whether f fits the
-    object labels a -> b without lowering the quantum filtration.
+    object labels a -> b without lowering the quantum filtration;
+    ``malformed(f)`` names what breaks the entry's own form, or is None.
     """
 
     is_zero: Callable
@@ -82,6 +79,7 @@ class Entries(NamedTuple):
     scale: Callable
     coefficient: Callable
     filtered: Callable
+    malformed: Callable
 
 
 def cob_entries(ring):
@@ -96,6 +94,7 @@ def cob_entries(ring):
         Cob.is_zero, lambda f, g: f.plus(ring, g),
         lambda g, f: compose(ring, g, f), lambda f, k: f.scaled(ring, k),
         Cob.identity_coefficient, filtered,
+        lambda f: "a dot beyond its cycles" if f.overflow() else None,
     )
 
 
@@ -103,7 +102,7 @@ def scalar_entries(ring):
     """Ring scalars between generators labelled by quantum degree."""
     return Entries(
         ring.is_zero, ring.add, ring.mul, ring.mul, lambda k: k,
-        lambda k, qa, qb: not ring.is_zero(k) and qb >= qa,
+        lambda k, qa, qb: not ring.is_zero(k) and qb >= qa, lambda k: None,
     )
 
 
@@ -190,7 +189,7 @@ class FilteredComplex:
     # -- verification ------------------------------------------------------
 
     def check(self):
-        """Debug invariants: d^2 = 0 and non-negative filtration jumps.
+        """Debug invariants: well-formed entries, d^2 = 0, no falling jumps.
 
         Raises InconsistentError, so the check also runs under ``python -O``.
         """
@@ -200,6 +199,9 @@ class FilteredComplex:
             for b, f in outs.items():
                 if self.h[b] != self.h[a] + 1:
                     raise InconsistentError(f"entry {a} -> {b} skips a degree")
+                bad = e.malformed(f)
+                if bad:
+                    raise InconsistentError(f"entry {a} -> {b} has {bad}")
                 if not e.filtered(f, self.obj[a], self.obj[b]):
                     raise InconsistentError(
                         f"entry {a} -> {b} does not fit its objects"

@@ -6,6 +6,13 @@ from two scans (the diagram and its mirror), the cross-check for the
 one-scan path through the dual complex.  ``deloop_maps`` reads the four
 delooping maps off an identity through ``cob.deloop_iso``;
 ``neck_cut_deloop_maps`` builds them as surfaces, its oracle.
+
+The rest is the oracle of the cobordism products: the reduction in comps
+form, where a summand is keyed by ``(comps, hpow)`` and ``comps`` is the
+sorted tuple of its discs ``(ends, dot)``, each ``ends`` the sorted ends
+of one boundary cycle.  Every pair of summands is glued and reduced from
+scratch, with no plan or table.  ``comps_of`` and ``cob_from_comps``
+convert between that form and the dot masks of ``cob.Cob``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from bnscan.cob import (
     SRC,
     TGT,
     Cob,
-    _finalize_groups,
+    _expand,
     deloop_iso,
     identity_cob,
+    shape_cycles,
 )
 from bnscan.coeff import Q, Z, Z4, PrimeField
 from bnscan.complex import scan
@@ -85,10 +93,10 @@ def neck_cut_deloop_maps(ring, t):
         terms: dict = {}
         for dot, hpow, coeff in variants:
             disc = ({(side, CIRCLE, k)}, dot, 1)
-            _finalize_groups(
+            reduce_groups(
                 ring, cylinders + [disc], ring.from_int(coeff), hpow, src, tgt, terms
             )
-        return Cob(src, tgt, terms)
+        return cob_from_comps(src, tgt, terms)
 
     return (t_plus, t_minus), (
         build(t, t_plus, SRC, [(1, 0, 1), (0, 1, -1)]),
@@ -96,3 +104,213 @@ def neck_cut_deloop_maps(ring, t):
         build(t_plus, t, TGT, [(0, 0, 1)]),
         build(t_minus, t, TGT, [(1, 0, 1)]),
     )
+
+
+# --- the comps form --------------------------------------------------------
+
+
+def comps_of(f):
+    """The terms of the Cob f keyed by (comps, hpow)."""
+    cycles = shape_cycles(f.src, f.tgt)[0]
+    return {
+        (tuple((cyc, mask >> i & 1) for i, cyc in enumerate(cycles)), hpow): c
+        for (mask, hpow), c in f.terms.items()
+    }
+
+
+def cob_from_comps(src, tgt, terms):
+    """The Cob src -> tgt of comps-keyed terms.
+
+    Raises ValueError on a summand that is not in canonical form: one
+    undotted or once-dotted disc on every boundary cycle of the shape.
+    """
+    cycles = shape_cycles(src, tgt)[0]
+    out = {}
+    for (comps, hpow), c in terms.items():
+        if tuple(ends for ends, _dot in comps) != cycles:
+            raise ValueError(f"summand {comps} is not one disc per cycle {cycles}")
+        if any(dot not in (0, 1) for _ends, dot in comps):
+            raise ValueError(f"summand {comps} has a disc with two dots")
+        out[sum(dot << i for i, (_ends, dot) in enumerate(comps)), hpow] = c
+    return Cob(src, tgt, out)
+
+
+def cycles_of(ends, src, tgt):
+    """Partition surface ends into boundary cycles.
+
+    Arc ends chain through vertical boundary lines into cycles of the
+    2-regular graph whose edges are the source and target arcs; each
+    circle end forms a cycle of its own.  Returns a sorted tuple of
+    sorted end tuples.
+    """
+    arc_of_src = {}
+    arc_of_tgt = {}
+    spos, tpos = set(), set()
+    singles = []
+    for end in ends:
+        side, kind, idx = end
+        if kind == CIRCLE:
+            singles.append((end,))
+            continue
+        t = src if side == SRC else tgt
+        p, q = t.arcs()[idx]
+        if side == SRC:
+            arc_of_src[p] = arc_of_src[q] = end
+            spos.update((p, q))
+        else:
+            arc_of_tgt[p] = arc_of_tgt[q] = end
+            tpos.update((p, q))
+    if spos != tpos:
+        raise AssertionError("component arcs do not pair up across the boundary")
+    cycles = list(singles)
+    visited = set()
+    for p0 in sorted(spos):
+        if p0 in visited:
+            continue
+        cyc = set()
+        p, on_src = p0, True
+        while True:
+            visited.add(p)
+            cyc.add(arc_of_src[p] if on_src else arc_of_tgt[p])
+            p = (src.match if on_src else tgt.match)[p]
+            visited.add(p)
+            on_src = not on_src
+            if p == p0 and on_src:
+                break
+        cycles.append(tuple(sorted(cyc)))
+    return tuple(sorted(cycles))
+
+
+def reduce_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
+    """Reduce connected surfaces into canonical comps-keyed summands.
+
+    ``groups`` is a list of (set of ends, dots, chi).  Each group is
+    split into its boundary cycles, its genus recovered from the Euler
+    characteristic, and the neck-cutting expansion applied; the
+    cartesian product of per-group alternatives is added into out_terms
+    with ring coefficients.
+    """
+    alternatives = []
+    for ends, dots, chi in groups:
+        cycles = cycles_of(tuple(ends), src, tgt)
+        defect = 2 - chi - len(cycles)
+        if defect % 2 or defect < 0:
+            raise AssertionError(f"bad Euler bookkeeping: chi={chi} b={len(cycles)}")
+        expansion = _expand(defect // 2, len(cycles), dots)
+        if not expansion:
+            return
+        alternatives.append([
+            (tuple(zip(cycles, pattern)), dh, c)
+            for (pattern, dh), c in expansion.items()
+        ])
+    partial = [((), hpow, coeff)]
+    for alts in alternatives:
+        partial = [
+            (comps + comp, h0 + dh, ring.mul(c0, ring.from_int(f)))
+            for comps, h0, c0 in partial
+            for comp, dh, f in alts
+        ]
+    for comps, h, c in partial:
+        key = (tuple(sorted(comps)), h)
+        v = ring.add(out_terms.get(key, ring.zero), c)
+        if ring.is_zero(v):
+            out_terms.pop(key, None)
+        else:
+            out_terms[key] = v
+
+
+def glue_summands(ring, parts, seams, coeff, hpow, src, tgt, out):
+    """Glue canonical discs along seams and reduce into out.
+
+    ``parts`` lists discs ``(ends, dot)`` whose ends are already named on
+    the boundary of the result src -> tgt; ``seams`` lists ``(i, j, arc)``
+    for each interface line joining part i to part j.  Every part has
+    Euler characteristic 1; an arc seam glues along an interval and
+    subtracts one, a circle seam glues along a circle and subtracts
+    nothing.
+    """
+    parent = list(range(len(parts)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j, _arc in seams:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    groups: dict = {}
+    for i, (ends, dot) in enumerate(parts):
+        group = groups.setdefault(find(i), [set(), 0, 0])
+        group[0].update(ends)
+        group[1] += dot
+        group[2] += 1
+    for i, _j, arc in seams:
+        if arc:
+            groups[find(i)][2] -= 1
+    reduce_groups(ring, list(groups.values()), coeff, hpow, src, tgt, out)
+
+
+def compose_comps(ring, g, f):
+    """g after f in comps form, every summand pair reduced from scratch.
+
+    The parts are the discs of f, then those of g, each keeping its ends
+    off the middle tangle; every arc and circle of the middle is a seam.
+    """
+    mid = f.tgt
+    out: dict = {}
+    g_terms = comps_of(g).items()
+    for (fcomps, fh), fc in comps_of(f).items():
+        for (gcomps, gh), gc in g_terms:
+            coeff = ring.mul(fc, gc)
+            if ring.is_zero(coeff):
+                continue
+            parts = []
+            f_owner, g_owner = {}, {}  # (kind, idx) on mid -> part
+            for comps, keep, owner in ((fcomps, SRC, f_owner), (gcomps, TGT, g_owner)):
+                for ends, dot in comps:
+                    for side, kind, idx in ends:
+                        if side != keep:
+                            owner[(kind, idx)] = len(parts)
+                    parts.append(([e for e in ends if e[0] == keep], dot))
+            seams = [
+                (f_owner[(kind, idx)], g_owner[(kind, idx)], kind == ARC)
+                for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles))
+                for idx in range(count)
+            ]
+            glue_summands(ring, parts, seams, coeff, fh + gh, f.src, g.tgt, out)
+    return out
+
+
+def glue_comps(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
+    """f glued beside phi in comps form, every summand pair from scratch.
+
+    The discs of both factors are named on the glued boundary through
+    the end maps; each glued pair and self pair is an arc seam.
+    """
+    (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
+    emaps = (src_map, tgt_map)  # indexed by side
+    out: dict = {}
+    phi_terms = comps_of(phi).items()
+    for (fcomps, fh), fc in comps_of(f).items():
+        for (pcomps, ph), pc in phi_terms:
+            coeff = ring.mul(fc, pc)
+            if ring.is_zero(coeff):
+                continue
+            parts = []
+            owner = {}  # ("b" | "x", source position) -> part
+            for tag, t, comps in (("b", f.src, fcomps), ("x", phi.src, pcomps)):
+                for ends, dot in comps:
+                    for side, kind, idx in ends:
+                        if side == SRC and kind == ARC:
+                            for pos in t.arcs()[idx]:
+                                owner[(tag, pos)] = len(parts)
+                    named = [(sd,) + emaps[sd][(tag, kd, ix)] for sd, kd, ix in ends]
+                    parts.append((named, dot))
+            seams = [(owner[("b", p)], owner[("x", x)], True) for p, x in pairs]
+            seams += [
+                (owner[("x", x1)], owner[("x", x2)], True) for x1, x2 in self_pairs
+            ]
+            glue_summands(ring, parts, seams, coeff, fh + ph, new_src, new_tgt, out)
+    return out

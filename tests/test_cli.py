@@ -302,6 +302,38 @@ def test_non_field_rings_are_rejected_up_front(knot_file, capsys):
     assert code == 1
 
 
+def test_an_unknown_ring_is_rejected_in_every_mode(tmp_path, knot_file, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for mode in ("s", "kh", "sq1"):
+        with pytest.raises(ValueError, match="unknown ring 'nonsense'"):
+            run(Job(missing, mode=mode, rings=("nonsense",)))
+        args = ["compute", "--input", knot_file, "--mode", mode]
+        assert main(args + ["--ring", "nonsense"]) == 1
+        assert "unknown ring 'nonsense'" in capsys.readouterr().err
+    # mode sq1 keeps taking the rings it works over
+    assert main(["compute", "--input", knot_file, "--mode", "sq1", "--ring", "z4,f2"]) == 0
+    assert "3 of 3 knots processed" in capsys.readouterr().out
+
+
+def test_outputs_and_dumps_match_the_golden_files(tmp_path):
+    # JSON rows without time_ms and every dump file, byte for byte, as
+    # recorded by tests/record_golden.py
+    from record_golden import CASES, GOLDEN, compute_case
+
+    for corpus, mode, rings in CASES:
+        stem = f"{corpus}-{mode}"
+        dump_dir = tmp_path / stem
+        text = compute_case(corpus, mode, rings, str(dump_dir))
+        with open(os.path.join(GOLDEN, stem + ".json")) as f:
+            assert text == f.read(), stem
+        golden_dir = os.path.join(GOLDEN, stem)
+        names = sorted(os.listdir(golden_dir))
+        assert names and sorted(os.listdir(dump_dir)) == names, stem
+        for name in names:
+            with open(os.path.join(golden_dir, name)) as f:
+                assert (dump_dir / name).read_text() == f.read(), (stem, name)
+
+
 def test_an_unknown_mode_is_rejected_before_the_input_is_read(tmp_path, knot_file):
     # a missing input would raise FileNotFoundError if it were opened first
     missing = str(tmp_path / "missing.txt")

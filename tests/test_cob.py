@@ -16,15 +16,23 @@ from bnscan.cob import (
     NoCircleError,
     NotClosedError,
     Tangle,
-    _compose_pair,
-    _cycles,
-    _finalize_groups,
     compose,
     deloop_iso,
     evaluate,
+    glue_cobs,
+    glue_tangles,
     identity_cob,
 )
-from helpers import deloop_maps, neck_cut_deloop_maps
+from helpers import (
+    cob_from_comps,
+    comps_of,
+    compose_comps,
+    cycles_of,
+    deloop_maps,
+    glue_comps,
+    neck_cut_deloop_maps,
+    reduce_groups,
+)
 from oracle_frobenius import run_moves
 
 
@@ -42,7 +50,7 @@ def reduce_surface(ring, src, tgt, comps, coeff, hpow=0):
     """
     groups = [(set(ends), dots, chi) for ends, dots, chi in comps]
     out: dict = {}
-    _finalize_groups(ring, groups, coeff, hpow, src, tgt, out)
+    reduce_groups(ring, groups, coeff, hpow, src, tgt, out)
     return out
 
 
@@ -121,8 +129,8 @@ def elem_cob(ring, move, src_circles, dotted=False, match=()):
     else:
         raise ValueError(op)
     terms: dict = {}
-    _finalize_groups(ring, arcs + groups, ring.one, 0, src, tgt, terms)
-    return Cob(src, tgt, terms), tgt.circles, idx
+    reduce_groups(ring, arcs + groups, ring.one, 0, src, tgt, terms)
+    return cob_from_comps(src, tgt, terms), tgt.circles, idx
 
 
 def closed_surface_cob(ring, moves):
@@ -160,7 +168,7 @@ def closed_surface_cob(ring, moves):
 
 def _poly_of_closed(cob):
     out = {}
-    for (comps, hpow), c in cob.terms.items():
+    for (comps, hpow), c in comps_of(cob).items():
         assert comps == ()
         out[hpow] = out.get(hpow, 0) + c
     return {h: c for h, c in out.items() if c}
@@ -202,10 +210,10 @@ def test_dot_after_dot_is_h_times_dot():
     twice = compose(Z, dot, dot)
     # x^2 = xH: same dotted cylinder with hpow raised by one
     assert len(twice.terms) == 1
-    ((comps, hpow), coeff) = next(iter(twice.terms.items()))
+    ((comps, hpow), coeff) = next(iter(comps_of(twice).items()))
     assert hpow == 1 and coeff == 1
     assert {dot_flag for _ends, dot_flag in comps} == {1} or comps
-    (single,) = [k for k in dot.terms]
+    (single,) = [k for k in comps_of(dot)]
     assert comps == single[0]
 
 
@@ -256,11 +264,11 @@ def test_deloop_requires_circle():
 
 
 def test_deloop_refuses_a_summand_without_the_disc():
-    # a bare term on a circled tangle is not in canonical form
+    # a bare term on a circled tangle is not in canonical form; a dot
+    # mask cannot hold it, so it is refused on the way in
     t = circle_tangle(1)
-    for side in (SRC, TGT):
-        with pytest.raises(AssertionError, match="no disc"):
-            deloop_iso(Q, Cob(t, t, {((), 0): 1}), side)
+    with pytest.raises(ValueError, match="not one disc per cycle"):
+        cob_from_comps(t, t, {((), 0): 1})
 
 
 # Non-crossing matchings by number of boundary points.
@@ -280,7 +288,7 @@ def random_canonical_cob(ring, rng, src, tgt):
         for kind, count in ((ARC, len(t.arcs())), (CIRCLE, t.circles))
         for i in range(count)
     ]
-    cycles = _cycles(tuple(ends), src, tgt)
+    cycles = cycles_of(tuple(ends), src, tgt)
     terms: dict = {}
     for _ in range(rng.randint(1, 3)):
         parts: dict = {}
@@ -292,8 +300,8 @@ def random_canonical_cob(ring, rng, src, tgt):
             for cs in parts.values()
         ]
         coeff = ring.from_int(rng.choice((1, 2, 3, -1)))
-        _finalize_groups(ring, groups, coeff, rng.randint(0, 1), src, tgt, terms)
-    return Cob(src, tgt, terms)
+        reduce_groups(ring, groups, coeff, rng.randint(0, 1), src, tgt, terms)
+    return cob_from_comps(src, tgt, terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -328,12 +336,12 @@ def test_evaluate_identity_and_hpow():
     idemp = identity_cob(F2, empty_tangle(qshift=5))
     assert evaluate(F2, idemp) == (1, 0)
     src, tgt = empty_tangle(0), empty_tangle(2)
-    i_cob = Cob(src, tgt, {((), 1): 1})
+    i_cob = cob_from_comps(src, tgt, {((), 1): 1})
     assert evaluate(Z, i_cob) == (1, 2)
     from bnscan.coeff import PrimeField
 
     f5 = PrimeField(5)
-    three_i2 = Cob(empty_tangle(0), empty_tangle(4), {((), 2): 3})
+    three_i2 = cob_from_comps(empty_tangle(0), empty_tangle(4), {((), 2): 3})
     assert evaluate(f5, three_i2) == (3, 4)
 
 
@@ -391,24 +399,11 @@ def test_degree_additivity_on_random_composables():
         # component here is a disc on one circle, so a summand has degree
         # sum(1 - 2 * dot) - 2 * hpow, and composition adds degrees.
         expected = sum(MOVE_DEGREE[mv[0]] for mv in seq)
-        for (comps, hpow), _coeff in cur.terms.items():
+        for (comps, hpow), _coeff in comps_of(cur).items():
             assert sum(1 - 2 * d for _e, d in comps) - 2 * hpow == expected
         summands += len(cur.terms)
         assert cur.src.circles == c
     assert summands
-
-
-def uncached_compose(ring, g, f):
-    """g after f reduced pair by pair over the ring, without the tables."""
-    out: dict = {}
-    for (fcomps, fh), fc in f.terms.items():
-        for (gcomps, gh), gc in g.terms.items():
-            coeff = ring.mul(fc, gc)
-            if not ring.is_zero(coeff):
-                _compose_pair(
-                    ring, fcomps, gcomps, coeff, fh + gh, f.src, f.tgt, g.tgt, out
-                )
-    return out
 
 
 def ring_image(ring, terms):
@@ -428,11 +423,11 @@ def ring_image(ring, terms):
 )
 def test_compose_table_hit_miss_and_uncached_reduction_agree(circles, ops, scales):
     # A chain of elementary moves on a 4-point tangle with circles.  The
-    # first ring fills a fresh table (misses); later rings and the repeated
-    # call read it (hits).  Scales such as 2, 4 and 6 vanish in some rings
+    # first ring fills fresh plans and their tables (misses); later rings
+    # and the repeated call read them (hits).  Scales such as 2, 4 and 6 vanish in some rings
     # only, and over Z/4Z a product of two 2s vanishes.
     results = {}
-    with mock.patch.object(cob, "_COMPOSE_TABLES", {}):
+    with mock.patch.object(cob, "_COMPOSE_PLANS", {}):
         for ring in (F2, Z4, F3, Q, Z):
             cur = identity_cob(ring, Tangle((3, 2, 1, 0), circles))
             cur = cur.scaled(ring, ring.from_int(scales[0]))
@@ -448,14 +443,140 @@ def test_compose_table_hit_miss_and_uncached_reduction_agree(circles, ops, scale
                     continue
                 step, _, _ = elem_cob(ring, mv, alive, match=cur.tgt.match)
                 step = step.scaled(ring, ring.from_int(k))
-                expected = uncached_compose(ring, step, cur)
+                expected = compose_comps(ring, step, cur)
                 first = compose(ring, step, cur)
-                assert first.terms == expected
-                assert compose(ring, step, cur).terms == expected
+                assert comps_of(first) == expected
+                assert comps_of(compose(ring, step, cur)) == expected
                 cur = first
             results[ring] = cur.terms
     for ring, terms in results.items():
         assert terms == ring_image(ring, results[Z])
+
+
+# --- gluing plans against the oracle -----------------------------------------
+
+
+def random_matching(rng, n):
+    """A random non-crossing matching of n points."""
+    match = [None] * n
+
+    def fill(lo, hi):
+        while lo < hi:
+            j = rng.randrange(lo + 1, hi, 2)
+            match[lo], match[j] = j, lo
+            fill(lo + 1, j)
+            lo = j + 1
+
+    fill(0, n)
+    return tuple(match)
+
+
+def random_tangle(rng, n_points, max_circles=2):
+    return Tangle(
+        random_matching(rng, n_points), rng.randint(0, max_circles), rng.randint(-2, 2)
+    )
+
+
+def random_interface(rng, m):
+    """A planar interface between an m-point left side and a crossing piece.
+
+    Returns (pairs, self_pairs, left_order, piece_order).  A run of left
+    positions, consecutive around the boundary, is glued to a run of the
+    piece's legs 0..3 in the opposite cyclic order; two adjacent legs may
+    be glued to each other first, as at a kink.
+    """
+    j = rng.randrange(4)
+    if rng.random() < 0.5:
+        self_pairs = ((j, (j + 1) % 4),)
+        free = [(j + 2) % 4, (j + 3) % 4]
+    else:
+        self_pairs = ()
+        free = [(j + i) % 4 for i in range(4)]
+    k = rng.randint(0, min(m, len(free)))
+    start = rng.randrange(m) if m else 0
+    glued = [(start + i) % m for i in range(k)]
+    pairs = tuple(zip(glued, reversed(free[:k])))
+    left_order = tuple(p for p in range(m) if p not in glued)
+    return pairs, self_pairs, left_order, tuple(free[k:])
+
+
+def check_compose(ring, g, f):
+    assert comps_of(compose(ring, g, f)) == compose_comps(ring, g, f)
+
+
+def check_deloop(ring, f):
+    for side, t in ((TGT, f.tgt), (SRC, f.src)):
+        if not t.circles:
+            continue
+        _objects, (pp, pm, ip, im) = neck_cut_deloop_maps(ring, t)
+        got = deloop_iso(ring, f, side)
+        if side == TGT:
+            expected = (compose_comps(ring, pp, f), compose_comps(ring, pm, f))
+            ends = ((f.src, pp.tgt), (f.src, pm.tgt))
+        else:
+            expected = (compose_comps(ring, f, ip), compose_comps(ring, f, im))
+            ends = ((ip.src, f.tgt), (im.src, f.tgt))
+        for g, e, (src, tgt) in zip(got, expected, ends):
+            assert (g.src, g.tgt, comps_of(g)) == (src, tgt, e)
+
+
+PIECES = (Tangle((3, 2, 1, 0)), Tangle((1, 0, 3, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from((0, 2, 4, 6)),
+    ops=st.lists(
+        st.sampled_from(("saddle", "dot", "birth", "death", "split", "merge")),
+        max_size=4,
+    ),
+)
+def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
+    # Random surfaces with handles, multi-cycle components and closed
+    # components (discs capping a middle circle from both sides), chains
+    # of elementary moves, and gluings beside a crossing piece along a
+    # random interface, kinks included.  F2 fills the compose plans and
+    # the glue plans with their tables first; the other rings read them.
+    glue_tables: dict = {}
+    with mock.patch.object(cob, "_COMPOSE_PLANS", {}):
+        for ring in (F2, Z4, F3, Q, Z):
+            rng = random.Random(seed)
+            t0, t1, t2 = (random_tangle(rng, n_points) for _ in range(3))
+            f = random_canonical_cob(ring, rng, t0, t1)
+            g = random_canonical_cob(ring, rng, t1, t2)
+            check_compose(ring, g, f)
+            cur = compose(ring, g, f)
+            check_deloop(ring, cur)
+            for op in ops:
+                alive = cur.tgt.circles
+                if op == "saddle" and cur.tgt.match in SADDLE_FLIP or op == "birth":
+                    mv = (op,)
+                elif op == "merge" and alive >= 2:
+                    mv = (op, 0, alive - 1)
+                elif op not in ("saddle", "merge", "birth") and alive:
+                    mv = (op, rng.randrange(alive))
+                else:
+                    continue
+                step, _, _ = elem_cob(ring, mv, alive, match=cur.tgt.match)
+                step = Cob(cur.tgt, step.tgt.shifted(cur.tgt.qshift), step.terms)
+                check_compose(ring, step, cur)
+                cur = compose(ring, step, cur)
+                check_deloop(ring, cur)
+            a, b = (random_tangle(rng, n_points) for _ in range(2))
+            f = random_canonical_cob(ring, rng, a, b)
+            p, q = rng.choice(PIECES), rng.choice(PIECES)
+            phi = random_canonical_cob(ring, rng, p, q)
+            pairs, self_pairs, left_order, piece_order = random_interface(rng, n_points)
+            infos = [
+                glue_tangles(t, piece.match, pairs, left_order, piece_order,
+                             self_pairs=self_pairs)
+                for t, piece in ((a, p), (b, q))
+            ]
+            got = glue_cobs(ring, f, phi, pairs, *infos, self_pairs=self_pairs,
+                            tables=glue_tables)
+            assert (got.src, got.tgt) == (infos[0][0], infos[1][0])
+            assert comps_of(got) == glue_comps(ring, f, phi, pairs, *infos, self_pairs)
 
 
 # --- oracle equivalence ----------------------------------------------------
@@ -552,11 +673,13 @@ def test_identity_coefficient_detection():
     idc = identity_cob(F3, t)
     assert idc.identity_coefficient() == 1
     assert idc.scaled(F3, 2).identity_coefficient() == 2
-    dotted = {
-        (tuple(sorted((((SRC, ARC, 0), (TGT, ARC, 0)), 1)
-                      for _ in range(1))) + tuple(), 0): 1
-    }
-    assert Cob(t, t, dotted).identity_coefficient() is None
+    # both strips, the first one dotted
+    strips = [((SRC, ARC, i), (TGT, ARC, i)) for i in range(2)]
+    dotted = {(((strips[0], 1), (strips[1], 0)), 0): 1}
+    assert cob_from_comps(t, t, dotted).identity_coefficient() is None
+    assert Cob(t, t, {(0, 1): 1}).identity_coefficient() is None  # H times id
+    circled = Tangle((1, 0), 1)
+    assert Cob(circled, circled, {(0, 0): 1}).identity_coefficient() is None
     assert identity_cob(F3, t.shifted(2)).identity_coefficient() == 1
     f = identity_cob(F3, t)
     g = Cob(t, t.shifted(2), {})

@@ -11,8 +11,6 @@ from bnscan.cob import (
     CIRCLE,
     Cob,
     Tangle,
-    _finalize_groups,
-    _glue_pair,
     compose,
     deloop_iso,
     glue_cobs,
@@ -35,7 +33,14 @@ from bnscan.complex import (
 )
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import from_filtered, khovanov_table, s_from_based
-from helpers import deloop_maps, strictly_raising
+from helpers import (
+    cob_from_comps,
+    comps_of,
+    deloop_maps,
+    glue_comps,
+    reduce_groups,
+    strictly_raising,
+)
 from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, rational_pd, torus_pd
 from oracle_dense import bn_s_invariant, khovanov_ranks
 
@@ -119,11 +124,11 @@ def _circle_cyl(ring, dot=0, hpow=0):
     t = Tangle((), 1, 0)
     t2 = t.shifted(2 * (dot + hpow))
     terms = {}
-    _finalize_groups(
+    reduce_groups(
         ring, [({(SRC, CIRCLE, 0), (TGT, CIRCLE, 0)}, dot, 0)], ring.one, hpow,
         t, t2, terms,
     )
-    return Cob(t, t2, terms), t, t2
+    return cob_from_comps(t, t2, terms), t, t2
 
 
 def _conjugated(ring, f):
@@ -158,7 +163,7 @@ def test_conjugated_dotted_cylinder_matches_case_analysis():
     m = _conjugated(ring, fdot)
     assert m["+", "+"].is_zero()  # {+1} -> {+3} vanishes
     assert m["-", "+"].identity_coefficient() == 1  # {+1} -> {+1} identity
-    ((comps, hpow), k) = next(iter(m["-", "-"].terms.items()))
+    ((comps, hpow), k) = next(iter(comps_of(m["-", "-"]).items()))
     assert comps == () and hpow == 1 and k == 1  # {-1} -> {+1} is I
 
 
@@ -166,10 +171,10 @@ def test_conjugated_hpow_cylinder_matches_case_analysis():
     ring = Q
     f_i, _t, _t2 = _circle_cyl(ring, hpow=1)
     m = _conjugated(ring, f_i)
-    ((comps, hpow), k) = next(iter(m["+", "+"].terms.items()))
+    ((comps, hpow), k) = next(iter(comps_of(m["+", "+"]).items()))
     assert comps == () and hpow == 1 and k == 1  # {+1} -> {+3} is I
     assert m["-", "+"].is_zero()
-    ((comps, hpow), k) = next(iter(m["-", "-"].terms.items()))
+    ((comps, hpow), k) = next(iter(comps_of(m["-", "-"]).items()))
     assert comps == () and hpow == 1 and k == 1  # {-1} -> {+1} is I
 
 
@@ -298,8 +303,8 @@ def test_dump_format():
 def test_glue_tables_agree_with_the_reduction_over_the_ring():
     # Every entry and identity of each step, glued beside each piece map:
     # the rings scan in lockstep and share one step's tables, F2 filling
-    # them first; each result is checked against the pair-by-pair
-    # reduction over the ring itself.
+    # their plans first; each result is checked against the oracle, which
+    # reduces pair by pair over the ring itself.
     rings = (F2, Z4, F3, Q)
     for pd in (PD_FIGURE8, "PD[X[1,2,2,1]]"):  # the second has a loop edge
         order = scan_order(orient_and_sign(parse_pd(pd)))
@@ -326,21 +331,13 @@ def _check_glue(ring, f, phi, step, tables):
         )
         for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
     ]
-    expected: dict = {}
-    for (fcomps, fh), fc in f.terms.items():
-        for (pcomps, ph), pc in phi.terms.items():
-            coeff = ring.mul(fc, pc)
-            if not ring.is_zero(coeff):
-                _glue_pair(
-                    ring, fcomps, pcomps, coeff, fh + ph, f, phi, step.pairs,
-                    *infos, step.self_pairs, expected,
-                )
+    expected = glue_comps(ring, f, phi, step.pairs, *infos, step.self_pairs)
     for _ in range(2):
         got = glue_cobs(
             ring, f, phi, step.pairs, *infos, self_pairs=step.self_pairs,
             tables=tables,
         )
-        assert got.terms == expected
+        assert comps_of(got) == expected
 
 
 def test_check_raises_under_optimized_mode():
@@ -366,6 +363,40 @@ def test_check_raises_under_optimized_mode():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_check_raises_on_a_dot_beyond_the_cycles_under_optimized_mode():
+    # an entry on a one-cycle shape dotted on bit 1 has no disc to carry
+    # that dot; with BNSCAN_DEBUG the scan steps' check() must refuse it
+    # even when assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.cob import Cob, Tangle\n"
+        "from bnscan.coeff import Q\n"
+        "from bnscan.complex import DEBUG, FilteredComplex, InconsistentError, deloop\n"
+        "t = Tangle((1, 0), 0, 0)\n"
+        "C = FilteredComplex(Q)\n"
+        "a, b = C.add_object(0, t), C.add_object(1, t.shifted(2))\n"
+        "C.set_entry(a, b, Cob(t, t.shifted(2), {(1, 0): Q.one}))\n"
+        "deloop(C)\n"
+        "C.set_entry(a, b, Cob(t, t.shifted(2), {(2, 0): Q.one}))\n"
+        "if not DEBUG:\n"
+        "    raise SystemExit(5)\n"
+        "try:\n"
+        "    deloop(C)\n"
+        "except InconsistentError as exc:\n"
+        "    raise SystemExit(3 if 'a dot beyond its cycles' in str(exc) else 6)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["BNSCAN_DEBUG"] = "1"
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
