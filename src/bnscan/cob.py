@@ -48,6 +48,7 @@ summand by the dot on the disc.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class MismatchError(ValueError):
@@ -62,22 +63,20 @@ class NotClosedError(ValueError):
     """An empty tangle was needed; one with boundary points or circles came."""
 
 
-class Tangle:
+class Tangle(NamedTuple):
     """A crossingless tangle in the disc with a quantum shift.
 
     ``match`` is an involution on boundary positions 0..n-1 describing the
     arcs; ``circles`` counts closed components (kept only transiently,
     complexes store delooped objects); ``qshift`` is the quantum grading.
+    A plain tuple of these fields, so equality and hashing are the
+    tuple's; the arcs depend on the matching alone and are memoized per
+    matching.
     """
 
-    __slots__ = ("match", "circles", "qshift", "_arcs", "_arcidx")
-
-    def __init__(self, match, circles=0, qshift=0):
-        self.match = tuple(match)
-        self.circles = circles
-        self.qshift = qshift
-        self._arcs = None
-        self._arcidx = None
+    match: tuple
+    circles: int = 0
+    qshift: int = 0
 
     @property
     def n_points(self):
@@ -85,19 +84,7 @@ class Tangle:
 
     def arcs(self):
         """Arcs as (p, q) pairs with p < q, ordered by p."""
-        if self._arcs is None:
-            self._arcs = tuple((p, q) for p, q in enumerate(self.match) if p < q)
-        return self._arcs
-
-    def arc_index(self, p):
-        """Index in arcs() of the arc with an endpoint at position p."""
-        if self._arcidx is None:
-            idx = {}
-            for i, (a, b) in enumerate(self.arcs()):
-                idx[a] = i
-                idx[b] = i
-            self._arcidx = idx
-        return self._arcidx[p]
+        return _arcs(self.match)
 
     def shifted(self, dq):
         return Tangle(self.match, self.circles, self.qshift + dq)
@@ -107,22 +94,16 @@ class Tangle:
             raise NoCircleError("tangle has no circle")
         return Tangle(self.match, self.circles - 1, self.qshift)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Tangle):
-            return NotImplemented
-        return (
-            self.circles == other.circles
-            and self.qshift == other.qshift
-            and self.match == other.match
-        )
 
-    def __hash__(self):
-        return hash((self.match, self.circles, self.qshift))
+@lru_cache(maxsize=None)
+def _arcs(match):
+    return tuple((p, q) for p, q in enumerate(match) if p < q)
 
-    def __repr__(self):
-        return f"Tangle(match={self.match}, circles={self.circles}, q={self.qshift})"
+
+@lru_cache(maxsize=None)
+def _arc_index(match):
+    """Position -> index in ``_arcs(match)`` of the arc ending there."""
+    return {p: i for i, arc in enumerate(_arcs(match)) for p in arc}
 
 
 # Surface ends are (side, kind, index): side 0 = source, 1 = target;
@@ -189,8 +170,8 @@ def shape_cycles(src, tgt):
 
 @lru_cache(maxsize=None)
 def _shape_cycles(smatch, scircles, tmatch, tcircles):
-    src_arc = Tangle(smatch).arc_index
-    tgt_arc = Tangle(tmatch).arc_index
+    src_arc = _arc_index(smatch)
+    tgt_arc = _arc_index(tmatch)
     cycles = [(_end(SRC, CIRCLE, j),) for j in range(scircles)]
     cycles += [(_end(TGT, CIRCLE, j),) for j in range(tcircles)]
     seen = set()
@@ -202,7 +183,7 @@ def _shape_cycles(smatch, scircles, tmatch, tcircles):
         while True:
             q = smatch[p]
             seen.update((p, q))
-            cyc += (_end(SRC, ARC, src_arc(p)), _end(TGT, ARC, tgt_arc(q)))
+            cyc += (_end(SRC, ARC, src_arc[p]), _end(TGT, ARC, tgt_arc[q]))
             p = tmatch[q]
             if p == p0:
                 break
@@ -537,7 +518,6 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
     for x1, x2 in self_pairs:
         hops[("x", x1)] = ("x", x2)
         hops[("x", x2)] = ("x", x1)
-    piece_arcs = sorted({min(a, piece_match[a]) for a in range(len(piece_match))})
     new_pos = {("b", p): i for i, p in enumerate(left_order)}
     for i, x in enumerate(piece_order):
         new_pos[("x", x)] = len(left_order) + i
@@ -576,14 +556,14 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
     closed_paths.sort(key=lambda item: item[0])
 
     glued = Tangle(tuple(new_match), left.circles + len(closed_paths), 0)
-    arc_ids = {p: i for i, (p, _q) in enumerate(glued.arcs())}
-    dests = [(ARC, arc_ids[lo]) for lo, _arcs in open_paths]
+    arc_ids = _arc_index(glued.match)
+    arc_of = {"b": _arc_index(left.match), "x": _arc_index(piece_match)}
+    dests = [(ARC, arc_ids[lo]) for lo, _seen in open_paths]
     dests += [(CIRCLE, left.circles + ci) for ci in range(len(closed_paths))]
     end_map = {("b", CIRCLE, j): (CIRCLE, j) for j in range(left.circles)}
     for dest, (_lo, arcs_seen) in zip(dests, open_paths + closed_paths):
         for tag, lo in arcs_seen:
-            idx = left.arc_index(lo) if tag == "b" else piece_arcs.index(lo)
-            end_map[(tag, ARC, idx)] = dest
+            end_map[(tag, ARC, arc_of[tag][lo])] = dest
     return glued, end_map
 
 
@@ -608,14 +588,11 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info, self_pairs):
                 mask |= 1 << rindex[(side,) + emaps[side][tag, kind, i]]
             parts.append(mask)
 
-    def left(p):
-        return findex[SRC, ARC, f.src.arc_index(p)]
-
-    def leg(x):
-        return n + pindex[SRC, ARC, phi.src.arc_index(x)]
-
-    seams = [(left(p), leg(x), True) for p, x in pairs]
-    seams += [(leg(x1), leg(x2), True) for x1, x2 in self_pairs]
+    left_arc = _arc_index(f.src.match)
+    leg_arc = _arc_index(phi.src.match)
+    leg = [n + pindex[SRC, ARC, leg_arc[x]] for x in range(len(phi.src.match))]
+    seams = [(findex[SRC, ARC, left_arc[p]], leg[x], True) for p, x in pairs]
+    seams += [(leg[x1], leg[x2], True) for x1, x2 in self_pairs]
     return _Plan(n, parts, seams)
 
 

@@ -1,14 +1,15 @@
 """Exact coefficient arithmetic for the rings the reduction engine runs over.
 
-Supported rings: prime fields F_p, the rationals Q, the integers Z, and Z/4Z.
-Values are kept in a canonical form per ring (0..p-1 for F_p, reduced
-Fraction for Q, 0..3 for Z/4Z) so equality of coefficients is plain ``==``.
+Supported rings: Z/mZ (the prime fields F_p and Z/4Z), the rationals Q and
+the integers Z.  Values are kept in a canonical form per ring (0..m-1 for
+Z/mZ, reduced Fraction for Q) so equality of coefficients is plain ``==``.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class NonUnitError(ArithmeticError):
@@ -62,66 +63,39 @@ class Ring:
         return hash((type(self).__name__, self.name))
 
 
-class PrimeField(Ring):
-    """F_p with canonical representatives 0..p-1."""
+def _is_prime(m):
+    return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
 
-    is_field = True
 
-    def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"f{p}"
+class Modular(Ring):
+    """Z/mZ with representatives 0..m-1, named f{p} when it is the field F_p."""
+
+    def __init__(self, m):
+        self.m = m
+        self.is_field = _is_prime(m)
+        self.name = f"f{m}" if self.is_field else f"z{m}"
         super().__init__()
 
 
     def from_int(self, n):
-        return n % self.p
+        return n % self.m
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.m
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return (a * b) % self.m
 
     def neg(self, a):
-        return (-a) % self.p
+        return (-a) % self.m
 
     def is_unit(self, a):
-        return a % self.p != 0
+        return gcd(a, self.m) == 1
 
     def invert(self, a):
-        if a % self.p == 0:
-            raise NonUnitError(f"0 is not invertible in {self.name}")
-        return pow(a, -1, self.p)
-
-
-class Rationals(Ring):
-    """Q with reduced fractions; arbitrary precision, no silent overflow."""
-
-    name = "q"
-    is_field = True
-
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_unit(self, a):
-        return a != 0
-
-    def invert(self, a):
-        if a == 0:
-            raise NonUnitError("0 is not invertible in q")
-        return 1 / Fraction(a)
+        if gcd(a, self.m) != 1:
+            raise NonUnitError(f"{a % self.m} is not invertible in {self.name}")
+        return pow(a, -1, self.m)
 
 
 class Integers(Ring):
@@ -151,39 +125,30 @@ class Integers(Ring):
         return a
 
 
-class IntegersMod4(Ring):
-    """Z/4Z with representatives 0..3; units are 1 and 3."""
+class Rationals(Integers):
+    """Q with reduced fractions; arbitrary precision, no silent overflow."""
 
-    name = "z4"
+    name = "q"
+    is_field = True
 
 
     def from_int(self, n):
-        return n % 4
-
-    def add(self, a, b):
-        return (a + b) % 4
-
-    def mul(self, a, b):
-        return (a * b) % 4
-
-    def neg(self, a):
-        return (-a) % 4
+        return Fraction(n)
 
     def is_unit(self, a):
-        return a % 4 in (1, 3)
+        return a != 0
 
     def invert(self, a):
-        a = a % 4
-        if a not in (1, 3):
-            raise NonUnitError(f"{a} is not invertible in z4")
-        return a  # 1*1 = 1, 3*3 = 9 = 1 mod 4
+        if a == 0:
+            raise NonUnitError("0 is not invertible in q")
+        return 1 / Fraction(a)
 
 
 Q = Rationals()
 Z = Integers()
-Z4 = IntegersMod4()
-F2 = PrimeField(2)
-F3 = PrimeField(3)
+Z4 = Modular(4)
+F2 = Modular(2)
+F3 = Modular(3)
 
 _CACHE: dict[str, Ring] = {"q": Q, "z": Z, "z4": Z4, "f2": F2, "f3": F3}
 
@@ -194,8 +159,9 @@ def ring_from_name(name: str) -> Ring:
     if key in _CACHE:
         return _CACHE[key]
     if key.startswith("f") and key[1:].isdigit():
-        ring = PrimeField(int(key[1:]))
-        _CACHE[key] = ring
+        p = int(key[1:])
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        ring = _CACHE[key] = Modular(p)
         return ring
     raise ValueError(f"unknown ring {name!r}")
-

@@ -92,37 +92,16 @@ class ScanOrder:
 
 # --- PD parsing --------------------------------------------------------------
 
-_PD_RE = re.compile(r"^PD\[(.*)\]$")
-_X_RE = re.compile(r"^X\[(\d+),(\d+),(\d+),(\d+)\]$")
+_X_RE = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")
+_PD_RE = re.compile(rf"PD\[(?:{_X_RE.pattern}(?:,{_X_RE.pattern})*)?\]")
 
 
 def parse_pd(text: str, name: str | None = None) -> PDCode:
     """Parse ``PD[X[a,b,c,d],...]`` and validate the knot invariants."""
     compact = "".join(text.split())
-    m = _PD_RE.match(compact)
-    if not m:
+    if not _PD_RE.fullmatch(compact):
         raise ParseError(f"not a PD code: {text!r}")
-    body = m.group(1)
-    crossings = []
-    if body:
-        depth = 0
-        token = ""
-        tokens = []
-        for ch in body + ",":
-            if ch == "," and depth == 0:
-                tokens.append(token)
-                token = ""
-                continue
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            token += ch
-        for tok in tokens:
-            xm = _X_RE.match(tok)
-            if not xm:
-                raise ParseError(f"bad crossing entry {tok!r}")
-            crossings.append(tuple(int(g) for g in xm.groups()))
+    crossings = [tuple(map(int, labels)) for labels in _X_RE.findall(compact)]
     pd = PDCode(tuple(crossings), name)
     validate_pd(pd)
     return pd

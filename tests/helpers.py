@@ -30,7 +30,7 @@ from bnscan.cob import (
     identity_cob,
     shape_cycles,
 )
-from bnscan.coeff import Q, Z, Z4, PrimeField
+from bnscan.coeff import Q, Z, Z4, Modular
 from bnscan.complex import scan
 from bnscan.diagram import mirror_pd, orient_and_sign, scan_order
 from bnscan.sinv import from_filtered
@@ -39,10 +39,8 @@ from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based
 
 def canon(ring, a):
     """The canonical representative of ``a`` in a ring of ``bnscan.coeff``."""
-    if isinstance(ring, PrimeField):
-        return a % ring.p
-    if ring is Z4:
-        return a % 4
+    if isinstance(ring, Modular):
+        return a % ring.m
     if ring is Q:
         return Fraction(a)
     if ring is Z:

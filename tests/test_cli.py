@@ -118,9 +118,14 @@ def test_main_missing_file_is_io_error(tmp_path):
     assert code == 1
 
 
-def test_main_bad_ring(knot_file):
-    code = main(["compute", "--input", knot_file, "--ring", "f6"])
-    assert code == 1
+def test_main_bad_ring(knot_file, capsys):
+    # f0 names Z/0Z, which has no residues: refused before a ring is built
+    for ring in ("f6", "f0"):
+        code = main(["compute", "--input", knot_file, "--ring", ring])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_main_fail_fast_exit_code(tmp_path):

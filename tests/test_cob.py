@@ -338,9 +338,9 @@ def test_evaluate_identity_and_hpow():
     src, tgt = empty_tangle(0), empty_tangle(2)
     i_cob = cob_from_comps(src, tgt, {((), 1): 1})
     assert evaluate(Z, i_cob) == (1, 2)
-    from bnscan.coeff import PrimeField
+    from bnscan.coeff import Modular
 
-    f5 = PrimeField(5)
+    f5 = Modular(5)
     three_i2 = cob_from_comps(empty_tangle(0), empty_tangle(4), {((), 2): 3})
     assert evaluate(f5, three_i2) == (3, 4)
 

@@ -10,12 +10,12 @@ from bnscan.coeff import (
     Q,
     Z,
     Z4,
-    PrimeField,
+    Modular,
     ring_from_name,
 )
 from helpers import canon
 
-RINGS = [F2, F3, PrimeField(5), Q, Z, Z4]
+RINGS = [F2, F3, Modular(5), Q, Z, Z4]
 
 
 def test_unit_examples():
@@ -26,6 +26,17 @@ def test_unit_examples():
     units = {a for a in range(4) if any((a * b) % 4 == 1 for b in range(4))}
     assert units == {1, 3}
     assert Z4.is_unit(3)
+    # every Z/mZ against its brute-force multiplication table
+    for ring in (F2, F3, Modular(5), Modular(7), Z4):
+        m = ring.m
+        for a in range(m):
+            inverses = [b for b in range(m) if (a * b) % m == 1]
+            assert ring.is_unit(a) == bool(inverses)
+            if inverses:
+                assert ring.invert(a) == inverses[0]
+            else:
+                with pytest.raises(NonUnitError):
+                    ring.invert(a)
 
 
 def test_invert_examples():
@@ -67,9 +78,10 @@ def test_ring_from_name():
     assert ring_from_name("f2") is F2
     assert ring_from_name("q") is Q
     assert ring_from_name("z4") is Z4
-    assert ring_from_name("f7").p == 7
-    with pytest.raises(ValueError):
-        ring_from_name("f4")
+    assert ring_from_name("f7").m == 7
+    for bad in ("f0", "f1", "f4", "f9", "f", "f-3"):
+        with pytest.raises(ValueError):
+            ring_from_name(bad)
     with pytest.raises(ValueError):
         ring_from_name("gl2")
 

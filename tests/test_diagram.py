@@ -57,6 +57,12 @@ def test_parse_rejects_bad_labels():
         parse_pd("PD[X[1,2,3]]")
     with pytest.raises(ParseError):
         parse_pd("K[X[1,1,2,2]]")
+    for body in ("X[1,2,3,4]X[3,4,1,2]", "X[1,2,2,1],", ",X[1,2,2,1]",
+                 "X[X[1,2,2,1]]", "Y[1,2,2,1]", "X[-1,2,2,-1]"):
+        with pytest.raises(ParseError):
+            parse_pd(f"PD[{body}]")
+    assert parse_pd("PD[]").crossings == ()
+    assert parse_pd("PD[ X[1, 2,2,1] ]").crossings == ((1, 2, 2, 1),)
 
 
 def test_parse_rejects_links():

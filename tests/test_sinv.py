@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnscan.coeff import F2, F3, Q, Z, Z4, PrimeField
+from bnscan.coeff import F2, F3, Q, Z, Z4, Modular
 from bnscan.complex import gauss_eliminate, reduce_pass, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import (
@@ -278,7 +278,7 @@ def test_integral_scan_finished_per_field_matches_the_field_scan(pd):
     order = scan_order(orient_and_sign(pd))
     for mode in ("s", "full"):
         D = from_filtered(scan(order, Z, mode))
-        for ring in (F2, F3, PrimeField(5), Q):
+        for ring in (F2, F3, Modular(5), Q):
             E = reduce_pass(base_change(D, ring))
             direct = from_filtered(scan(order, ring, mode))
             if mode == "s":
