@@ -33,11 +33,15 @@ its genus and the result cycles it bounds.  A pair of summands then
 reduces by counting its dots on each surface and expanding the surface
 by neck-cutting onto those cycles.  The reduction of a pair is made once,
 with coefficient 1 over the integers, and kept in the plan; a ring
-applies it through ``from_int``, a ring homomorphism.  ``compose`` keeps
-its plans for the process, keyed by the shapes (matching and circle
-count, not the quantum shift) of its source, middle and target.
-``glue_cobs`` takes its plans from the caller, because they also depend
-on the gluing interface: the scan keeps them for one tensor step.
+applies it through ``from_int``, a ring homomorphism.  A plan depends
+only on its combinatorics, the disc count of the first factor, the
+parts and the seams, so every plan is interned for the process under
+that tuple of ints, and plans whose surfaces agree share one reduction
+table.  ``compose`` finds its plan by the shapes (matching and circle
+count, not the quantum shift) of its source, middle and target;
+``glue_cobs`` by the shapes of its factors in a dict of the caller's,
+because the plan also depends on the gluing interface: the scan keeps
+that dict for one tensor step.
 
 Delooping reads the canonical form and makes no product: every circle
 bounds a disc of its own in each summand, and each delooping map only
@@ -305,7 +309,9 @@ class _Plan:
     Each merged surface becomes a group ``(fbits, gbits, genus, bits)``:
     the dot bits it takes from each factor, its genus and the sorted
     result cycles it bounds.  ``table`` keeps the reduction of each
-    summand pair made so far, keyed by the two masks.
+    summand pair made so far, keyed by the two masks; it depends on the
+    groups alone, so plans with equal groups share it.  Plans are made
+    only through ``_plan``.
     """
 
     __slots__ = ("groups", "table")
@@ -345,7 +351,7 @@ class _Plan:
                 raise AssertionError(f"bad Euler bookkeeping: chi={chi} b={len(bits)}")
             groups.append((fbits, gbits, defect // 2, bits))
         self.groups = tuple(groups)
-        self.table: dict = {}
+        self.table = _TABLES.setdefault(self.groups, {})
 
     def reduce(self, fmask, gmask):
         """The integer summands of one pair of factor summands."""
@@ -357,6 +363,22 @@ class _Plan:
                 return ()
             alternatives.append(alts)
         return _combine(alternatives)
+
+
+# Gluing plans for the process, keyed by their combinatorics
+# (n_first, parts, seams), a tuple of ints; and the reduction tables,
+# keyed by the groups of the plans that share them.
+_PLANS: dict = {}
+_TABLES: dict = {}
+
+
+def _plan(n_first, parts, seams):
+    """The one plan of these parts and seams; see ``_Plan``."""
+    key = (n_first, tuple(parts), tuple(seams))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(n_first, parts, seams)
+    return plan
 
 
 def _product(ring, f, g, plan):
@@ -413,11 +435,11 @@ def _compose_plan(src, mid, tgt):
             parts.append(mask)
     n = len(fcycles)
     seams = [
-        (findex[TGT, kind, i], n + gindex[SRC, kind, i], kind == ARC)
+        (findex[TGT, kind, i], n + gindex[SRC, kind, i], int(kind == ARC))
         for kind, count in ((ARC, len(mid.match) // 2), (CIRCLE, mid.circles))
         for i in range(count)
     ]
-    return _Plan(n, parts, seams)
+    return _plan(n, parts, seams)
 
 
 # (src, mid, tgt shapes) -> plan, for the process.
@@ -591,9 +613,9 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info, self_pairs):
     left_arc = _arc_index(f.src.match)
     leg_arc = _arc_index(phi.src.match)
     leg = [n + pindex[SRC, ARC, leg_arc[x]] for x in range(len(phi.src.match))]
-    seams = [(findex[SRC, ARC, left_arc[p]], leg[x], True) for p, x in pairs]
-    seams += [(leg[x1], leg[x2], True) for x1, x2 in self_pairs]
-    return _Plan(n, parts, seams)
+    seams = [(findex[SRC, ARC, left_arc[p]], leg[x], 1) for p, x in pairs]
+    seams += [(leg[x1], leg[x2], 1) for x1, x2 in self_pairs]
+    return _plan(n, parts, seams)
 
 
 def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,

@@ -17,9 +17,14 @@ component, with O(n^2) operations on integer bitsets.  A face count
 The scan order adds one crossing at a time so that every partial diagram
 is connected and the glue interface is a contiguous run of the current
 boundary cycle; a greedy girth minimizer with one step of lookahead picks
-among candidates, with bounded backtracking as a safety net.  Kinks (loop
-edges whose two ends sit on the same crossing) glue to themselves within
-the step that adds their crossing.
+among candidates, with bounded backtracking as a safety net.  Only the
+crossings that hold a boundary edge are candidates, found through an
+edge -> crossings index, and a label -> position map finds each
+interface in time linear in its size.  The lookahead glues nothing: the
+length a crossing leaves follows from how many of its legs lie on the
+boundary and its loops.  Kinks (loop edges whose two ends sit on the
+same crossing) glue to themselves within the step that adds their
+crossing.
 """
 
 from __future__ import annotations
@@ -240,35 +245,44 @@ def _loop_pairs(legs):
     return tuple(pairs)
 
 
-def _contiguous_interface(boundary, legs):
-    """Find a contiguous gluing of a crossing onto the boundary cycle.
+def _attachment(boundary, pos, legs, open_legs):
+    """Where a crossing glues onto the boundary cycle: (r, s, k) or None.
 
-    The glued labels must form a contiguous run of the boundary whose
-    reverse is a contiguous run of the crossing's cyclic legs.  Returns
-    (pairs, self_pairs, left_order, piece_order) or None.
+    The glued labels are those of the crossing's non-loop legs that lie
+    on the boundary (``pos`` maps each boundary label to its position).
+    They must fill a run boundary[r..r+k-1] whose reverse is the run
+    legs[s..s+k-1] of the crossing's cyclic legs.  When k < m, the
+    boundary length, r is the one glued position whose predecessor is not
+    glued; when k = m, each r is tried in turn.  The leg that holds
+    boundary[r+k-1] fixes s, so a test costs O(k).
     """
-    loop_legs = {i for pair in _loop_pairs(legs) for i in pair}
-    shared = [e for e in legs if e in boundary and legs.index(e) not in loop_legs]
-    shared_set = set(shared)
-    if not shared_set or len(shared) != len(shared_set):
+    m = len(boundary)
+    hits = [pos[legs[x]] for x in open_legs if legs[x] in pos]
+    k = len(hits)
+    glued = set(hits)
+    if not k or len(glued) != k:
         return None
-    m, k = len(boundary), len(shared_set)
-    for r in range(m):
-        run = [boundary[(r + i) % m] for i in range(k)]
-        if set(run) != shared_set:
-            continue
-        for s in range(4):
-            leg_run = [legs[(s + i) % 4] for i in range(k)]
-            if leg_run != run[::-1]:
-                continue
-            if any((s + i) % 4 in loop_legs for i in range(k)):
-                continue
-            pairs = tuple(((r + i) % m, (s + k - 1 - i) % 4) for i in range(k))
-            left_order = tuple((r + k + i) % m for i in range(m - k))
-            free = [(s + k + i) % 4 for i in range(4 - k)]
-            piece_order = tuple(x for x in free if x not in loop_legs)
-            return pairs, _loop_pairs(legs), left_order, piece_order
+    if k == m:
+        starts = range(m)
+    else:
+        starts = [p for p in hits if (p - 1) % m not in glued]
+        if len(starts) != 1:
+            return None
+    for r in starts:
+        s = legs.index(boundary[(r + k - 1) % m])
+        if all(legs[(s + i) % 4] == boundary[(r + k - 1 - i) % m]
+               for i in range(1, k)):
+            return r, s, k
     return None
+
+
+def _interface(m, loops, open_legs, r, s, k):
+    """(pairs, self_pairs, left_order, piece_order) of an attachment."""
+    pairs = tuple(((r + i) % m, (s + k - 1 - i) % 4) for i in range(k))
+    left_order = tuple((r + k + i) % m for i in range(m - k))
+    free = [(s + k + i) % 4 for i in range(4 - k)]
+    piece_order = tuple(x for x in free if x in open_legs)
+    return pairs, loops, left_order, piece_order
 
 
 def _first_interface(legs):
@@ -283,13 +297,6 @@ def _first_interface(legs):
     return (), loops, (), piece_order
 
 
-def _glued_boundary(boundary, legs, iface):
-    _pairs, _loops, left_order, piece_order = iface
-    return tuple(boundary[p] for p in left_order) + tuple(
-        legs[x] for x in piece_order
-    )
-
-
 # Planar diagrams rarely need a backtrack at all (at most one on 1,179
 # corpus diagrams and random braid closures); without a bound, a
 # non-planar PD code searches an exponential tree.
@@ -300,45 +307,78 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
     """Order the crossings for scanning, minimizing boundary growth.
 
     Greedy with one step of lookahead; connected prefixes, contiguous
-    interfaces.  Backtracks over candidates if a greedy branch gets stuck,
-    and raises NotAKnotError after ``_BACKTRACK_BUDGET`` backtracks.
+    interfaces.  A step ranks its candidates by (glued boundary length,
+    shortest length one more crossing can then leave, crossing index).
+    The candidates are the unplaced crossings that hold a boundary label,
+    found through an edge -> crossings index.  The lookahead needs no
+    gluing: a crossing with k legs on a boundary of length m, and l loop
+    pairs, leaves m + 4 - 2k - 2l points, so the next crossings are
+    tested for contiguity in order of that length, and the first that
+    fits gives the score.  Backtracks over candidates if a greedy branch
+    gets stuck, and raises NotAKnotError after ``_BACKTRACK_BUDGET``
+    backtracks.
     """
     pd = od.pd
     n = pd.n
     if n == 0:
         return ScanOrder(od, ())
+    xs = pd.crossings
+    loops = [_loop_pairs(legs) for legs in xs]
+    open_legs = [
+        tuple(x for x in range(4) if all(x not in pair for pair in lp))
+        for lp in loops
+    ]
+    growth = [4 - 2 * len(lp) for lp in loops]
+    at: dict[int, list[int]] = {}  # edge label -> crossings holding it
+    for ci, legs in enumerate(xs):
+        for e in legs:
+            at.setdefault(e, []).append(ci)
 
-    def candidates(done, boundary):
-        out = []
-        for ci in range(n):
-            if ci in done:
-                continue
-            legs = pd.crossings[ci]
-            if not done:
-                out.append((ci, _first_interface(legs)))
-            else:
-                iface = _contiguous_interface(boundary, legs)
-                if iface is not None:
-                    out.append((ci, iface))
-        return out
+    def held(done, boundary):
+        """Unplaced crossings holding boundary labels -> how many each."""
+        count: dict[int, int] = {}
+        for e in boundary:
+            for c in at[e]:
+                if c not in done:
+                    count[c] = count.get(c, 0) + 1
+        return count
 
-    def score(boundary, ci, iface, done):
-        bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
-        done2 = done | {ci}
-        best_next = len(bnd)
-        if len(done2) < n:
-            nxt = candidates(done2, bnd)
-            if nxt:
-                best_next = min(
-                    len(_glued_boundary(bnd, pd.crossings[cj], ifc))
-                    for cj, ifc in nxt
-                )
-        return (len(bnd), best_next, ci)
+    def shortest_next(done, boundary):
+        """The shortest boundary that one more crossing can leave."""
+        m = len(boundary)
+        if len(done) == n:
+            return m
+        lengths = sorted(
+            (m + growth[c] - 2 * k, c) for c, k in held(done, boundary).items()
+        )
+        pos = {e: p for p, e in enumerate(boundary)}
+        for length, c in lengths:
+            if _attachment(boundary, pos, xs[c], open_legs[c]) is not None:
+                return length
+        return m
 
     def ranked(done, boundary):
-        cands = candidates(done, boundary)
-        cands.sort(key=lambda item: score(boundary, item[0], item[1], done))
-        return iter(cands)
+        """The candidates of one step, best first, with their gluings."""
+        pos = {e: p for p, e in enumerate(boundary)}
+        scored = []
+        for ci in held(done, boundary) if done else range(n):
+            legs = xs[ci]
+            if done:
+                attach = _attachment(boundary, pos, legs, open_legs[ci])
+                if attach is None:
+                    continue
+                iface = _interface(len(boundary), loops[ci], open_legs[ci],
+                                   *attach)
+            else:
+                iface = _first_interface(legs)
+            _pairs, _loops, left_order, piece_order = iface
+            bnd = tuple(boundary[p] for p in left_order)
+            bnd += tuple(legs[x] for x in piece_order)
+            done2 = done | {ci}
+            score = (len(bnd), shortest_next(done2, bnd), ci)
+            scored.append((score, ci, iface, bnd, done2))
+        scored.sort(key=lambda item: item[0])
+        return iter(scored)
 
     # Depth-first search on an explicit stack: frames[k] holds the prefix
     # after k steps and its untried candidates; steps[k] leads out of it.
@@ -349,10 +389,8 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
         done, boundary, untried = frames[-1]
         nxt = next(untried, None)
         if nxt is not None:
-            ci, iface = nxt
-            bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
+            _score, ci, iface, bnd, done2 = nxt
             steps.append(ScanStep(ci, od.signs[ci], boundary, bnd, *iface))
-            done2 = done | {ci}
             deepest = max(deepest, len(done2))
             if len(done2) < n:
                 frames.append((done2, bnd, ranked(done2, bnd)))

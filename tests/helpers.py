@@ -13,6 +13,10 @@ sorted tuple of its discs ``(ends, dot)``, each ``ends`` the sorted ends
 of one boundary cycle.  Every pair of summands is glued and reduced from
 scratch, with no plan or table.  ``comps_of`` and ``cob_from_comps``
 convert between that form and the dot masks of ``cob.Cob``.
+
+``reference_scan_order`` is the scan order's oracle: the plain search
+that tests every unplaced crossing at every step and, for its one-step
+lookahead, glues every next candidate in full.
 """
 
 from __future__ import annotations
@@ -32,7 +36,17 @@ from bnscan.cob import (
 )
 from bnscan.coeff import Q, Z, Z4, Modular
 from bnscan.complex import scan
-from bnscan.diagram import mirror_pd, orient_and_sign, scan_order
+from bnscan.diagram import (
+    _BACKTRACK_BUDGET,
+    NotAKnotError,
+    ScanOrder,
+    ScanStep,
+    _first_interface,
+    _loop_pairs,
+    mirror_pd,
+    orient_and_sign,
+    scan_order,
+)
 from bnscan.sinv import from_filtered
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based
 
@@ -312,3 +326,120 @@ def glue_comps(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
             ]
             glue_summands(ring, parts, seams, coeff, fh + ph, new_src, new_tgt, out)
     return out
+
+
+# --- the scan order's oracle -----------------------------------------------
+
+
+def _contiguous_interface(boundary, legs):
+    """Find a contiguous gluing of a crossing onto the boundary cycle.
+
+    The glued labels must form a contiguous run of the boundary whose
+    reverse is a contiguous run of the crossing's cyclic legs.  Returns
+    (pairs, self_pairs, left_order, piece_order) or None.
+    """
+    loop_legs = {i for pair in _loop_pairs(legs) for i in pair}
+    shared = [e for e in legs if e in boundary and legs.index(e) not in loop_legs]
+    shared_set = set(shared)
+    if not shared_set or len(shared) != len(shared_set):
+        return None
+    m, k = len(boundary), len(shared_set)
+    for r in range(m):
+        run = [boundary[(r + i) % m] for i in range(k)]
+        if set(run) != shared_set:
+            continue
+        for s in range(4):
+            leg_run = [legs[(s + i) % 4] for i in range(k)]
+            if leg_run != run[::-1]:
+                continue
+            if any((s + i) % 4 in loop_legs for i in range(k)):
+                continue
+            pairs = tuple(((r + i) % m, (s + k - 1 - i) % 4) for i in range(k))
+            left_order = tuple((r + k + i) % m for i in range(m - k))
+            free = [(s + k + i) % 4 for i in range(4 - k)]
+            piece_order = tuple(x for x in free if x not in loop_legs)
+            return pairs, _loop_pairs(legs), left_order, piece_order
+    return None
+
+
+def _glued_boundary(boundary, legs, iface):
+    _pairs, _loops, left_order, piece_order = iface
+    return tuple(boundary[p] for p in left_order) + tuple(
+        legs[x] for x in piece_order
+    )
+
+
+def reference_scan_order(od):
+    """The scan order by exhaustive candidate tests, for comparison.
+
+    Greedy with one step of lookahead, ties broken by crossing index,
+    backtracking within ``_BACKTRACK_BUDGET``: every unplaced crossing is
+    tried at every step, and every lookahead glues each next candidate.
+    """
+    pd = od.pd
+    n = pd.n
+    if n == 0:
+        return ScanOrder(od, ())
+
+    def candidates(done, boundary):
+        out = []
+        for ci in range(n):
+            if ci in done:
+                continue
+            legs = pd.crossings[ci]
+            if not done:
+                out.append((ci, _first_interface(legs)))
+            else:
+                iface = _contiguous_interface(boundary, legs)
+                if iface is not None:
+                    out.append((ci, iface))
+        return out
+
+    def score(boundary, ci, iface, done):
+        bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
+        done2 = done | {ci}
+        best_next = len(bnd)
+        if len(done2) < n:
+            nxt = candidates(done2, bnd)
+            if nxt:
+                best_next = min(
+                    len(_glued_boundary(bnd, pd.crossings[cj], ifc))
+                    for cj, ifc in nxt
+                )
+        return (len(bnd), best_next, ci)
+
+    def ranked(done, boundary):
+        cands = candidates(done, boundary)
+        cands.sort(key=lambda item: score(boundary, item[0], item[1], done))
+        return iter(cands)
+
+    steps = []
+    frames = [(frozenset(), (), ranked(frozenset(), ()))]
+    backtracks = deepest = 0
+    while frames:
+        done, boundary, untried = frames[-1]
+        nxt = next(untried, None)
+        if nxt is not None:
+            ci, iface = nxt
+            bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
+            steps.append(ScanStep(ci, od.signs[ci], boundary, bnd, *iface))
+            done2 = done | {ci}
+            deepest = max(deepest, len(done2))
+            if len(done2) < n:
+                frames.append((done2, bnd, ranked(done2, bnd)))
+                continue
+            if not bnd:
+                return ScanOrder(od, tuple(steps))
+        else:
+            frames.pop()
+            if not steps:
+                break
+        steps.pop()
+        backtracks += 1
+        if backtracks > _BACKTRACK_BUDGET:
+            raise NotAKnotError(
+                f"no planar scan order found: gave up after {_BACKTRACK_BUDGET} "
+                f"backtracks, having placed at most {deepest} of {n} crossings "
+                "(is the PD planar?)"
+            )
+    raise NotAKnotError("no planar scan order found (is the PD planar?)")

@@ -2,7 +2,8 @@
 
 Everything here builds PD codes from scratch: braid closures (with Markov
 moves for same-knot diagram pairs), torus knots T(2,k), 2-bridge knots
-from continued fractions, pretzel knots, and DT codes read back off a PD.
+from continued fractions, pretzel knots, Reidemeister I kinks added to a
+diagram, and DT codes read back off a PD.
 The package under test only ever sees the resulting PD text.  Knot table
 files are read with ``parse_knot_file``.
 """
@@ -104,6 +105,32 @@ def braid_pd(word, strands, name=None):
 def torus_pd(k, name=None):
     """The (2, k) torus knot as the closure of sigma_1^k (k odd)."""
     return braid_pd([1] * k, 2, name or f"T(2,{k})")
+
+
+# The legs of a kink crossing entered by edge a, left by edge b, with loop
+# edge c: under first (loop on either side), then over first.
+_KINKS = (
+    lambda a, b, c: (a, b, c, c),
+    lambda a, b, c: (a, c, c, b),
+    lambda a, b, c: (c, a, b, c),
+    lambda a, b, c: (c, c, b, a),
+)
+
+
+def add_kink(pd, edge, variant=0):
+    """pd with a Reidemeister I kink on ``edge``, one of ``_KINKS``.
+
+    The strand runs along ``edge`` into the kink crossing, once around
+    its loop, and on along a fresh edge to where ``edge`` led.
+    """
+    xs = [list(x) for x in pd.crossings]
+    out = max(max(x) for x in xs) + 1
+    ci, leg = next((c, g) for c, g in trace_passages(pd) if xs[c][g] == edge)
+    xs[ci][leg] = out
+    xs.append(_KINKS[variant](edge, out, out + 1))
+    return parse_pd(
+        "PD[" + ",".join("X[%d,%d,%d,%d]" % tuple(x) for x in xs) + "]", pd.name
+    )
 
 
 def conjugate_word(word, g):

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnscan import cob
+from bnscan import cob, complex as complex_mod
 from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.cob import (
     ARC,
@@ -23,6 +23,8 @@ from bnscan.cob import (
     glue_tangles,
     identity_cob,
 )
+from bnscan.complex import scan
+from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from helpers import (
     cob_from_comps,
     comps_of,
@@ -33,6 +35,7 @@ from helpers import (
     neck_cut_deloop_maps,
     reduce_groups,
 )
+from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, pretzel_pd, rational_pd
 from oracle_frobenius import run_moves
 
 
@@ -577,6 +580,114 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
                             tables=glue_tables)
             assert (got.src, got.tgt) == (infos[0][0], infos[1][0])
             assert comps_of(got) == glue_comps(ring, f, phi, pairs, *infos, self_pairs)
+
+
+# --- interned plans ---------------------------------------------------------
+
+
+def _int_leaves(key):
+    if isinstance(key, tuple):
+        return all(_int_leaves(x) for x in key)
+    return type(key) is int
+
+
+def test_plans_are_interned_by_their_combinatorics():
+    with mock.patch.object(cob, "_PLANS", {}), mock.patch.object(cob, "_TABLES", {}):
+        # two discs on cycle 0 joined by an arc seam: one disc
+        plan = cob._plan(1, [1, 1], [(0, 1, 1)])
+        assert cob._plan(1, (1, 1), ((0, 1, 1),)) is plan
+        assert plan.groups == ((1, 1, 0, (0,)),)
+        # n_first is part of the key
+        other = cob._plan(2, [1, 1], [(0, 1, 1)])
+        assert other is not plan and other.groups == ((3, 0, 0, (0,)),)
+        # a circle seam inside one surface changes the key, not the groups:
+        # the two plans share one reduction table
+        twin = cob._plan(1, [1, 1], [(0, 1, 1), (0, 1, 0)])
+        assert twin is not plan and twin.groups == plan.groups
+        assert twin.table is plan.table
+        assert twin.reduce(1, 1) == plan.reduce(1, 1)
+        # a scan interns plain int tuples, holding no tangle or end map
+        for pd in (PD_TREFOIL, PD_FIGURE8):
+            scan(scan_order(orient_and_sign(parse_pd(pd))), F2, "s")
+        assert len(cob._PLANS) > 3
+        assert all(_int_leaves(key) for key in cob._PLANS)
+        assert all(
+            cob._TABLES[p.groups] is p.table for p in cob._PLANS.values()
+        )
+
+
+def _checked_products(counts):
+    """compose, glue_cobs and _plan that check and count their calls.
+
+    The products compare every result with the oracle; ``_plan`` counts
+    the plans it finds interned and the ones it makes.
+    """
+
+    def checked_compose(ring, g, f):
+        got = compose(ring, g, f)
+        assert comps_of(got) == compose_comps(ring, g, f)
+        counts["checked"] += 1
+        return got
+
+    def checked_glue(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
+                     tables):
+        got = glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs,
+                        tables=tables)
+        assert comps_of(got) == glue_comps(
+            ring, f, phi, pairs, src_info, tgt_info, self_pairs
+        )
+        counts["checked"] += 1
+        return got
+
+    plan = cob._plan
+
+    def counted_plan(n_first, parts, seams):
+        key = (n_first, tuple(parts), tuple(seams))
+        counts["interned" if key in cob._PLANS else "new"] += 1
+        return plan(n_first, parts, seams)
+
+    return checked_compose, checked_glue, counted_plan
+
+
+def test_interned_plans_filled_over_another_ring_match_the_oracle():
+    # Each ring scans with the plans and reduction tables that a scan over
+    # another ring made first; every product of its scan must equal the
+    # pair-by-pair reduction.  The diagrams include kinks (the stabilized
+    # braids), so self-glued leg pairs are among the plans.
+    pds = [
+        parse_pd(PD_TREFOIL),
+        parse_pd(PD_FIGURE8),
+        rational_pd([3, 2]),
+        rational_pd([2, 1, 3]),
+        braid_pd([1, 1, 1, 2], 3),
+        braid_pd([1, -2, 1, -2, -3], 4),
+        braid_pd([1, 1, -2, 1, -2, 2, 3], 4),
+        braid_pd([3, -1, 2, -2, -1, 3, 1, 3, 2], 4),
+        pretzel_pd(3, 3, 3),
+    ]
+    orders = [scan_order(orient_and_sign(pd)) for pd in pds]
+    rings = (Z, F2, F3, Z4, Q)
+    for ring, filler in zip(rings, rings[1:] + rings[:1]):
+        counts = {"checked": 0, "interned": 0, "new": 0}
+        compose_, glue_, plan_ = _checked_products(counts)
+        with (
+            mock.patch.object(cob, "_PLANS", {}),
+            mock.patch.object(cob, "_TABLES", {}),
+            mock.patch.object(cob, "_COMPOSE_PLANS", {}),
+        ):
+            for order in orders:
+                scan(order, filler, "full")
+            filled = sum(len(t) for t in cob._TABLES.values())
+            with (
+                mock.patch.object(cob, "_COMPOSE_PLANS", {}),
+                mock.patch.object(cob, "_plan", plan_),
+                mock.patch.object(complex_mod, "compose", compose_),
+                mock.patch.object(complex_mod, "glue_cobs", glue_),
+            ):
+                for order in orders:
+                    scan(order, ring, "full")
+        assert filled and counts["checked"], (ring, counts)
+        assert counts["interned"] > counts["new"], (ring, counts)
 
 
 # --- oracle equivalence ----------------------------------------------------

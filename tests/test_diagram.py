@@ -26,6 +26,7 @@ from bnscan.diagram import (
 from knotgen import (
     PD_FIGURE8,
     PD_TREFOIL,
+    add_kink,
     braid_pd,
     dt_from_pd,
     interlacement_connected,
@@ -34,6 +35,7 @@ from knotgen import (
     rational_pd,
     torus_pd,
 )
+from helpers import reference_scan_order
 from oracle_dt import search_pd_from_dt
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -124,7 +126,8 @@ def test_scan_order_trefoil_girth():
 def test_scan_order_all_orders_close_trefoil():
     # every crossing order of the trefoil admits contiguous interfaces
     od = orient_and_sign(parse_pd(PD_TREFOIL))
-    from bnscan.diagram import _contiguous_interface, _first_interface, _glued_boundary
+    from bnscan.diagram import _first_interface
+    from helpers import _contiguous_interface, _glued_boundary
 
     for perm in itertools.permutations(range(3)):
         boundary = ()
@@ -430,17 +433,77 @@ def test_scan_order_uses_no_stack_frame_per_crossing():
     assert len(so.steps) == 151 and so.steps[-1].boundary_after == ()
 
 
+def _nonplanar_t231():
+    """T(2,31) with one crossing reflected: one component, not planar."""
+    xs = list(torus_pd(31).crossings)
+    a, b, c, d = xs[15]
+    xs[15] = (a, d, c, b)
+    return PDCode(tuple(xs))
+
+
 def test_scan_order_refuses_a_nonplanar_pd_within_its_budget():
     # Reflecting one crossing of T(2,31) keeps a one-component PD code
     # whose rotation system is not planar: the parser refuses it by its
     # face count, and the scan order, given the raw code, gives up within
     # its budget instead of backtracking through exponentially many
     # prefixes.
-    xs = list(torus_pd(31).crossings)
-    a, b, c, d = xs[15]
-    xs[15] = (a, d, c, b)
-    pd = PDCode(tuple(xs))
+    pd = _nonplanar_t231()
     with pytest.raises(ParseError, match="its legs give 31 faces, not 33"):
         validate_pd(pd)
     with pytest.raises(NotAKnotError, match="gave up after 1000 backtracks"):
         scan_order(orient_and_sign(pd))
+
+
+def _seeded_closures(rng, count, strands, letters, kinks=0):
+    """``count`` knotted braid closures, each with up to ``kinks`` kinks."""
+    out = []
+    while len(out) < count:
+        b = rng.randint(*strands)
+        word = [rng.choice((1, -1)) * rng.randint(1, b - 1)
+                for _ in range(rng.randint(*letters))]
+        try:
+            pd = braid_pd(word, b)
+        except ValueError:  # the closure is a link
+            continue
+        for _ in range(rng.randint(0, kinks)):
+            edges = sorted({e for x in pd.crossings for e in x})
+            pd = add_kink(pd, rng.choice(edges), rng.randrange(4))
+        out.append(pd)
+    return out
+
+
+def test_scan_order_matches_the_reference_search():
+    # Candidates read off the boundary and a lookahead scored by
+    # arithmetic must choose exactly the steps of the search that tries
+    # every crossing and glues every lookahead candidate: on every corpus
+    # diagram and its mirror, on 200 seeded braid closures and on T(2,101).
+    # Closures on 6-8 strands often touch the boundary out of order, and
+    # kinks change the arithmetic by their loop pairs.
+    pds = []
+    for path in sorted(glob.glob(os.path.join(DATA, "*.txt"))):
+        with open(path) as f:
+            rows = parse_knot_file(f.read())
+        for _line, pd in rows:
+            if isinstance(pd, PDCode):
+                pds += [pd, mirror_pd(pd)]
+    corpus_count = len(pds)
+    rng = random.Random(12)
+    pds += _seeded_closures(rng, 200, (3, 5), (6, 40))
+    pds += _seeded_closures(rng, 60, (6, 8), (6, 30))
+    pds += _seeded_closures(rng, 60, (3, 5), (6, 20), kinks=4)
+    pds.append(torus_pd(101))
+    for i, pd in enumerate(pds):
+        od = orient_and_sign(pd)
+        assert scan_order(od).steps == reference_scan_order(od).steps, (i, pd.name)
+    assert corpus_count >= 792
+
+
+def test_scan_order_and_the_reference_refuse_alike():
+    od = orient_and_sign(_nonplanar_t231())
+    errors = []
+    for search in (scan_order, reference_scan_order):
+        with pytest.raises(NotAKnotError) as info:
+            search(od)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "having placed at most 30 of 31 crossings" in errors[0]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bnscan.coeff import F2, F3, Q, Z, Z4, Modular
 from bnscan.complex import gauss_eliminate, reduce_pass, scan
-from bnscan.diagram import orient_and_sign, parse_pd, scan_order
+from bnscan.diagram import mirror_pd, orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import (
     BasedComplex,
     InconsistentError,
@@ -20,7 +20,7 @@ from bnscan.sinv import (
     s_from_based,
     s_invariant,
 )
-from knotgen import PD_TREFOIL, braid_pd, rational_pd, torus_pd
+from knotgen import PD_TREFOIL, braid_pd, parse_knot_file, rational_pd, torus_pd
 from oracle_dense import khovanov_ranks
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -293,3 +293,43 @@ def test_base_change_over_the_scan_ring_changes_nothing():
         D = from_filtered(scan(order, ring, "s"))
         E = reduce_pass(base_change(D, ring))
         assert (E.q, E.h, E.out) == (D.q, D.h, D.out)
+
+
+# --- checks that scale to large diagrams ------------------------------------
+
+# a 24-crossing closure of a 5-strand braid, boundary girth 10
+RB5_24 = (-2, 4, 1, 1, 1, 3, 4, -1, 2, -3, 4, 1, 4, -1, -2, 2, -4, -1, -3,
+          2, 2, -3, -2, 4)
+
+
+def test_mirror_negates_s_on_large_diagrams():
+    # s(mK) = -s(K) compares two different scans of one knot, so it is an
+    # oracle at any size
+    pds = [braid_pd(RB5_24, 5, "rb5_24")]
+    with open(os.path.join(DATA, "k16.txt")) as f:
+        pds += [pd for _line, pd in parse_knot_file(f.read())]
+    assert len(pds) >= 2
+    for pd in pds:
+        for ring in (F2, Q):
+            s = s_invariant(pd, ring).s
+            assert s_invariant(mirror_pd(pd), ring).s == -s, (pd.name, ring)
+
+
+def test_slice_bennequin_sandwich_on_braid_closures():
+    # A diagram D with writhe w and O Seifert circles has
+    # w - O + 1 <= s <= w + O - 1 over Q (Plamenevskaya, MRL 2006;
+    # Shumakovitch, JKTR 2007); a closed b-strand braid has O = b.
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        strands = rng.randint(3, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(6, 16))]
+        try:
+            pd = braid_pd(word, strands)
+        except ValueError:  # the closure is a link or splits
+            continue
+        w = orient_and_sign(pd).writhe
+        s = s_invariant(pd, Q).s
+        assert w - strands + 1 <= s <= w + strands - 1, (strands, word, s)
+        checked += 1
