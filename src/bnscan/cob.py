@@ -4,9 +4,8 @@ Objects are crossingless tangles (a non-crossing perfect matching of
 boundary points, a count of closed circles, and a quantum shift).
 Morphisms are K-linear combinations of reduced dotted surfaces in a
 canonical form: every surface component is a disc bounded by a single
-boundary cycle, carrying at most one dot; closed components are
-evaluated away and twice-dotted spheres are absorbed into an ``hpow``
-counter which doubles as the quantum-degree jump bookkeeping.
+boundary cycle, carrying at most one dot, times a power of H; closed
+components are evaluated away.
 
 Reduction uses the local relations: an undotted sphere is 0, a
 once-dotted sphere is 1, two dots on a component cost one H, and
@@ -16,9 +15,11 @@ to 1, so the same engine serves both the plain and the deformed complex.
 
 The boundary cycles of a morphism are fixed by its endpoints, and in
 canonical form each bounds exactly one disc, so a summand is a dot per
-cycle and a power of H: ``Cob.terms`` is keyed by ``(mask, hpow)``, bit
-i of ``mask`` the dot on the disc of cycle i of ``shape_cycles(src,
-tgt)``.  Equality of morphisms is equality of these terms.
+cycle and a power of H.  H has quantum degree -2 and every map is
+homogeneous, so the dots and the endpoints' quantum shifts fix that
+power (see ``Cob``): ``Cob.terms`` is keyed by the dot mask alone, bit i
+the dot on the disc of cycle i of ``shape_cycles(src, tgt)``.  Equality
+of morphisms is equality of these terms.
 
 Both products, ``compose`` (stacking along the middle tangle) and
 ``glue_cobs`` (side by side, beside a crossing piece), reduce through a
@@ -117,48 +118,32 @@ SRC, TGT = 0, 1
 
 
 @lru_cache(maxsize=None)
-def _expand(genus, b, dots):
-    """Expand a connected component into canonical per-cycle discs.
+def _expand(genus, bits, dots):
+    """Expand a connected surface into canonical discs on its cycles.
 
-    Returns a dict (pattern, hpow) -> integer coefficient where
-    ``pattern`` assigns a dot flag to each of the ``b`` boundary cycles in
-    order.  Handles are cut first, then separating necks isolate each
-    boundary cycle; the empty pattern covers closed components.
+    ``bits`` are the indices of the result cycles the surface bounds;
+    returns (mask, v) pairs, a dot mask on those bits and an integer
+    coefficient.  Handles are cut first, then separating necks isolate
+    each cycle; empty ``bits`` cover closed components.
     """
+    out: dict = {}
     if genus > 0:
-        out: dict = {}
-        for (pat, h), c in _expand(genus - 1, b, dots + 1).items():
-            out[(pat, h)] = out.get((pat, h), 0) + 2 * c
-        for (pat, h), c in _expand(genus - 1, b, dots).items():
-            out[(pat, h + 1)] = out.get((pat, h + 1), 0) - c
-        return {k: c for k, c in out.items() if c}
-    if b == 0:
-        return {} if dots == 0 else {((), dots - 1): 1}
-    if b == 1:
-        if dots == 0:
-            return {((0,), 0): 1}
-        return {((1,), dots - 1): 1}
-    out = {}
-    for (pat, h), c in _expand(0, b - 1, dots).items():
-        out[((1,) + pat, h)] = out.get(((1,) + pat, h), 0) + c
-    for (pat, h), c in _expand(0, b - 1, dots + 1).items():
-        out[((0,) + pat, h)] = out.get(((0,) + pat, h), 0) + c
-    for (pat, h), c in _expand(0, b - 1, dots).items():
-        out[((0,) + pat, h + 1)] = out.get(((0,) + pat, h + 1), 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _expand_bits(genus, bits, dots):
-    """``_expand`` with each pattern placed on the result cycles ``bits``.
-
-    ``bits`` are the sorted indices of the component's boundary cycles;
-    returns (mask, dh, v) triples.
-    """
-    return tuple(
-        (sum(1 << bit for bit, dot in zip(bits, pattern) if dot), dh, v)
-        for (pattern, dh), v in _expand(genus, len(bits), dots).items()
-    )
+        for mask, v in _expand(genus - 1, bits, dots + 1):
+            out[mask] = out.get(mask, 0) + 2 * v
+        for mask, v in _expand(genus - 1, bits, dots):
+            out[mask] = out.get(mask, 0) - v
+    elif len(bits) < 2:
+        if not bits:
+            return ((0, 1),) if dots else ()
+        return ((1 << bits[0] if dots else 0, 1),)
+    else:
+        first, rest = 1 << bits[0], bits[1:]
+        for mask, v in _expand(0, rest, dots):
+            out[mask | first] = out.get(mask | first, 0) + v
+            out[mask] = out.get(mask, 0) - v
+        for mask, v in _expand(0, rest, dots + 1):
+            out[mask] = out.get(mask, 0) + v
+    return tuple((mask, v) for mask, v in out.items() if v)
 
 
 def shape_cycles(src, tgt):
@@ -206,9 +191,13 @@ def _end(side, kind, idx):
 class Cob:
     """A K-linear combination of canonical dotted surfaces src -> tgt.
 
-    ``terms`` maps a summand key ``(mask, hpow)`` to a nonzero
-    coefficient: bit i of ``mask`` is the dot on the disc bounded by
-    cycle i of ``shape_cycles(src, tgt)``.
+    ``terms`` maps a summand's dot mask to a nonzero coefficient: bit i
+    of the mask is the dot on the disc bounded by cycle i of
+    ``shape_cycles(src, tgt)``.  Every map is homogeneous and H has
+    quantum degree -2, so the grading fixes each summand's power of H:
+    with c boundary cycles, n boundary points and d = tgt.qshift -
+    src.qshift, the summand ``mask`` carries H^h for
+    h = (c - n/2 + d)/2 - popcount(mask).
     """
 
     __slots__ = ("src", "tgt", "terms")
@@ -246,40 +235,44 @@ class Cob:
     def identity_coefficient(self):
         """The k with self == k * id, or None.
 
-        Between equal circle-free tangles the cycles are the strips, so
-        the identity is the one dot-free summand at hpow 0.
+        Between equal circle-free tangles the cycles are the strips and
+        the degree is 0, so the identity is the one dot-free summand.
         """
         if self.src != self.tgt or self.src.circles or len(self.terms) != 1:
             return None
-        key, k = next(iter(self.terms.items()))
-        return k if key == (0, 0) else None
+        mask, k = next(iter(self.terms.items()))
+        return k if mask == 0 else None
 
-    def overflow(self):
-        """Does some summand carry a dot beyond the cycles of its shape?"""
+    def malformed(self):
+        """What puts some summand outside the canonical form, or None.
+
+        A dot needs a cycle to sit on, and the grading must give every
+        summand a power of H: c - n/2 + d even and at least twice its
+        dot count.
+        """
         width = len(shape_cycles(self.src, self.tgt)[0])
-        return any(mask >> width for mask, _h in self.terms)
+        twice = width - self.src.n_points // 2 + self.degree()
+        for mask in self.terms:
+            if mask >> width:
+                return "a dot beyond its cycles"
+            if twice % 2 or twice < 2 * mask.bit_count():
+                return "an H-power the grading cannot give"
+        return None
 
     def __repr__(self):
         return f"Cob({len(self.terms)} terms, {self.src} -> {self.tgt})"
 
 
 def _combine(alternatives):
-    """Integer summands (mask, dh, v) of a product of per-surface sums.
+    """Integer summands (mask, v) of a product of per-surface sums.
 
-    ``alternatives`` lists, per surface, its (mask, dh, v) summands on
-    disjoint bits; the sum over all choices is collected, zeros dropped.
+    ``alternatives`` lists, per surface, its (mask, v) summands on
+    disjoint bits, so every choice gives a mask of its own.
     """
-    partial = [(0, 0, 1)]
+    partial = ((0, 1),)
     for alts in alternatives:
-        partial = [
-            (m | am, h + ah, c * ac)
-            for m, h, c in partial
-            for am, ah, ac in alts
-        ]
-    terms: dict = {}
-    for m, h, c in partial:
-        terms[m, h] = terms.get((m, h), 0) + c
-    return tuple((m, h, v) for (m, h), v in terms.items() if v)
+        partial = tuple((m | am, c * ac) for m, c in partial for am, ac in alts)
+    return partial
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +281,7 @@ def _identity_summands(match, circles):
     t = Tangle(match, circles)
     index = shape_cycles(t, t)[1]
     return _combine(
-        _expand_bits(0, (index[SRC, CIRCLE, j], index[TGT, CIRCLE, j]), 0)
+        _expand(0, (index[SRC, CIRCLE, j], index[TGT, CIRCLE, j]), 0)
         for j in range(circles)
     )
 
@@ -296,7 +289,7 @@ def _identity_summands(match, circles):
 def identity_cob(ring, t):
     """The identity; circles are stored in exploded canonical form."""
     terms: dict = {}
-    _add_summands(ring, terms, _identity_summands(t.match, t.circles), ring.one, 0)
+    _add_summands(ring, terms, _identity_summands(t.match, t.circles), ring.one)
     return Cob(t, t, terms)
 
 
@@ -358,7 +351,7 @@ class _Plan:
         alternatives = []
         for fbits, gbits, genus, bits in self.groups:
             dots = (fmask & fbits).bit_count() + (gmask & gbits).bit_count()
-            alts = _expand_bits(genus, bits, dots)
+            alts = _expand(genus, bits, dots)
             if not alts:
                 return ()
             alternatives.append(alts)
@@ -384,35 +377,34 @@ def _plan(n_first, parts, seams):
 def _product(ring, f, g, plan):
     """Sum the reductions of all summand pairs of f and g under plan.
 
-    Each pair is reduced over Z with coefficient 1 and hpow 0 once and
-    kept in ``plan.table``; the ring reads it through ``from_int``.
+    Each pair is reduced over Z with coefficient 1 once and kept in
+    ``plan.table``; the ring reads it through ``from_int``.
     """
     table = plan.table
     out: dict = {}
-    for (fm, fh), fc in f.terms.items():
-        for (gm, gh), gc in g.terms.items():
+    for fm, fc in f.terms.items():
+        for gm, gc in g.terms.items():
             coeff = ring.mul(fc, gc)
             if ring.is_zero(coeff):
                 continue
             summands = table.get((fm, gm))
             if summands is None:
                 summands = table[fm, gm] = plan.reduce(fm, gm)
-            _add_summands(ring, out, summands, coeff, fh + gh)
+            _add_summands(ring, out, summands, coeff)
     return out
 
 
-def _add_summands(ring, out, summands, coeff, hpow):
-    """Add coeff * H^hpow times the integer summands into the terms out."""
-    for mask, dh, v in summands:
+def _add_summands(ring, out, summands, coeff):
+    """Add coeff times the integer summands (mask, v) into the terms out."""
+    for mask, v in summands:
         c = coeff if v == 1 else ring.mul(coeff, ring.from_int(v))
-        key = (mask, hpow + dh)
-        old = out.get(key)
+        old = out.get(mask)
         if old is not None:
             c = ring.add(old, c)
         if ring.is_zero(c):
-            out.pop(key, None)
+            out.pop(mask, None)
         else:
-            out[key] = c
+            out[mask] = c
 
 
 def _compose_plan(src, mid, tgt):
@@ -470,9 +462,10 @@ def deloop_iso(ring, f, side):
     only caps that disc into a sphere (1 with one dot, H with two, 0
     with none).  So p_plus f keeps the summands with d = 0, p_minus f
     those with d = 1, f i_plus those with d = 1, and f i_minus all of
-    them with hpow raised by d; the disc's bit is dropped, which leaves
-    the other cycles in their order on the smaller shape.  Returns
-    (p_plus f, p_minus f) for TGT and (f i_plus, f i_minus) for SRC.
+    them, with H^d; the disc's bit is dropped, which leaves the other
+    cycles in their order on the smaller shape, and the shifted ends
+    give each summand its power of H.  Returns (p_plus f, p_minus f)
+    for TGT and (f i_plus, f i_minus) for SRC.
     """
     t = f.tgt if side == TGT else f.src
     base = t.drop_last_circle()
@@ -480,16 +473,16 @@ def deloop_iso(ring, f, side):
     low = (1 << i) - 1
     plus: dict = {}
     minus: dict = {}
-    for (mask, hpow), c in f.terms.items():
+    for mask, c in f.terms.items():
         dot = mask >> i & 1
         rest = mask & low | mask >> (i + 1) << i  # bit i squeezed out
         if side == TGT:
-            (minus if dot else plus)[(rest, hpow)] = c
+            (minus if dot else plus)[rest] = c
         else:
             if dot:
-                plus[(rest, hpow)] = c
-            # summands differing by a dot against one H can collide here
-            _add_summands(ring, minus, ((rest, dot, 1),), c, hpow)
+                plus[rest] = c
+            # a dotted summand and an H-summand can collide here
+            _add_summands(ring, minus, ((rest, 1),), c)
     t_plus, t_minus = base.shifted(+1), base.shifted(-1)
     if side == TGT:
         return Cob(f.src, t_plus, plus), Cob(f.src, t_minus, minus)
@@ -499,21 +492,19 @@ def deloop_iso(ring, f, side):
 def evaluate(ring, c):
     """Evaluate a cobordism between empty tangles to (coefficient, jump).
 
-    The jump is the quantum-degree gain; under the twice-dotted-sphere
-    relation each hpow acts as the scalar 1 while raising the grading by
-    2, so every summand must sit at hpow = jump / 2.
+    The jump is the quantum-degree gain.  With no cycles the only
+    canonical summand is the empty mask, at H^(jump/2); under the
+    twice-dotted-sphere relation H acts as the scalar 1 while raising the
+    grading by 2, so the jump must be even and not negative.
     """
     if c.src.n_points or c.tgt.n_points or c.src.circles or c.tgt.circles:
         raise NotClosedError("evaluation needs closed empty endpoints")
-    jump = c.tgt.qshift - c.src.qshift
-    coeff = ring.zero
-    for (mask, hpow), v in c.terms.items():
-        if mask:
-            raise AssertionError("unreduced component in a closed cobordism")
-        if 2 * hpow != jump:
-            raise AssertionError("hpow inconsistent with quantum jump")
-        coeff = ring.add(coeff, v)
-    return coeff, jump
+    jump = c.degree()
+    if jump % 2 or jump < 0:
+        raise AssertionError(f"no power of H gives a quantum jump of {jump}")
+    if c.terms.keys() - {0}:
+        raise AssertionError("unreduced component in a closed cobordism")
+    return c.terms.get(0, ring.zero), jump
 
 
 # ---------------------------------------------------------------------------

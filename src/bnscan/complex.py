@@ -60,7 +60,7 @@ def crossing_complex(ring):
     t0 = Tangle(PIECE0_MATCH, 0, 0)
     t1 = Tangle(PIECE1_MATCH, 0, 1)
     # one disc bounded by the single cycle through all four legs, undotted
-    saddle = Cob(t0, t1, {(0, 0): ring.one})
+    saddle = Cob(t0, t1, {0: ring.one})
     return (t0, t1), saddle
 
 
@@ -93,8 +93,7 @@ def cob_entries(ring):
     return Entries(
         Cob.is_zero, lambda f, g: f.plus(ring, g),
         lambda g, f: compose(ring, g, f), lambda f, k: f.scaled(ring, k),
-        Cob.identity_coefficient, filtered,
-        lambda f: "a dot beyond its cycles" if f.overflow() else None,
+        Cob.identity_coefficient, filtered, Cob.malformed,
     )
 
 
@@ -297,7 +296,8 @@ def deloop(C):
     entry into t is replaced by its (p_plus, p_minus) halves and each
     entry out of t by its (i_plus, i_minus) halves, both read off the
     entry's canonical form by ``deloop_iso``, one call per entry.
-    Objects with more circles go back on the queue.
+    Halves with more circles go back on the queue; no id enters it
+    twice, so every id popped is a live circled object.
     """
     ring = C.ring
     queue = [
@@ -306,11 +306,7 @@ def deloop(C):
     ]
     while queue:
         oid = queue.pop()
-        if oid not in C.obj:
-            continue
         t = C.obj[oid]
-        if t.circles == 0:
-            continue
         h = C.h[oid]
         base = t.drop_last_circle()
         id_p = C.add_object(h, base.shifted(+1))
@@ -385,8 +381,6 @@ def reduce_pass(C, lo=-INF, hi=INF):
     heap = []
 
     def push(a, b):
-        if a not in C.obj or b not in C.obj:
-            return
         h = C.h[a]
         if not (lo - 1 <= h <= hi):
             return

@@ -76,7 +76,6 @@ class ScanStep:
     """One gluing step: which crossing attaches where and how."""
 
     crossing: int
-    sign: int
     boundary_before: tuple[int, ...]
     boundary_after: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]  # (boundary position, crossing leg)
@@ -390,7 +389,7 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
         nxt = next(untried, None)
         if nxt is not None:
             _score, ci, iface, bnd, done2 = nxt
-            steps.append(ScanStep(ci, od.signs[ci], boundary, bnd, *iface))
+            steps.append(ScanStep(ci, boundary, bnd, *iface))
             deepest = max(deepest, len(done2))
             if len(done2) < n:
                 frames.append((done2, bnd, ranked(done2, bnd)))

@@ -11,17 +11,23 @@ The rest is the oracle of the cobordism products: the reduction in comps
 form, where a summand is keyed by ``(comps, hpow)`` and ``comps`` is the
 sorted tuple of its discs ``(ends, dot)``, each ``ends`` the sorted ends
 of one boundary cycle.  Every pair of summands is glued and reduced from
-scratch, with no plan or table.  ``comps_of`` and ``cob_from_comps``
-convert between that form and the dot masks of ``cob.Cob``.
+scratch, with no plan or table, and the oracle counts the powers of H
+itself.  ``comps_of`` and ``cob_from_comps`` convert between that form
+and the dot masks of ``cob.Cob``, whose power of H the grading implies
+(``graded_hpow``); ``cob_from_comps`` refuses a summand whose counted
+power differs from it.
 
 ``reference_scan_order`` is the scan order's oracle: the plain search
 that tests every unplaced crossing at every step and, for its one-step
-lookahead, glues every next candidate in full.
+lookahead, glues every next candidate in full.  ``seifert_circles``
+counts the circles of a diagram's oriented smoothing, for the bounds
+that the diagram puts on s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from bnscan.cob import (
     ARC,
@@ -29,8 +35,8 @@ from bnscan.cob import (
     SRC,
     TGT,
     Cob,
-    _expand,
     deloop_iso,
+    glue_tangles,
     identity_cob,
     shape_cycles,
 )
@@ -60,6 +66,29 @@ def canon(ring, a):
     if ring is Z:
         return int(a)
     raise ValueError(f"no canonical form for {ring!r}")
+
+
+def seifert_circles(od):
+    """The number of Seifert circles of an oriented diagram.
+
+    Each crossing is smoothed the oriented way: leg 0, the incoming
+    under-strand, joins the outgoing over-leg, and the incoming over-leg
+    joins leg 2.  The over-strand enters at leg 1 when the sign is +1,
+    else at leg 3.  The circles are the classes of edge labels under
+    these joins.
+    """
+    parent: dict = {}
+
+    def find(e):
+        while parent.setdefault(e, e) != e:
+            e = parent[e]
+        return e
+
+    for legs, sign in zip(od.pd.crossings, od.signs):
+        over_in, over_out = (1, 3) if sign > 0 else (3, 1)
+        for x, y in ((0, over_out), (over_in, 2)):
+            parent[find(legs[x])] = find(legs[y])
+    return len({find(e) for e in parent})
 
 
 def strictly_raising(C):
@@ -121,12 +150,30 @@ def neck_cut_deloop_maps(ring, t):
 # --- the comps form --------------------------------------------------------
 
 
+def graded_hpow(src, tgt, dots):
+    """The power of H of a canonical summand src -> tgt with ``dots`` dots.
+
+    H has quantum degree -2, so with c boundary cycles, n boundary
+    points and d = tgt.qshift - src.qshift the grading gives
+    h = (c - n/2 + d)/2 - dots.  Raises ValueError when that is not a
+    whole number at least 0.
+    """
+    c = len(shape_cycles(src, tgt)[0])
+    twice = c - src.n_points // 2 + tgt.qshift - src.qshift - 2 * dots
+    if twice % 2 or twice < 0:
+        raise ValueError(f"no power of H fits {dots} dots on {src} -> {tgt}")
+    return twice // 2
+
+
 def comps_of(f):
     """The terms of the Cob f keyed by (comps, hpow)."""
     cycles = shape_cycles(f.src, f.tgt)[0]
     return {
-        (tuple((cyc, mask >> i & 1) for i, cyc in enumerate(cycles)), hpow): c
-        for (mask, hpow), c in f.terms.items()
+        (
+            tuple((cyc, mask >> i & 1) for i, cyc in enumerate(cycles)),
+            graded_hpow(f.src, f.tgt, mask.bit_count()),
+        ): c
+        for mask, c in f.terms.items()
     }
 
 
@@ -134,7 +181,8 @@ def cob_from_comps(src, tgt, terms):
     """The Cob src -> tgt of comps-keyed terms.
 
     Raises ValueError on a summand that is not in canonical form: one
-    undotted or once-dotted disc on every boundary cycle of the shape.
+    undotted or once-dotted disc on every boundary cycle of the shape,
+    at the power of H that the grading gives it.
     """
     cycles = shape_cycles(src, tgt)[0]
     out = {}
@@ -143,8 +191,46 @@ def cob_from_comps(src, tgt, terms):
             raise ValueError(f"summand {comps} is not one disc per cycle {cycles}")
         if any(dot not in (0, 1) for _ends, dot in comps):
             raise ValueError(f"summand {comps} has a disc with two dots")
-        out[sum(dot << i for i, (_ends, dot) in enumerate(comps)), hpow] = c
+        dots = [dot for _ends, dot in comps]
+        graded = graded_hpow(src, tgt, sum(dots))
+        if hpow != graded:
+            raise ValueError(
+                f"summand {comps} at H^{hpow}, the grading gives H^{graded}"
+            )
+        out[sum(dot << i for i, dot in enumerate(dots))] = c
     return Cob(src, tgt, out)
+
+
+@lru_cache(maxsize=None)
+def expand(genus, b, dots):
+    """Expand a connected component into canonical per-cycle discs.
+
+    Returns a dict (pattern, hpow) -> integer coefficient where
+    ``pattern`` assigns a dot flag to each of the ``b`` boundary cycles in
+    order.  Handles are cut first, then separating necks isolate each
+    boundary cycle; the empty pattern covers closed components.
+    """
+    if genus > 0:
+        out: dict = {}
+        for (pat, h), c in expand(genus - 1, b, dots + 1).items():
+            out[(pat, h)] = out.get((pat, h), 0) + 2 * c
+        for (pat, h), c in expand(genus - 1, b, dots).items():
+            out[(pat, h + 1)] = out.get((pat, h + 1), 0) - c
+        return {k: c for k, c in out.items() if c}
+    if b == 0:
+        return {} if dots == 0 else {((), dots - 1): 1}
+    if b == 1:
+        if dots == 0:
+            return {((0,), 0): 1}
+        return {((1,), dots - 1): 1}
+    out = {}
+    for (pat, h), c in expand(0, b - 1, dots).items():
+        out[((1,) + pat, h)] = out.get(((1,) + pat, h), 0) + c
+    for (pat, h), c in expand(0, b - 1, dots + 1).items():
+        out[((0,) + pat, h)] = out.get(((0,) + pat, h), 0) + c
+    for (pat, h), c in expand(0, b - 1, dots).items():
+        out[((0,) + pat, h + 1)] = out.get(((0,) + pat, h + 1), 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def cycles_of(ends, src, tgt):
@@ -208,7 +294,7 @@ def reduce_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
         defect = 2 - chi - len(cycles)
         if defect % 2 or defect < 0:
             raise AssertionError(f"bad Euler bookkeeping: chi={chi} b={len(cycles)}")
-        expansion = _expand(defect // 2, len(cycles), dots)
+        expansion = expand(defect // 2, len(cycles), dots)
         if not expansion:
             return
         alternatives.append([
@@ -293,6 +379,15 @@ def compose_comps(ring, g, f):
             ]
             glue_summands(ring, parts, seams, coeff, fh + gh, f.src, g.tgt, out)
     return out
+
+
+def glued_at(t, piece, pairs, left_order, piece_order, self_pairs=()):
+    """``glue_tangles`` of t and a crossing piece, with the glued tangle
+    at t.qshift + piece.qshift, where the scan's tensor step puts it."""
+    glued, end_map = glue_tangles(
+        t, piece.match, pairs, left_order, piece_order, self_pairs=self_pairs
+    )
+    return glued.shifted(t.qshift + piece.qshift), end_map
 
 
 def glue_comps(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
@@ -422,7 +517,7 @@ def reference_scan_order(od):
         if nxt is not None:
             ci, iface = nxt
             bnd = _glued_boundary(boundary, pd.crossings[ci], iface)
-            steps.append(ScanStep(ci, od.signs[ci], boundary, bnd, *iface))
+            steps.append(ScanStep(ci, boundary, bnd, *iface))
             done2 = done | {ci}
             deepest = max(deepest, len(done2))
             if len(done2) < n:

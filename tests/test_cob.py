@@ -20,7 +20,6 @@ from bnscan.cob import (
     deloop_iso,
     evaluate,
     glue_cobs,
-    glue_tangles,
     identity_cob,
 )
 from bnscan.complex import scan
@@ -32,6 +31,7 @@ from helpers import (
     cycles_of,
     deloop_maps,
     glue_comps,
+    glued_at,
     neck_cut_deloop_maps,
     reduce_groups,
 )
@@ -73,18 +73,27 @@ def _annuli(csrc, ctgt, skip_src=(), index_shift=None):
 SADDLE_FLIP = {(3, 2, 1, 0): (1, 0, 3, 2), (1, 0, 3, 2): (3, 2, 1, 0)}
 
 
-def elem_cob(ring, move, src_circles, dotted=False, match=()):
+# chi - n/2 - 2 * dots of each elementary move; strips and annuli have
+# degree 0, and a dotted birth or death has one dot more
+MOVE_DEGREE = {
+    "saddle": -1, "birth": 1, "death": 1, "dot": -2, "merge": -1, "split": -1,
+}
+
+
+def elem_cob(ring, move, src_circles, dotted=False, match=(), qshift=0):
     """Package cobordism for one elementary move on the circles of a tangle.
 
     The arcs of ``match`` (none by default) run along as strips, except
     under the move ("saddle",), which turns the matching (3, 2, 1, 0) into
-    (1, 0, 3, 2) or back by one saddle and leaves the circles alone.
-    Returns (cob, tgt_circle_count, index_map) with index_map sending a
-    source circle index to its target index (or None if it vanished).
+    (1, 0, 3, 2) or back by one saddle and leaves the circles alone.  The
+    source sits at quantum shift ``qshift`` and the target at ``qshift``
+    minus the surface's degree, which makes the map homogeneous.  Returns
+    (cob, tgt_circle_count, index_map) with index_map sending a source
+    circle index to its target index (or None if it vanished).
     """
     c = src_circles
     op = move[0]
-    src = Tangle(match, c)
+    src = Tangle(match, c, qshift)
     arcs = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(match) // 2)]
     if op == "saddle":
         tgt = Tangle(SADDLE_FLIP[match], c)
@@ -131,6 +140,7 @@ def elem_cob(ring, move, src_circles, dotted=False, match=()):
         idx = {j: j for j in range(c)}
     else:
         raise ValueError(op)
+    tgt = tgt.shifted(qshift - MOVE_DEGREE[op] + (2 if dotted else 0))
     terms: dict = {}
     reduce_groups(ring, arcs + groups, ring.one, 0, src, tgt, terms)
     return cob_from_comps(src, tgt, terms), tgt.circles, idx
@@ -142,27 +152,28 @@ def closed_surface_cob(ring, moves):
     total = identity_cob(ring, empty_tangle())
     for mv in moves:
         op = mv[0]
+        q = total.tgt.qshift
         if op == "birth":
-            step, _c, _idx = elem_cob(ring, ("birth",), len(names))
+            step, _c, _idx = elem_cob(ring, ("birth",), len(names), qshift=q)
             names = names + [mv[1]]
         elif op == "death":
             i = names.index(mv[1])
-            step, _c, _idx = elem_cob(ring, ("death", i), len(names))
+            step, _c, _idx = elem_cob(ring, ("death", i), len(names), qshift=q)
             names = [n for n in names if n != mv[1]]
         elif op == "dot":
             i = names.index(mv[1])
-            step, _c, _idx = elem_cob(ring, ("dot", i), len(names))
+            step, _c, _idx = elem_cob(ring, ("dot", i), len(names), qshift=q)
         elif op == "merge":
             a, b = names.index(mv[1]), names.index(mv[2])
             lo, hi = sorted((a, b))
-            step, _c, _idx = elem_cob(ring, ("merge", lo, hi), len(names))
+            step, _c, _idx = elem_cob(ring, ("merge", lo, hi), len(names), qshift=q)
             names = [n for k, n in enumerate(names) if k != hi]
             # the package keeps the lower index; relabel it with the name
             # the oracle keeps so later moves address the same circle
             names[lo] = mv[1]
         elif op == "split":
             a = names.index(mv[1])
-            step, _c, _idx = elem_cob(ring, ("split", a), len(names))
+            step, _c, _idx = elem_cob(ring, ("split", a), len(names), qshift=q)
             names = names + [mv[2]]
         total = compose(ring, step, total)
     assert not names
@@ -197,20 +208,21 @@ def test_compose_identity_law():
 
 def test_dotted_death_after_birth_is_one():
     birth, _, _ = elem_cob(Z, ("birth",), 0)
-    ddeath, _, _ = elem_cob(Z, ("death", 0), 1, dotted=True)
+    ddeath, _, _ = elem_cob(Z, ("death", 0), 1, dotted=True, qshift=-1)
     total = compose(Z, ddeath, birth)
     assert _poly_of_closed(total) == {0: 1}
 
 
 def test_plain_sphere_is_zero():
     birth, _, _ = elem_cob(Z, ("birth",), 0)
-    death, _, _ = elem_cob(Z, ("death", 0), 1)
+    death, _, _ = elem_cob(Z, ("death", 0), 1, qshift=-1)
     assert compose(Z, death, birth).is_zero()
 
 
 def test_dot_after_dot_is_h_times_dot():
     dot, _, _ = elem_cob(Z, ("dot", 0), 1)
-    twice = compose(Z, dot, dot)
+    dot2, _, _ = elem_cob(Z, ("dot", 0), 1, qshift=2)
+    twice = compose(Z, dot2, dot)
     # x^2 = xH: same dotted cylinder with hpow raised by one
     assert len(twice.terms) == 1
     ((comps, hpow), coeff) = next(iter(comps_of(twice).items()))
@@ -221,10 +233,15 @@ def test_dot_after_dot_is_h_times_dot():
 
 
 def test_triple_dot_folds_into_hpow():
-    dot, _, _ = elem_cob(Z, ("dot", 0), 1)
-    triple = compose(Z, dot, compose(Z, dot, dot))
-    ((comps, hpow), coeff) = next(iter(triple.terms.items()))
+    dot, dot2, dot3 = (elem_cob(Z, ("dot", 0), 1, qshift=q)[0] for q in (0, 2, 4))
+    twice = compose(Z, dot2, dot)
+    triple = compose(Z, dot3, twice)
+    # the oracle counts the powers of H itself
+    expected = compose_comps(Z, dot3, twice)
+    assert comps_of(triple) == expected
+    ((comps, hpow), coeff) = next(iter(expected.items()))
     assert hpow == 2 and coeff == 1 and len(triple.terms) == 1
+    assert comps == next(iter(comps_of(dot)))[0]
 
 
 def test_closed_torus_evaluates_to_two():
@@ -279,11 +296,14 @@ MATCHINGS = {0: [()], 2: [(1, 0)], 4: [(1, 0, 3, 2), (3, 2, 1, 0)]}
 
 
 def random_canonical_cob(ring, rng, src, tgt):
-    """A random sum of reduced surfaces src -> tgt.
+    """A random sum of reduced surfaces src -> tgt, tgt shifted to fit.
 
     Each surface joins the boundary cycles into components with random
     dots and genus, so neck-cutting spreads it over several summands,
-    with coefficients such as 2 and -1 and raised hpow.
+    with coefficients such as 2 and -1.  Each surface takes the power of
+    H that brings it to one common degree, and the target sits where
+    that degree puts it.  The degrees are integers drawn from the
+    surfaces alone, so every ring sees the same surfaces and objects.
     """
     ends = [
         (side, kind, i)
@@ -292,7 +312,7 @@ def random_canonical_cob(ring, rng, src, tgt):
         for i in range(count)
     ]
     cycles = cycles_of(tuple(ends), src, tgt)
-    terms: dict = {}
+    surfaces = []
     for _ in range(rng.randint(1, 3)):
         parts: dict = {}
         for cyc in cycles:
@@ -303,7 +323,15 @@ def random_canonical_cob(ring, rng, src, tgt):
             for cs in parts.values()
         ]
         coeff = ring.from_int(rng.choice((1, 2, 3, -1)))
-        reduce_groups(ring, groups, coeff, rng.randint(0, 1), src, tgt, terms)
+        # chi - n/2 - 2 * dots
+        degree = sum(chi - 2 * dots for _e, dots, chi in groups) - src.n_points // 2
+        surfaces.append((groups, coeff, degree))
+    # H has degree -2; the lowest surface may take it too
+    common = min(degree for _g, _c, degree in surfaces) - 2 * rng.randint(0, 1)
+    tgt = Tangle(tgt.match, tgt.circles, src.qshift - common)
+    terms: dict = {}
+    for groups, coeff, degree in surfaces:
+        reduce_groups(ring, groups, coeff, (degree - common) // 2, src, tgt, terms)
     return cob_from_comps(src, tgt, terms)
 
 
@@ -325,7 +353,8 @@ def test_deloop_iso_matches_composition_with_neck_cut_maps(
     for ring in (F2, Z4, F3, Q, Z):
         # the same surfaces in every ring
         f = random_canonical_cob(ring, random.Random(seed), src, tgt)
-        _objects, (pp, pm, ip, im) = neck_cut_deloop_maps(ring, looped)
+        t = f.tgt if side == TGT else f.src
+        _objects, (pp, pm, ip, im) = neck_cut_deloop_maps(ring, t)
         if side == TGT:
             expected = (compose(ring, pp, f), compose(ring, pm, f))
         else:
@@ -346,6 +375,11 @@ def test_evaluate_identity_and_hpow():
     f5 = Modular(5)
     three_i2 = cob_from_comps(empty_tangle(0), empty_tangle(4), {((), 2): 3})
     assert evaluate(f5, three_i2) == (3, 4)
+    # no power of H has an odd or a negative quantum jump, and a closed
+    # cobordism has no cycle to carry a dot
+    for jump, mask in ((1, 0), (-2, 0), (2, 1)):
+        with pytest.raises(AssertionError):
+            evaluate(Z, Cob(empty_tangle(0), empty_tangle(jump), {mask: 1}))
 
 
 def test_evaluate_rejects_open_boundary():
@@ -359,10 +393,6 @@ def test_compose_mismatch_raises():
     g = identity_cob(Q, empty_tangle(2))
     with pytest.raises(MismatchError):
         compose(Q, g, f)
-
-
-# chi - 2 * dots of each elementary move; identity annuli have degree 0
-MOVE_DEGREE = {"dot": -2, "merge": -1, "split": -1, "death": 1}
 
 
 def test_degree_additivity_on_random_composables():
@@ -395,15 +425,19 @@ def test_degree_additivity_on_random_composables():
             if alive == 0:
                 break
         cur, _, _ = elem_cob(Q, seq[0], c)
-        for mv in seq[1:]:
-            step, _, _ = elem_cob(Q, mv, cur.tgt.circles)
+        for k, mv in enumerate(seq[1:], start=1):
+            step, _, _ = elem_cob(Q, mv, cur.tgt.circles, qshift=cur.tgt.qshift)
+            # The oracle counts the powers of H itself.  Degree is
+            # chi - 2 * dots, and H has degree -2.  Every canonical
+            # component here is a disc on one circle, so a summand has
+            # degree sum(1 - 2 * dot) - 2 * hpow, and composition adds
+            # degrees.
+            expected_terms = compose_comps(Q, step, cur)
+            expected = sum(MOVE_DEGREE[m[0]] for m in seq[:k + 1])
+            for (comps, hpow), _coeff in expected_terms.items():
+                assert sum(1 - 2 * d for _e, d in comps) - 2 * hpow == expected
             cur = compose(Q, step, cur)
-        # Degree is chi - 2 * dots, and H has degree -2.  Every canonical
-        # component here is a disc on one circle, so a summand has degree
-        # sum(1 - 2 * dot) - 2 * hpow, and composition adds degrees.
-        expected = sum(MOVE_DEGREE[mv[0]] for mv in seq)
-        for (comps, hpow), _coeff in comps_of(cur).items():
-            assert sum(1 - 2 * d for _e, d in comps) - 2 * hpow == expected
+            assert comps_of(cur) == expected_terms
         summands += len(cur.terms)
         assert cur.src.circles == c
     assert summands
@@ -444,7 +478,9 @@ def test_compose_table_hit_miss_and_uncached_reduction_agree(circles, ops, scale
                     mv = (op, alive - 1)
                 else:
                     continue
-                step, _, _ = elem_cob(ring, mv, alive, match=cur.tgt.match)
+                step, _, _ = elem_cob(
+                    ring, mv, alive, match=cur.tgt.match, qshift=cur.tgt.qshift
+                )
                 step = step.scaled(ring, ring.from_int(k))
                 expected = compose_comps(ring, step, cur)
                 first = compose(ring, step, cur)
@@ -547,7 +583,7 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
             rng = random.Random(seed)
             t0, t1, t2 = (random_tangle(rng, n_points) for _ in range(3))
             f = random_canonical_cob(ring, rng, t0, t1)
-            g = random_canonical_cob(ring, rng, t1, t2)
+            g = random_canonical_cob(ring, rng, f.tgt, t2)
             check_compose(ring, g, f)
             cur = compose(ring, g, f)
             check_deloop(ring, cur)
@@ -561,8 +597,9 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
                     mv = (op, rng.randrange(alive))
                 else:
                     continue
-                step, _, _ = elem_cob(ring, mv, alive, match=cur.tgt.match)
-                step = Cob(cur.tgt, step.tgt.shifted(cur.tgt.qshift), step.terms)
+                step, _, _ = elem_cob(
+                    ring, mv, alive, match=cur.tgt.match, qshift=cur.tgt.qshift
+                )
                 check_compose(ring, step, cur)
                 cur = compose(ring, step, cur)
                 check_deloop(ring, cur)
@@ -572,9 +609,8 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
             phi = random_canonical_cob(ring, rng, p, q)
             pairs, self_pairs, left_order, piece_order = random_interface(rng, n_points)
             infos = [
-                glue_tangles(t, piece.match, pairs, left_order, piece_order,
-                             self_pairs=self_pairs)
-                for t, piece in ((a, p), (b, q))
+                glued_at(t, piece, pairs, left_order, piece_order, self_pairs)
+                for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
             ]
             got = glue_cobs(ring, f, phi, pairs, *infos, self_pairs=self_pairs,
                             tables=glue_tables)
@@ -784,13 +820,14 @@ def test_identity_coefficient_detection():
     idc = identity_cob(F3, t)
     assert idc.identity_coefficient() == 1
     assert idc.scaled(F3, 2).identity_coefficient() == 2
-    # both strips, the first one dotted
+    # both strips, the first one dotted, which lowers the degree by 2
     strips = [((SRC, ARC, i), (TGT, ARC, i)) for i in range(2)]
     dotted = {(((strips[0], 1), (strips[1], 0)), 0): 1}
-    assert cob_from_comps(t, t, dotted).identity_coefficient() is None
-    assert Cob(t, t, {(0, 1): 1}).identity_coefficient() is None  # H times id
+    assert cob_from_comps(t, t.shifted(2), dotted).identity_coefficient() is None
+    assert Cob(t, t.shifted(2), {0: 1}).identity_coefficient() is None  # H times id
+    # on a circle the dot-free summand is H times the cap after the cup
     circled = Tangle((1, 0), 1)
-    assert Cob(circled, circled, {(0, 0): 1}).identity_coefficient() is None
+    assert Cob(circled, circled, {0: 1}).identity_coefficient() is None
     assert identity_cob(F3, t.shifted(2)).identity_coefficient() == 1
     f = identity_cob(F3, t)
     g = Cob(t, t.shifted(2), {})

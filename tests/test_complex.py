@@ -14,7 +14,6 @@ from bnscan.cob import (
     compose,
     deloop_iso,
     glue_cobs,
-    glue_tangles,
     identity_cob,
 )
 from bnscan.coeff import F2, F3, Q, Z4
@@ -38,6 +37,7 @@ from helpers import (
     comps_of,
     deloop_maps,
     glue_comps,
+    glued_at,
     reduce_groups,
     strictly_raising,
 )
@@ -325,10 +325,8 @@ def test_glue_tables_agree_with_the_reduction_over_the_ring():
 
 def _check_glue(ring, f, phi, step, tables):
     infos = [
-        glue_tangles(
-            t, piece.match, step.pairs, step.left_order, step.piece_order,
-            self_pairs=step.self_pairs,
-        )
+        glued_at(t, piece, step.pairs, step.left_order, step.piece_order,
+                 step.self_pairs)
         for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
     ]
     expected = glue_comps(ring, f, phi, step.pairs, *infos, step.self_pairs)
@@ -372,26 +370,36 @@ def test_check_raises_under_optimized_mode():
 
 def test_check_raises_on_a_dot_beyond_the_cycles_under_optimized_mode():
     # an entry on a one-cycle shape dotted on bit 1 has no disc to carry
-    # that dot; with BNSCAN_DEBUG the scan steps' check() must refuse it
-    # even when assert statements are compiled away
+    # that dot, and a dotted entry of degree 0, or any entry of degree 1,
+    # has no power of H to sit at; with BNSCAN_DEBUG the scan steps'
+    # check() must refuse them even when assert statements are compiled
+    # away
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
         "from bnscan.cob import Cob, Tangle\n"
         "from bnscan.coeff import Q\n"
         "from bnscan.complex import DEBUG, FilteredComplex, InconsistentError, deloop\n"
-        "t = Tangle((1, 0), 0, 0)\n"
-        "C = FilteredComplex(Q)\n"
-        "a, b = C.add_object(0, t), C.add_object(1, t.shifted(2))\n"
-        "C.set_entry(a, b, Cob(t, t.shifted(2), {(1, 0): Q.one}))\n"
-        "deloop(C)\n"
-        "C.set_entry(a, b, Cob(t, t.shifted(2), {(2, 0): Q.one}))\n"
         "if not DEBUG:\n"
         "    raise SystemExit(5)\n"
-        "try:\n"
-        "    deloop(C)\n"
-        "except InconsistentError as exc:\n"
-        "    raise SystemExit(3 if 'a dot beyond its cycles' in str(exc) else 6)\n"
+        "t = Tangle((1, 0), 0, 0)\n"
+        "def refusal(tgt, mask):\n"
+        "    C = FilteredComplex(Q)\n"
+        "    a, b = C.add_object(0, t), C.add_object(1, tgt)\n"
+        "    C.set_entry(a, b, Cob(t, tgt, {mask: Q.one}))\n"
+        "    try:\n"
+        "        deloop(C)\n"
+        "    except InconsistentError as exc:\n"
+        "        return str(exc)\n"
+        "    return ''\n"
+        "if refusal(t.shifted(2), 1):\n"
+        "    raise SystemExit(6)\n"
+        "if 'a dot beyond its cycles' not in refusal(t.shifted(2), 2):\n"
+        "    raise SystemExit(7)\n"
+        "for tgt, mask in ((t, 1), (t.shifted(1), 0)):\n"
+        "    if 'an H-power the grading cannot give' not in refusal(tgt, mask):\n"
+        "        raise SystemExit(8)\n"
+        "raise SystemExit(3)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)

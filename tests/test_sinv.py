@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from bnscan.sinv import (
     s_from_based,
     s_invariant,
 )
+from helpers import seifert_circles
 from knotgen import PD_TREFOIL, braid_pd, parse_knot_file, rational_pd, torus_pd
 from oracle_dense import khovanov_ranks
 
@@ -306,9 +308,10 @@ def test_mirror_negates_s_on_large_diagrams():
     # s(mK) = -s(K) compares two different scans of one knot, so it is an
     # oracle at any size
     pds = [braid_pd(RB5_24, 5, "rb5_24")]
-    with open(os.path.join(DATA, "k16.txt")) as f:
-        pds += [pd for _line, pd in parse_knot_file(f.read())]
-    assert len(pds) >= 2
+    for name in ("k16.txt", "dt_braids.txt"):  # dt_braids: 20-40 crossings
+        with open(os.path.join(DATA, name)) as f:
+            pds += [pd for _line, pd in parse_knot_file(f.read())]
+    assert len(pds) == 8
     for pd in pds:
         for ring in (F2, Q):
             s = s_invariant(pd, ring).s
@@ -329,7 +332,24 @@ def test_slice_bennequin_sandwich_on_braid_closures():
             pd = braid_pd(word, strands)
         except ValueError:  # the closure is a link or splits
             continue
-        w = orient_and_sign(pd).writhe
+        od = orient_and_sign(pd)
+        assert seifert_circles(od) == strands, (strands, word)
+        w = od.writhe
         s = s_invariant(pd, Q).s
         assert w - strands + 1 <= s <= w + strands - 1, (strands, word, s)
         checked += 1
+
+
+def test_slice_bennequin_sandwich_on_the_corpora():
+    # the same bounds over Q on every diagram of the test corpora, with O
+    # counted from the oriented smoothing
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(DATA, "*.txt"))):
+        with open(path) as f:
+            for _line, pd in parse_knot_file(f.read()):
+                od = orient_and_sign(pd)
+                w, o = od.writhe, seifert_circles(od)
+                s = s_invariant(pd, Q).s
+                assert w - o + 1 <= s <= w + o - 1, (pd.name, w, o, s)
+                checked += 1
+    assert checked == 396
