@@ -7,14 +7,11 @@ emitted in input order as CSV or JSON plus an aligned text report.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coeff import Z, Z4, ring_from_name
@@ -48,10 +45,16 @@ class ResultRow:
     error: str | None = None
 
 
-def _check_dump_name(name):
-    """Refuse a knot name that would put its dump file outside the directory."""
+def _check_dump_name(name, repeats):
+    """Refuse a knot name that would put its dump file outside the directory,
+    or that the row on line ``repeats`` (None if no earlier row) dumps under."""
     if any(sep and sep in name for sep in (os.sep, os.altsep, "\0")):
         raise ValueError(f"knot name {name!r} cannot name a dump file")
+    if repeats is not None:
+        raise ValueError(
+            f"knot name {name!r} repeats line {repeats}; "
+            "its dump would overwrite that row's"
+        )
 
 
 def _write_dump(dump_dir, filename, C):
@@ -73,12 +76,12 @@ def _scan_ring(mode, rings):
 
 
 def _compute_row(args):
-    name, line, mode, rings, dump_dir = args
+    name, line, mode, rings, dump_dir, repeats = args
     t0 = time.perf_counter()
     row = ResultRow(name=name, mode=mode)
     try:
         if dump_dir:
-            _check_dump_name(name)
+            _check_dump_name(name, repeats)
         pd = parse_knot_line(line)
         order = scan_order(orient_and_sign(pd))
         C = scan(order, _scan_ring(mode, rings), _WINDOWS[mode])
@@ -115,7 +118,9 @@ def run(job: Job):
     rings it is given.  Every row scans its diagram once.  An unknown
     mode or ring name raises ValueError, in every mode, before the input
     is read.  With ``fail_fast`` the first failing row raises
-    RuntimeError at once.
+    RuntimeError at once.  With ``dump_dir`` each row whose name an
+    earlier row already has is an error row, since both would write one
+    dump file; the decision is made before any row is computed.
     """
     if job.mode not in _WINDOWS:
         raise ValueError(f"unknown mode {job.mode!r}")
@@ -129,16 +134,22 @@ def run(job: Job):
     with open(job.input_path) as f:
         text = f.read()
     tasks = []
+    first_lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         name = stripped.split(";", 1)[0].strip() if ";" in stripped else f"line{lineno}"
-        tasks.append((name, stripped, job.mode, rings, job.dump_dir))
+        first_line = first_lines.setdefault(name, lineno)
+        repeats = first_line if first_line != lineno else None
+        tasks.append((name, stripped, job.mode, rings, job.dump_dir, repeats))
     if job.dump_dir:
         os.makedirs(job.dump_dir, exist_ok=True)
     pool = None
     if job.jobs > 1 and len(tasks) > 1:
+        # a serial run does not load the process-pool module tree
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=job.jobs)
     rows = []
     try:
@@ -162,6 +173,8 @@ def _ring_columns(rows):
 
 
 def rows_to_csv(rows):
+    import csv
+
     rings = _ring_columns(rows)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -232,6 +245,8 @@ def report(rows):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sinv",
         description="s-invariants and their refinement from knot tables",

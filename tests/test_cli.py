@@ -2,17 +2,29 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import bnscan.cli as cli
 from bnscan.cli import Job, main, report, rows_to_csv, rows_to_json, run
-from bnscan.coeff import Q, Z, Z4
+from bnscan.coeff import F2, Q, Z, Z4
 from bnscan.complex import dump, scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from knotgen import PD_FIGURE8, PD_TREFOIL
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(args, cwd):
+    """Run the interpreter on ``args`` in a new process that imports
+    ``bnscan`` from ``src/``, and return the finished process."""
+    return subprocess.run(
+        [sys.executable] + args, cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.fixture
@@ -347,6 +359,32 @@ def test_an_unknown_mode_is_rejected_before_the_input_is_read(tmp_path, knot_fil
             run(Job(path, mode="khovanov", rings=("f2",)))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeated_name_is_a_row_error_when_dumping(tmp_path, jobs):
+    path = tmp_path / "knots.txt"
+    path.write_text(
+        f"# two rows named K\nK ; {PD_TREFOIL}\nK ; {PD_FIGURE8}\nunknot ; PD[]\n"
+    )
+    dump_dir = tmp_path / "dumps"
+    rows = run(Job(str(path), rings=("f2",), jobs=jobs, dump_dir=str(dump_dir)))
+    assert [r.name for r in rows] == ["K", "K", "unknot"]
+    assert rows[0].error is None and rows[0].s_values == {"f2": 2}
+    assert rows[1].error == (
+        "ValueError: knot name 'K' repeats line 2; "
+        "its dump would overwrite that row's"
+    )
+    assert not rows[1].s_values
+    assert rows[2].error is None and rows[2].s_values == {"f2": 0}
+    assert sorted(os.listdir(dump_dir)) == ["K.txt", "unknot.txt"]
+    so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
+    assert (dump_dir / "K.txt").read_text() == dump(scan(so, F2, "s"))
+    # without dumps a name may repeat
+    rows = run(Job(str(path), rings=("f2",), jobs=jobs))
+    assert [(r.s_values, r.error) for r in rows] == [
+        ({"f2": 2}, None), ({"f2": 0}, None), ({"f2": 0}, None)
+    ]
+
+
 @pytest.mark.parametrize("name", ["a/b", "../x"])
 def test_dump_refuses_a_name_with_a_path_separator(tmp_path, name):
     path = tmp_path / "in" / "knots.txt"
@@ -432,3 +470,55 @@ def test_one_scan_over_z_gives_every_field_its_own_numbers(
                     assert a.s_values[rname] == b.s_values[rname], (a.name, rname)
                 else:
                     assert a.kh_tables[rname] == b.kh_tables[rname], (a.name, rname)
+
+
+def test_importing_the_cli_loads_no_pool_csv_or_argparse(tmp_path, knot_file):
+    # compared with the modules loaded before the import, so that what the
+    # interpreter's site hooks load cannot count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bnscan, bnscan.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "before = set(sys.modules)\n"
+        f"bnscan.cli.run(bnscan.cli.Job({knot_file!r}))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    imported, serial_run = (set(ln.split()) for ln in proc.stdout.splitlines())
+    assert "bnscan.cli" in imported
+    deferred = {"concurrent.futures", "multiprocessing", "csv", "argparse"}
+    assert not imported & deferred
+    # a serial run starts no pool
+    assert not serial_run & deferred
+
+
+def test_the_cli_runs_in_a_fresh_interpreter(tmp_path):
+    # k16 and a second row, so that --jobs 2 starts a pool
+    with open(os.path.join(DATA, "k16.txt")) as f:
+        text = f.read()
+    path = tmp_path / "knots.txt"
+    path.write_text(text + f"trefoil ; {PD_TREFOIL}\n")
+    results = []
+    for jobs, fmt in (("1", "json"), ("2", "json"), ("1", "csv")):
+        out = tmp_path / f"out-{jobs}.{fmt}"
+        proc = fresh_python(
+            ["-m", "bnscan.cli", "compute", "--input", str(path), "--jobs", jobs,
+             "--format", fmt, "--out", str(out)],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "2 of 2 knots processed" in proc.stdout
+        results.append(out.read_text())
+    serial, pooled = (
+        [{k: v for k, v in e.items() if k != "time_ms"} for e in json.loads(rows)]
+        for rows in results[:2]
+    )
+    assert serial == pooled
+    assert [e["name"] for e in serial] == ["k16", "trefoil"]
+    assert all("error" not in e for e in serial)
+    table = list(csv.DictReader(io.StringIO(results[2])))
+    assert [(r["name"], r["s_f2"]) for r in table] == [
+        (e["name"], str(e["s"]["f2"])) for e in serial
+    ]

@@ -16,7 +16,7 @@ from bnscan.cob import (
     glue_cobs,
     identity_cob,
 )
-from bnscan.coeff import F2, F3, Q, Z4
+from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.complex import (
     FilteredComplex,
     MismatchError,
@@ -205,12 +205,21 @@ def test_gauss_square_cancels_to_zero_entry():
 
 
 def test_gauss_rejects_non_identity():
-    C = FilteredComplex(Q)
     t = Tangle((1, 0), 0, 0)
+    # present entries that are not a unit identity: a dotted strip, and
+    # twice the identity over Z
+    for ring, tgt, terms in ((Q, t.shifted(2), {1: Q.one}), (Z, t, {0: Z.from_int(2)})):
+        C = FilteredComplex(ring)
+        a = C.add_object(0, t)
+        b = C.add_object(1, tgt)
+        C.set_entry(a, b, Cob(t, tgt, terms))
+        with pytest.raises(NotCancellableError):
+            gauss_eliminate(C, a, b)
+        assert C.out[a][b].terms == terms
+    # no entry at all
+    C = FilteredComplex(Q)
     a = C.add_object(0, t)
     b = C.add_object(1, t.shifted(2))
-    (_t0, _t1), saddle = crossing_complex(Q)
-    fdot, tt, tt2 = _circle_cyl(Q, dot=1)
     with pytest.raises(NotCancellableError):
         gauss_eliminate(C, a, b)
 
