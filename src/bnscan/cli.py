@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coeff import Z, Z4, ring_from_name
 from .complex import dump, reduce_pass, scan
@@ -24,8 +24,7 @@ from .sq1 import refine_scanned
 _WINDOWS = {"s": "s", "kh": "full", "sq1": "sq1"}
 
 
-@dataclass
-class Job:
+class Job(NamedTuple):
     input_path: str
     mode: str = "s"
     rings: tuple[str, ...] = ("f2",)
@@ -34,15 +33,14 @@ class Job:
     dump_dir: str | None = None
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
     name: str
     mode: str
-    s_values: dict = field(default_factory=dict)
-    quadruple: tuple | None = None
-    kh_tables: dict = field(default_factory=dict)
-    time_ms: float = 0.0
-    error: str | None = None
+    s_values: dict
+    quadruple: tuple | None
+    kh_tables: dict
+    time_ms: float
+    error: str | None
 
 
 def _check_dump_name(name, repeats):
@@ -78,7 +76,7 @@ def _scan_ring(mode, rings):
 def _compute_row(args):
     name, line, mode, rings, dump_dir, repeats = args
     t0 = time.perf_counter()
-    row = ResultRow(name=name, mode=mode)
+    s_values, quad, kh_tables, error = {}, None, {}, None
     try:
         if dump_dir:
             _check_dump_name(name, repeats)
@@ -86,27 +84,25 @@ def _compute_row(args):
         order = scan_order(orient_and_sign(pd))
         C = scan(order, _scan_ring(mode, rings), _WINDOWS[mode])
         if mode == "sq1":
-            s_f2, quad = refine_scanned(C)
-            row.s_values["f2"] = s_f2
-            row.quadruple = quad.as_tuple()
+            s_values["f2"], quad = refine_scanned(C)
         else:
             D = from_filtered(C)
             for rname in rings:
                 # over the scan ring itself both steps change nothing
                 E = reduce_pass(base_change(D, ring_from_name(rname)))
                 if mode == "s":
-                    row.s_values[rname] = s_from_based(E).s
+                    s_values[rname] = s_from_based(E).s
                 else:
-                    row.kh_tables[rname] = {
+                    kh_tables[rname] = {
                         f"{h},{q}": v
                         for (h, q), v in sorted(khovanov_table(E).items())
                     }
         if dump_dir:
             _write_dump(dump_dir, f"{name}.txt", C)
     except Exception as exc:  # any failure belongs to this row alone
-        row.error = f"{type(exc).__name__}: {exc}"
-    row.time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    return row
+        error = f"{type(exc).__name__}: {exc}"
+    time_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    return ResultRow(name, mode, s_values, quad, kh_tables, time_ms, error)
 
 
 def run(job: Job):

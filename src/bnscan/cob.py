@@ -75,8 +75,7 @@ class Tangle(NamedTuple):
     arcs; ``circles`` counts closed components (kept only transiently,
     complexes store delooped objects); ``qshift`` is the quantum grading.
     A plain tuple of these fields, so equality and hashing are the
-    tuple's; the arcs depend on the matching alone and are memoized per
-    matching.
+    tuple's.
     """
 
     match: tuple
@@ -100,7 +99,6 @@ class Tangle(NamedTuple):
         return Tangle(self.match, self.circles - 1, self.qshift)
 
 
-@lru_cache(maxsize=None)
 def _arcs(match):
     return tuple((p, q) for p, q in enumerate(match) if p < q)
 

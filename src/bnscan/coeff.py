@@ -99,7 +99,11 @@ class Modular(Ring):
 
 
 class Integers(Ring):
-    """Z; only used to seed tensor constructions, units are +-1."""
+    """Z, with units +-1.
+
+    The scan ring of every ``s`` or ``kh`` row asked for more than one
+    field; each field reads the scan through ``sinv.base_change``.
+    """
 
     name = "z"
 

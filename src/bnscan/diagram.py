@@ -30,7 +30,7 @@ crossing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -45,8 +45,7 @@ class DisconnectedError(NotAKnotError):
     """The diagram is a split union of pieces."""
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(NamedTuple):
     """A validated planar diagram of a knot."""
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -57,8 +56,7 @@ class PDCode:
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class OrientedDiagram:
+class OrientedDiagram(NamedTuple):
     """A PD code with crossing signs and writhe data."""
 
     pd: PDCode
@@ -71,8 +69,7 @@ class OrientedDiagram:
         return self.n_plus - self.n_minus
 
 
-@dataclass(frozen=True)
-class ScanStep:
+class ScanStep(NamedTuple):
     """One gluing step: which crossing attaches where and how."""
 
     crossing: int
@@ -84,8 +81,7 @@ class ScanStep:
     piece_order: tuple[int, ...]  # surviving crossing legs, new order
 
 
-@dataclass(frozen=True)
-class ScanOrder:
+class ScanOrder(NamedTuple):
     diagram: OrientedDiagram
     steps: tuple[ScanStep, ...]
 

@@ -2,10 +2,15 @@
 
 After the scan every object is a copy of the empty tangle, so the
 complex becomes a free based complex with numeric entries (quantum jumps
-absorbed by the grading).  The readoff cancels homological-degree-0
-generators from above (largest quantum degree with nonzero coboundary
-first) and then from below (smallest quantum degree hit by the
-coboundary first); the two survivors sit in quantum degrees s +- 1.
+absorbed by the grading).  The readoff cancels the coboundary out of
+homological degree 0, largest quantum degree first, each generator
+against its lowest target.  The coboundary into degree 0 is the
+coboundary out of degree 0 of the dual complex (degrees and gradings
+negated, entries transposed), so the same routine cancels it there:
+smallest quantum degree hit first, each against its highest source.
+Cancelling a degree-0 generator g adds entries s -> t only with
+q(t) >= q(g) >= q(s), so each elimination is a filtered change of
+basis, and the two survivors sit in quantum degrees s +- 1.
 
 One scan over Z serves every field: elimination along +-1 entries and
 window truncation commute with base change, so ``base_change`` followed
@@ -15,8 +20,8 @@ same homology as a scan over the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .cob import NotClosedError, evaluate
 from .complex import (
@@ -29,8 +34,7 @@ from .complex import (
 from .diagram import orient_and_sign, scan_order
 
 
-@dataclass(frozen=True)
-class SResult:
+class SResult(NamedTuple):
     s: int
     ring: str
     witness: tuple[int, int]  # the surviving quantum degrees (s+1, s-1)
@@ -48,9 +52,6 @@ class BasedComplex(FilteredComplex):
     @property
     def q(self):
         return self.obj
-
-    def copy(self):
-        return self.rebuild(BasedComplex(self.ring))
 
     def flipped(self):
         """The upside-down complex: negate gradings, transpose entries."""
@@ -72,7 +73,11 @@ def from_filtered(C) -> BasedComplex:
 
 
 def cancel_above(D: BasedComplex) -> BasedComplex:
-    """Steps 7-8: kill the coboundary out of homological degree 0."""
+    """Steps 7-8: kill the coboundary out of homological degree 0.
+
+    On the dual complex this is steps 9-10, which kill the coboundary
+    into degree 0.
+    """
     while True:
         cands = [g for g in D.objects_at(0) if D.out[g]]
         if not cands:
@@ -82,38 +87,13 @@ def cancel_above(D: BasedComplex) -> BasedComplex:
         gauss_eliminate(D, g, partner)
 
 
-def cancel_below(D: BasedComplex) -> BasedComplex:
-    """Steps 9-10: kill the coboundary into homological degree 0."""
-    while True:
-        hit = sorted(
-            {t for s in D.objects_at(-1) for t in D.out[s]},
-            key=lambda t: (D.q[t], t),
-        )
-        if not hit:
-            break
-        g = hit[0]
-        partner = min(
-            (s for s in D.inc[g] if D.ring.is_unit(D.out[s][g])),
-            key=lambda s: (D.q[s], s),
-            default=None,
-        )
-        if partner is None:
-            raise InconsistentError(
-                "no unit partner below; is the ground ring a field?"
-            )
-        gauss_eliminate(D, partner, g)
-    if len(D.objects_at(0)) != 2:
-        raise InconsistentError(
-            f"expected 2 surviving generators, found {len(D.objects_at(0))}"
-        )
-    return D
-
-
 def read_s(D: BasedComplex) -> SResult:
     """The s-invariant from the two surviving degree-0 generators."""
     survivors = D.objects_at(0)
     if len(survivors) != 2:
-        raise InconsistentError("readoff needs exactly two survivors")
+        raise InconsistentError(
+            f"readoff needs exactly two survivors, found {len(survivors)}"
+        )
     q1, q2 = sorted((D.q[survivors[0]], D.q[survivors[1]]), reverse=True)
     if q1 - q2 != 2:
         raise InconsistentError(f"survivor degrees {q1}, {q2} do not straddle")
@@ -132,10 +112,15 @@ def khovanov_table(D: BasedComplex):
 
 
 def s_from_based(D: BasedComplex) -> SResult:
-    """The s-invariant of an evaluated scan; the ground ring must be a field."""
+    """The s-invariant of an evaluated scan; the ground ring must be a field.
+
+    Consumes ``D``, which is left reduced above degree 0 only: the
+    cancellations below degree 0 run on its dual, which is flipped back
+    for the readoff.
+    """
     if not D.ring.is_field:
         raise ValueError(f"the s readoff needs a field, not ring {D.ring.name!r}")
-    return read_s(cancel_below(cancel_above(D)))
+    return read_s(cancel_above(cancel_above(D).flipped()).flipped())
 
 
 def s_invariant(pd, ring) -> SResult:

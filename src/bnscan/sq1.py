@@ -10,12 +10,14 @@ the classes extending to filtered cocycles and testing survival in the
 low quotient decides whether each refinement gains 2 over the base
 invariant.  The dual complex (degrees and quantum gradings negated,
 entries transposed) is the mirror's complex, so the same scan supplies
-the other half of the quadruple.
+the other half of the quadruple.  It is taken after the first half's
+slides: the dual of a complex in normal form is in normal form, so the
+second half slides nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeff import F2, Z4
 from .complex import scan
@@ -33,15 +35,11 @@ class NotSaturatedError(RuntimeError):
     """A unit entry at equal quantum degree survived the scan."""
 
 
-@dataclass(frozen=True)
-class Sq1Quadruple:
+class Sq1Quadruple(NamedTuple):
     r_plus: int
     s_plus: int
     r_minus: int
     s_minus: int
-
-    def as_tuple(self):
-        return (self.r_plus, self.s_plus, self.r_minus, self.s_minus)
 
 
 class Z4NormalForm:
@@ -252,7 +250,7 @@ def half_refinement_from_based(D: BasedComplex):
     """s over F2 and the positive refinement pair from a Z/4Z complex.
 
     ``D`` must be the saturated scan output (or any complex in the same
-    position); it is consumed by the normal-form slides.
+    position); the slides leave it in filtered normal form.
     """
     s_f2 = s_from_based(base_change(D, F2)).s
     nf = normal_form(D)
@@ -272,12 +270,12 @@ def refine_scanned(C) -> tuple[int, Sq1Quadruple]:
 
     Returns (s over F2, (r+, s+, r-, s-)).  The negative pair is the
     positive pair of the dual complex, which is the mirror's complex,
-    with signs flipped.
+    with signs flipped.  The first half's slides are a filtered change
+    of basis, so the dual of the complex they leave serves as well.
     """
     D = from_filtered(C)
-    dual = D.flipped()  # before the normal-form slides consume D
     s_f2, r_plus, s_plus = half_refinement_from_based(D)
-    s_m, r_plus_m, s_plus_m = half_refinement_from_based(dual)
+    s_m, r_plus_m, s_plus_m = half_refinement_from_based(D.flipped())
     if s_m != -s_f2:
         raise InconsistentError(
             f"dual complex gives s = {s_m}, not {-s_f2}"

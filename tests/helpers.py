@@ -3,7 +3,9 @@
 ``canon`` and ``strictly_raising`` state properties of the library's
 values and complexes; ``two_scan_refine`` is the Sq1 refinement computed
 from two scans (the diagram and its mirror), the cross-check for the
-one-scan path through the dual complex.  ``deloop_maps`` reads the four
+one-scan path through the dual complex.  ``cancel_below`` is steps 9-10
+of the s readoff worked from below, the oracle for the readoff that runs
+them as steps 7-8 on the dual complex.  ``deloop_maps`` reads the four
 delooping maps off an identity through ``cob.deloop_iso``;
 ``neck_cut_deloop_maps`` builds them as surfaces, its oracle.
 
@@ -41,7 +43,7 @@ from bnscan.cob import (
     shape_cycles,
 )
 from bnscan.coeff import Q, Z, Z4, Modular
-from bnscan.complex import scan
+from bnscan.complex import InconsistentError, gauss_eliminate, scan
 from bnscan.diagram import (
     _BACKTRACK_BUDGET,
     NotAKnotError,
@@ -96,6 +98,37 @@ def strictly_raising(C):
     return all(
         f.degree() > 0 for outs in C.out.values() for f in outs.values()
     )
+
+
+def cancel_below(D):
+    """Steps 9-10: kill the coboundary into homological degree 0.
+
+    The lowest quantum degree hit from degree -1 goes first, each
+    against its lowest-q unit source.
+    """
+    while True:
+        hit = sorted(
+            {t for s in D.objects_at(-1) for t in D.out[s]},
+            key=lambda t: (D.q[t], t),
+        )
+        if not hit:
+            break
+        g = hit[0]
+        partner = min(
+            (s for s in D.inc[g] if D.ring.is_unit(D.out[s][g])),
+            key=lambda s: (D.q[s], s),
+            default=None,
+        )
+        if partner is None:
+            raise InconsistentError(
+                "no unit partner below; is the ground ring a field?"
+            )
+        gauss_eliminate(D, partner, g)
+    if len(D.objects_at(0)) != 2:
+        raise InconsistentError(
+            f"expected 2 surviving generators, found {len(D.objects_at(0))}"
+        )
+    return D
 
 
 def _half_refinement(pd):

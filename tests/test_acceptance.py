@@ -89,16 +89,16 @@ def is_alternating(pd):
 def test_criterion_1_worked_example_readoffs():
     t0 = time.perf_counter()
     D, _ids = load_figure2(Z4)
-    s_f2, r_plus, s_plus = half_refinement_from_based(D.copy())
+    s_f2, r_plus, s_plus = half_refinement_from_based(D)
     sm, r_plus_m, s_plus_m = half_refinement_from_based(D.flipped())
     quad = Sq1Quadruple(r_plus, s_plus, -r_plus_m, -s_plus_m)
     elapsed = time.perf_counter() - t0
     assert s_f2 == -2
-    assert quad.as_tuple() == (0, 0, -2, -2)
+    assert quad == (0, 0, -2, -2)
     assert elapsed < 5.0
     print(
         f"\nCRITERION 1 (worked-example readoffs): PASS "
-        f"s_f2={s_f2} quad={quad.as_tuple()} in {elapsed:.2f}s"
+        f"s_f2={s_f2} quad={tuple(quad)} in {elapsed:.2f}s"
     )
 
 
@@ -120,7 +120,7 @@ def test_criterion_1_named_knot_pipeline():
     assert s_of(pd, Q) == 0
     assert s_of(pd, F2) == -2
     s_f2, quad = refine(pd)
-    assert (s_f2, quad.as_tuple()) == (-2, (0, 0, -2, -2))
+    assert (s_f2, quad) == (-2, (0, 0, -2, -2))
     print("\nCRITERION 1 (named-knot pipeline): PASS")
 
 
@@ -151,7 +151,7 @@ def test_criterion_2_table_regression():
         pd = census[name]
         s_f2, quad = refine(pd)
         assert s_f2 == s2_expect
-        assert quad.as_tuple() == quad_expect
+        assert quad == quad_expect
         assert s_of(pd, F3) == s3_expect
     assert time.perf_counter() - t0 < 60.0
     print("\nCRITERION 2 (table regression): PASS")
@@ -258,7 +258,7 @@ def test_criterion_6_diagram_invariance():
         if i < quad_budget:
             sa, qa = refine(a)
             sb, qb = refine(b)
-            assert (sa, qa.as_tuple()) == (sb, qb.as_tuple()), (a.name, b.name)
+            assert (sa, qa) == (sb, qb), (a.name, b.name)
     print(
         f"\nCRITERION 6 (diagram invariance): PASS {len(pairs)} pairs "
         f"(quadruples on {min(quad_budget, len(pairs))}) "
@@ -362,8 +362,8 @@ def test_criterion_8_bounds_suite():
         assert quad.s_minus == -quad_m.s_plus, pd.name
         s_f3 = s_of(pd, F3)
         s_q = s_of(pd, Q)
-        if s_f2 == s_f3 == s_q and quad.as_tuple() != (s_f2,) * 4:
-            degenerate_flags.append((pd.name, s_f2, quad.as_tuple()))
+        if s_f2 == s_f3 == s_q and quad != (s_f2,) * 4:
+            degenerate_flags.append((pd.name, s_f2, quad))
     if degenerate_flags:
         print(f"\nflagged non-standard quadruples with equal s: {degenerate_flags}")
     print(

@@ -488,7 +488,9 @@ def test_importing_the_cli_loads_no_pool_csv_or_argparse(tmp_path, knot_file):
     assert proc.returncode == 0, proc.stderr
     imported, serial_run = (set(ln.split()) for ln in proc.stdout.splitlines())
     assert "bnscan.cli" in imported
-    deferred = {"concurrent.futures", "multiprocessing", "csv", "argparse"}
+    # dataclasses would bring inspect, ast, dis and tokenize along
+    deferred = {"concurrent.futures", "multiprocessing", "csv", "argparse",
+                "dataclasses", "inspect"}
     assert not imported & deferred
     # a serial run starts no pool
     assert not serial_run & deferred

@@ -14,14 +14,14 @@ from bnscan.sinv import (
     InconsistentError,
     base_change,
     cancel_above,
-    cancel_below,
     from_filtered,
     khovanov_table,
     read_s,
     s_from_based,
     s_invariant,
 )
-from helpers import seifert_circles
+from bnscan.sq1 import _slide
+from helpers import cancel_below, seifert_circles
 from knotgen import PD_TREFOIL, braid_pd, parse_knot_file, rational_pd, torus_pd
 from oracle_dense import khovanov_ranks
 
@@ -58,8 +58,8 @@ def test_figure2_f2_readoff_follows_the_worked_example():
     assert ids[1] not in E.h and ids[9] not in E.h
     survivors_mid = sorted(E.objects_at(0))
     assert len(survivors_mid) == 6
-    cancel_below(E)
-    res = read_s(E)
+    # steps 9-10 are steps 7-8 on the dual complex
+    res = read_s(cancel_above(E.flipped()).flipped())
     assert res.s == -2
     assert res.witness == (-1, -3)
 
@@ -80,6 +80,56 @@ def test_figure2_unknown_signs_do_not_change_f2_answer():
         assert s_from_based(E).s == -2
 
 
+def _random_filtered_slides(D, rng, count):
+    """``count`` handle slides x -> x + u*y, q(y) >= q(x), u in {1, -1, 2}."""
+    degrees = [h for h in D.degrees() if len(D.objects_at(h)) > 1]
+    for _ in range(count):
+        x, y = sorted(rng.sample(D.objects_at(rng.choice(degrees)), 2),
+                      key=lambda g: D.q[g])
+        _slide(D, x, y, D.ring.from_int(rng.choice((1, -1, 2))))
+    D.check()
+    return D
+
+
+def test_the_dual_readoff_matches_the_readoff_from_below():
+    # the readoff runs steps 9-10 as steps 7-8 on the dual complex, which
+    # pairs each generator with its highest source instead of its lowest;
+    # both are filtered changes of basis, so s and the witness agree, also
+    # after random filtered changes of basis of the input
+    rng = random.Random(16)
+    with open(os.path.join(DATA, "figure2.json")) as f:
+        fix = json.load(f)
+    cases = []
+    for _ in range(10):
+        D = BasedComplex(Z4)
+        ids = {g: D.add_object(h, q) for g, h, q in fix["generators"]}
+        for a, b, c in fix["edges"]:
+            D.set_entry(ids[a], ids[b], Z4.from_int(c * rng.choice((1, -1))))
+        cases.append(("figure2", base_change(D, F2)))
+    for name in ("mixed_knots.txt", "k16.txt"):
+        with open(os.path.join(DATA, name)) as f:
+            pds = [pd for _line, pd in parse_knot_file(f.read())]
+        for pd in pds:
+            order = scan_order(orient_and_sign(pd))
+            for ring in (F2, Q):
+                cases.append((pd.name, from_filtered(scan(order, ring, "s"))))
+    # one source hitting two degree-0 generators: the order of the lower
+    # half decides which survives, and only the lower one may go
+    D = BasedComplex(F2)
+    src = D.add_object(-1, -5)
+    for q in (-3, -1, 1):
+        g = D.add_object(0, q)
+        if q < 1:
+            D.set_entry(src, g, F2.one)
+    cases.append(("fork", D))
+    assert len(cases) == 10 + 2 * 20 + 1
+    for name, D in cases:
+        for slides in (0, 4):
+            E = _random_filtered_slides(base_change(D, D.ring), rng, slides)
+            expected = read_s(cancel_below(cancel_above(base_change(E, E.ring))))
+            assert s_from_based(E) == expected, (name, D.ring.name, slides)
+
+
 def test_figure2_generator_count_matches_object_count():
     D, _ids = load_figure2(Z4)
     assert len(D.h) == 20
@@ -90,7 +140,7 @@ def test_unknot_based_complex():
     D = from_filtered(scan(so, Q, "s"))
     assert sorted(D.q[g] for g in D.objects_at(0)) == [-1, 1]
     assert all(not D.out[g] for g in D.objects_at(0))
-    assert read_s(cancel_below(cancel_above(D))).s == 0
+    assert s_from_based(D).s == 0
 
 
 def test_read_s_requires_two_survivors():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bnscan.coeff import Z4, F2
 from bnscan.complex import scan
 from bnscan.diagram import orient_and_sign, scan_order
-from bnscan.sinv import BasedComplex, base_change, s_from_based
+from bnscan.sinv import BasedComplex, base_change, from_filtered, s_from_based
 from bnscan.sq1 import (
     NotSaturatedError,
     Sq1Quadruple,
@@ -19,6 +19,7 @@ from bnscan.sq1 import (
     intersect_with_p,
     normal_form,
     refine,
+    refine_scanned,
     sq1_image,
     survives_quotient,
 )
@@ -161,12 +162,39 @@ def test_figure2_half_refinement_positive_side():
 
 
 def test_figure2_full_quadruple_via_flip():
+    # the dual is taken before the first half's slides consume D
     D, _ids = load_figure2()
-    s_f2, r_plus, s_plus = half_refinement_from_based(D.copy())
-    s_m, r_plus_m, s_plus_m = half_refinement_from_based(D.flipped())
+    dual = D.flipped()
+    s_f2, r_plus, s_plus = half_refinement_from_based(D)
+    s_m, r_plus_m, s_plus_m = half_refinement_from_based(dual)
     assert s_m == -s_f2 == 2
     quad = Sq1Quadruple(r_plus, s_plus, -r_plus_m, -s_plus_m)
-    assert quad.as_tuple() == (0, 0, -2, -2)
+    assert quad == (0, 0, -2, -2)
+
+
+def _two_normal_form_refine(C):
+    """refine_scanned with the dual taken before the first half's slides."""
+    D = from_filtered(C)
+    dual = D.flipped()
+    s_f2, r_plus, s_plus = half_refinement_from_based(D)
+    _s_m, r_plus_m, s_plus_m = half_refinement_from_based(dual)
+    return s_f2, Sq1Quadruple(r_plus, s_plus, -r_plus_m, -s_plus_m)
+
+
+def test_the_dual_of_a_normal_form_needs_no_slides():
+    # a normal form's equal-q blocks are partial permutations, and so are
+    # their transposes: the dual's normal form runs its checks, slides
+    # nothing, and the quadruple is that of two independent normal forms
+    with open(os.path.join(DATA, "mixed_knots.txt")) as f:
+        knots = {pd.name: pd for _ln, pd in parse_knot_file(f.read())}
+    p355 = scan(scan_order(orient_and_sign(knots["P(3,5,5)"])), Z4, "sq1")
+    for D in (load_figure2()[0], from_filtered(p355)):
+        nf = normal_form(D)
+        assert normal_form(nf.based.flipped()).slides == 0
+    assert normal_form(from_filtered(p355)).slides > 0
+    for pd in knots.values():
+        C = scan(scan_order(orient_and_sign(pd)), Z4, "sq1")
+        assert refine_scanned(C) == _two_normal_form_refine(C), pd.name
 
 
 def test_refine_on_torsion_free_knots_is_standard():
@@ -178,7 +206,7 @@ def test_refine_on_torsion_free_knots_is_standard():
     ):
         s_f2, quad = refine(pd)
         assert s_f2 == s_expect
-        assert quad.as_tuple() == (s_expect,) * 4
+        assert quad == (s_expect,) * 4
 
 
 def test_refine_bounds_and_mirror_relations():
