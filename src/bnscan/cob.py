@@ -86,10 +86,6 @@ class Tangle(NamedTuple):
     def n_points(self):
         return len(self.match)
 
-    def arcs(self):
-        """Arcs as (p, q) pairs with p < q, ordered by p."""
-        return _arcs(self.match)
-
     def shifted(self, dq):
         return Tangle(self.match, self.circles, self.qshift + dq)
 
@@ -110,7 +106,7 @@ def _arc_index(match):
 
 
 # Surface ends are (side, kind, index): side 0 = source, 1 = target;
-# kind 0 = arc, 1 = circle; index into arcs() or the circle numbering.
+# kind 0 = arc, 1 = circle; index into _arcs(match) or the circle numbering.
 ARC, CIRCLE = 0, 1
 SRC, TGT = 0, 1
 
@@ -509,26 +505,20 @@ def evaluate(ring, c):
 # Horizontal gluing (the tensor step of the scan).
 
 
-def glue_tangles(left, piece_match, pairs, left_order, piece_order,
-                 self_pairs=()):
+def glue_tangles(left, piece_match, pairs, left_order, piece_order):
     """Glue a crossing piece onto a tangle along interface pairs.
 
     ``left`` is the current object, ``piece_match`` a matching on the
-    crossing's legs, ``pairs`` the glued (left position, leg) pairs,
-    ``self_pairs`` leg pairs of the piece glued to each other (loop edges
-    of a kink), and ``left_order`` / ``piece_order`` list the surviving
-    positions of each side in their order on the new boundary.  Returns
-    the glued Tangle (qshift not set here) and an end map from
-    ('b'|'x', kind, idx) to (kind, idx) in the glued tangle, for
-    transporting surfaces.
+    crossing's legs, ``pairs`` the glued (left position, leg) pairs, and
+    ``left_order`` / ``piece_order`` list the surviving positions of each
+    side in their order on the new boundary.  Returns the glued Tangle
+    (qshift not set here) and an end map from ('b'|'x', kind, idx) to
+    (kind, idx) in the glued tangle, for transporting surfaces.
     """
     hops = {}
     for p, x in pairs:
         hops[("b", p)] = ("x", x)
         hops[("x", x)] = ("b", p)
-    for x1, x2 in self_pairs:
-        hops[("x", x1)] = ("x", x2)
-        hops[("x", x2)] = ("x", x1)
     new_pos = {("b", p): i for i, p in enumerate(left_order)}
     for i, x in enumerate(piece_order):
         new_pos[("x", x)] = len(left_order) + i
@@ -578,12 +568,12 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order,
     return glued, end_map
 
 
-def _glue_plan(f, phi, pairs, src_info, tgt_info, self_pairs):
+def _glue_plan(f, phi, pairs, src_info, tgt_info):
     """The plan of gluing f beside phi along the interface.
 
     The end maps of ``src_info`` and ``tgt_info`` name every disc's ends
-    on the glued boundary; each glued pair and each self-glued leg pair
-    joins the discs through its source arcs by an arc seam.
+    on the glued boundary; each glued pair joins the discs through its
+    source arcs by an arc seam.
     """
     (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
     emaps = (src_map, tgt_map)  # indexed by side
@@ -601,21 +591,20 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info, self_pairs):
 
     left_arc = _arc_index(f.src.match)
     leg_arc = _arc_index(phi.src.match)
-    leg = [n + pindex[SRC, ARC, leg_arc[x]] for x in range(len(phi.src.match))]
-    seams = [(findex[SRC, ARC, left_arc[p]], leg[x], 1) for p, x in pairs]
-    seams += [(leg[x1], leg[x2], 1) for x1, x2 in self_pairs]
+    seams = [
+        (findex[SRC, ARC, left_arc[p]], n + pindex[SRC, ARC, leg_arc[x]], 1)
+        for p, x in pairs
+    ]
     return _plan(n, parts, seams)
 
 
-def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
-              tables):
+def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, *, tables):
     """Glue cobordisms side by side along the interface ``pairs``.
 
     ``f`` runs between tangles on the old boundary, ``phi`` between
     crossing pieces; ``src_info`` / ``tgt_info`` are the
     :func:`glue_tangles` results (glued tangle, end map) for the source
-    and target object pairs.  Each glued pair and each self-glued leg
-    pair is one arc seam.
+    and target object pairs.  Each glued pair is one arc seam.
 
     ``tables`` is the caller's dict of the plans already made with the
     same interface, keyed by the shapes of f and phi; new plans are
@@ -625,7 +614,5 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
              phi.src.match, phi.src.circles, phi.tgt.match, phi.tgt.circles)
     plan = tables.get(shape)
     if plan is None:
-        plan = tables[shape] = _glue_plan(
-            f, phi, pairs, src_info, tgt_info, self_pairs
-        )
+        plan = tables[shape] = _glue_plan(f, phi, pairs, src_info, tgt_info)
     return Cob(src_info[0], tgt_info[0], _product(ring, f, phi, plan))

@@ -243,7 +243,6 @@ def tensor_with_crossing(C, step):
     pieces = (t0, t1)
     piece_id = (identity_cob(ring, t0), identity_cob(ring, t1))
     pairs = step.pairs
-    self_pairs = step.self_pairs
     left_order = step.left_order
     piece_order = step.piece_order
 
@@ -259,8 +258,7 @@ def tensor_with_crossing(C, step):
                 key = (t.match, t.circles, k)
                 if key not in shapes:
                     shapes[key] = glue_tangles(
-                        t, piece.match, pairs, left_order, piece_order,
-                        self_pairs=self_pairs,
+                        t, piece.match, pairs, left_order, piece_order
                     )
                 raw, end_map = shapes[key]
                 glued = Tangle(raw.match, raw.circles, t.qshift + piece.qshift)
@@ -271,8 +269,7 @@ def tensor_with_crossing(C, step):
             for k in (0, 1):
                 entry = glue_cobs(
                     ring, f, piece_id[k], pairs,
-                    info[src, k], info[tgt, k],
-                    self_pairs=self_pairs, tables=glue_tables,
+                    info[src, k], info[tgt, k], tables=glue_tables,
                 )
                 D.add_to_entry(new_id[(src, k)], new_id[(tgt, k)], entry)
     for oid in C.obj:
@@ -280,8 +277,7 @@ def tensor_with_crossing(C, step):
         ident = identity_cob(ring, C.obj[oid])
         entry = glue_cobs(
             ring, ident, saddle, pairs,
-            info[oid, 0], info[oid, 1],
-            self_pairs=self_pairs, tables=glue_tables,
+            info[oid, 0], info[oid, 1], tables=glue_tables,
         ).scaled(ring, sign)
         D.add_to_entry(new_id[(oid, 0)], new_id[(oid, 1)], entry)
     if DEBUG:

@@ -22,9 +22,10 @@ crossings that hold a boundary edge are candidates, found through an
 edge -> crossings index, and a label -> position map finds each
 interface in time linear in its size.  The lookahead glues nothing: the
 length a crossing leaves follows from how many of its legs lie on the
-boundary and its loops.  Kinks (loop edges whose two ends sit on the
-same crossing) glue to themselves within the step that adds their
-crossing.
+boundary.  Kinks (loop edges whose two ends sit on the same crossing)
+add nothing to the complex but a crossing to glue and a circle to
+deloop, so Reidemeister I moves undo them before the order search, and
+the scan never meets a loop edge.
 """
 
 from __future__ import annotations
@@ -76,13 +77,12 @@ class ScanStep(NamedTuple):
     boundary_before: tuple[int, ...]
     boundary_after: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]  # (boundary position, crossing leg)
-    self_pairs: tuple[tuple[int, int], ...]  # loop-edge leg pairs
     left_order: tuple[int, ...]  # surviving boundary positions, new order
     piece_order: tuple[int, ...]  # surviving crossing legs, new order
 
 
 class ScanOrder(NamedTuple):
-    diagram: OrientedDiagram
+    diagram: OrientedDiagram  # the diagram scanned, its kinks undone
     steps: tuple[ScanStep, ...]
 
     @property
@@ -226,33 +226,48 @@ def mirror_pd(pd: PDCode) -> PDCode:
 # --- scan order --------------------------------------------------------------
 
 
-def _loop_pairs(legs):
-    """Self-glued leg pairs of a crossing (loop edges of a kink)."""
-    pairs = []
-    used = set()
-    for i in range(4):
-        j = (i + 1) % 4
-        if i in used or j in used:
-            continue
-        if legs[i] == legs[j]:
-            pairs.append((i, j))
-            used.update((i, j))
-    return tuple(pairs)
+def without_kinks(od: OrientedDiagram) -> OrientedDiagram:
+    """The diagram with every kink undone by Reidemeister I moves.
+
+    A kink is a crossing with two adjacent legs on one loop edge.  The
+    move drops the crossing and merges the two edges the strand uses to
+    enter and leave it, which can make a kink of another crossing, so the
+    moves repeat until none is left.  The other crossings keep their
+    order, legs and signs.  A kink-free diagram comes back as it is.
+    """
+    xs, signs = list(od.pd.crossings), list(od.signs)
+    while True:
+        kink = next(
+            ((ci, j) for ci, legs in enumerate(xs) for j in range(4)
+             if legs[j] == legs[j - 1]),
+            None,
+        )
+        if kink is None:
+            break
+        ci, j = kink
+        keep, drop = xs[ci][(j + 1) % 4], xs[ci][(j + 2) % 4]
+        del xs[ci], signs[ci]
+        xs = [tuple(keep if e == drop else e for e in legs) for legs in xs]
+    if len(xs) == od.pd.n:
+        return od
+    n_plus = signs.count(1)
+    pd = PDCode(tuple(xs), od.pd.name)
+    return OrientedDiagram(pd, tuple(signs), n_plus, len(xs) - n_plus)
 
 
-def _attachment(boundary, pos, legs, open_legs):
+def _attachment(boundary, pos, legs):
     """Where a crossing glues onto the boundary cycle: (r, s, k) or None.
 
-    The glued labels are those of the crossing's non-loop legs that lie
-    on the boundary (``pos`` maps each boundary label to its position).
-    They must fill a run boundary[r..r+k-1] whose reverse is the run
+    The glued labels are those of the crossing's legs that lie on the
+    boundary (``pos`` maps each boundary label to its position).  They
+    must fill a run boundary[r..r+k-1] whose reverse is the run
     legs[s..s+k-1] of the crossing's cyclic legs.  When k < m, the
     boundary length, r is the one glued position whose predecessor is not
     glued; when k = m, each r is tried in turn.  The leg that holds
     boundary[r+k-1] fixes s, so a test costs O(k).
     """
     m = len(boundary)
-    hits = [pos[legs[x]] for x in open_legs if legs[x] in pos]
+    hits = [pos[e] for e in legs if e in pos]
     k = len(hits)
     glued = set(hits)
     if not k or len(glued) != k:
@@ -271,25 +286,12 @@ def _attachment(boundary, pos, legs, open_legs):
     return None
 
 
-def _interface(m, loops, open_legs, r, s, k):
-    """(pairs, self_pairs, left_order, piece_order) of an attachment."""
+def _interface(m, r, s, k):
+    """(pairs, left_order, piece_order) of an attachment."""
     pairs = tuple(((r + i) % m, (s + k - 1 - i) % 4) for i in range(k))
     left_order = tuple((r + k + i) % m for i in range(m - k))
-    free = [(s + k + i) % 4 for i in range(4 - k)]
-    piece_order = tuple(x for x in free if x in open_legs)
-    return pairs, loops, left_order, piece_order
-
-
-def _first_interface(legs):
-    loops = _loop_pairs(legs)
-    loop_legs = {i for pair in loops for i in pair}
-    if not loop_legs:
-        piece_order = (0, 1, 2, 3)
-    else:
-        piece_order = tuple(x for x in range(4) if x not in loop_legs)
-        if len(piece_order) == 2 and piece_order == (0, 3):
-            piece_order = (3, 0)
-    return (), loops, (), piece_order
+    piece_order = tuple((s + k + i) % 4 for i in range(4 - k))
+    return pairs, left_order, piece_order
 
 
 # Planar diagrams rarely need a backtrack at all (at most one on 1,179
@@ -306,24 +308,19 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
     shortest length one more crossing can then leave, crossing index).
     The candidates are the unplaced crossings that hold a boundary label,
     found through an edge -> crossings index.  The lookahead needs no
-    gluing: a crossing with k legs on a boundary of length m, and l loop
-    pairs, leaves m + 4 - 2k - 2l points, so the next crossings are
-    tested for contiguity in order of that length, and the first that
-    fits gives the score.  Backtracks over candidates if a greedy branch
-    gets stuck, and raises NotAKnotError after ``_BACKTRACK_BUDGET``
-    backtracks.
+    gluing: a crossing with k legs on a boundary of length m leaves
+    m + 4 - 2k points, so the next crossings are tested for contiguity in
+    order of that length, and the first that fits gives the score.
+    Backtracks over candidates if a greedy branch gets stuck, and raises
+    NotAKnotError after ``_BACKTRACK_BUDGET`` backtracks.  The search runs
+    on ``without_kinks(od)``, which is the diagram the order carries.
     """
+    od = without_kinks(od)
     pd = od.pd
     n = pd.n
     if n == 0:
         return ScanOrder(od, ())
     xs = pd.crossings
-    loops = [_loop_pairs(legs) for legs in xs]
-    open_legs = [
-        tuple(x for x in range(4) if all(x not in pair for pair in lp))
-        for lp in loops
-    ]
-    growth = [4 - 2 * len(lp) for lp in loops]
     at: dict[int, list[int]] = {}  # edge label -> crossings holding it
     for ci, legs in enumerate(xs):
         for e in legs:
@@ -343,12 +340,10 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
         m = len(boundary)
         if len(done) == n:
             return m
-        lengths = sorted(
-            (m + growth[c] - 2 * k, c) for c, k in held(done, boundary).items()
-        )
+        lengths = sorted((m + 4 - 2 * k, c) for c, k in held(done, boundary).items())
         pos = {e: p for p, e in enumerate(boundary)}
         for length, c in lengths:
-            if _attachment(boundary, pos, xs[c], open_legs[c]) is not None:
+            if _attachment(boundary, pos, xs[c]) is not None:
                 return length
         return m
 
@@ -358,15 +353,11 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
         scored = []
         for ci in held(done, boundary) if done else range(n):
             legs = xs[ci]
-            if done:
-                attach = _attachment(boundary, pos, legs, open_legs[ci])
-                if attach is None:
-                    continue
-                iface = _interface(len(boundary), loops[ci], open_legs[ci],
-                                   *attach)
-            else:
-                iface = _first_interface(legs)
-            _pairs, _loops, left_order, piece_order = iface
+            attach = _attachment(boundary, pos, legs) if done else (0, 0, 0)
+            if attach is None:
+                continue
+            iface = _interface(len(boundary), *attach)
+            _pairs, left_order, piece_order = iface
             bnd = tuple(boundary[p] for p in left_order)
             bnd += tuple(legs[x] for x in piece_order)
             done2 = done | {ci}

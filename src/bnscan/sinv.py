@@ -115,12 +115,13 @@ def s_from_based(D: BasedComplex) -> SResult:
     """The s-invariant of an evaluated scan; the ground ring must be a field.
 
     Consumes ``D``, which is left reduced above degree 0 only: the
-    cancellations below degree 0 run on its dual, which is flipped back
-    for the readoff.
+    cancellations below degree 0 run on its dual, and s is read off the
+    dual, whose gradings are negated.
     """
     if not D.ring.is_field:
         raise ValueError(f"the s readoff needs a field, not ring {D.ring.name!r}")
-    return read_s(cancel_above(cancel_above(D).flipped()).flipped())
+    dual = read_s(cancel_above(cancel_above(D).flipped()))
+    return SResult(-dual.s, dual.ring, (-dual.witness[1], -dual.witness[0]))
 
 
 def s_invariant(pd, ring) -> SResult:

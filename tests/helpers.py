@@ -49,11 +49,10 @@ from bnscan.diagram import (
     NotAKnotError,
     ScanOrder,
     ScanStep,
-    _first_interface,
-    _loop_pairs,
     mirror_pd,
     orient_and_sign,
     scan_order,
+    without_kinks,
 )
 from bnscan.sinv import from_filtered
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based
@@ -68,6 +67,11 @@ def canon(ring, a):
     if ring is Z:
         return int(a)
     raise ValueError(f"no canonical form for {ring!r}")
+
+
+def arcs(t):
+    """The arcs of a tangle as (p, q) pairs with p < q, ordered by p."""
+    return tuple((p, q) for p, q in enumerate(t.match) if p < q)
 
 
 def seifert_circles(od):
@@ -160,7 +164,7 @@ def neck_cut_deloop_maps(ring, t):
     base = t.drop_last_circle()
     k = base.circles
     t_plus, t_minus = base.shifted(+1), base.shifted(-1)
-    cylinders = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(t.arcs()))]
+    cylinders = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(arcs(t)))]
     cylinders += [({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(k)]
 
     def build(src, tgt, side, variants):
@@ -284,7 +288,7 @@ def cycles_of(ends, src, tgt):
             singles.append((end,))
             continue
         t = src if side == SRC else tgt
-        p, q = t.arcs()[idx]
+        p, q = arcs(t)[idx]
         if side == SRC:
             arc_of_src[p] = arc_of_src[q] = end
             spos.update((p, q))
@@ -407,27 +411,25 @@ def compose_comps(ring, g, f):
                     parts.append(([e for e in ends if e[0] == keep], dot))
             seams = [
                 (f_owner[(kind, idx)], g_owner[(kind, idx)], kind == ARC)
-                for kind, count in ((ARC, len(mid.arcs())), (CIRCLE, mid.circles))
+                for kind, count in ((ARC, len(arcs(mid))), (CIRCLE, mid.circles))
                 for idx in range(count)
             ]
             glue_summands(ring, parts, seams, coeff, fh + gh, f.src, g.tgt, out)
     return out
 
 
-def glued_at(t, piece, pairs, left_order, piece_order, self_pairs=()):
+def glued_at(t, piece, pairs, left_order, piece_order):
     """``glue_tangles`` of t and a crossing piece, with the glued tangle
     at t.qshift + piece.qshift, where the scan's tensor step puts it."""
-    glued, end_map = glue_tangles(
-        t, piece.match, pairs, left_order, piece_order, self_pairs=self_pairs
-    )
+    glued, end_map = glue_tangles(t, piece.match, pairs, left_order, piece_order)
     return glued.shifted(t.qshift + piece.qshift), end_map
 
 
-def glue_comps(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
+def glue_comps(ring, f, phi, pairs, src_info, tgt_info):
     """f glued beside phi in comps form, every summand pair from scratch.
 
     The discs of both factors are named on the glued boundary through
-    the end maps; each glued pair and self pair is an arc seam.
+    the end maps; each glued pair is an arc seam.
     """
     (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
     emaps = (src_map, tgt_map)  # indexed by side
@@ -444,14 +446,11 @@ def glue_comps(ring, f, phi, pairs, src_info, tgt_info, self_pairs=()):
                 for ends, dot in comps:
                     for side, kind, idx in ends:
                         if side == SRC and kind == ARC:
-                            for pos in t.arcs()[idx]:
+                            for pos in arcs(t)[idx]:
                                 owner[(tag, pos)] = len(parts)
                     named = [(sd,) + emaps[sd][(tag, kd, ix)] for sd, kd, ix in ends]
                     parts.append((named, dot))
             seams = [(owner[("b", p)], owner[("x", x)], True) for p, x in pairs]
-            seams += [
-                (owner[("x", x1)], owner[("x", x2)], True) for x1, x2 in self_pairs
-            ]
             glue_summands(ring, parts, seams, coeff, fh + ph, new_src, new_tgt, out)
     return out
 
@@ -464,10 +463,9 @@ def _contiguous_interface(boundary, legs):
 
     The glued labels must form a contiguous run of the boundary whose
     reverse is a contiguous run of the crossing's cyclic legs.  Returns
-    (pairs, self_pairs, left_order, piece_order) or None.
+    (pairs, left_order, piece_order) or None.
     """
-    loop_legs = {i for pair in _loop_pairs(legs) for i in pair}
-    shared = [e for e in legs if e in boundary and legs.index(e) not in loop_legs]
+    shared = [e for e in legs if e in boundary]
     shared_set = set(shared)
     if not shared_set or len(shared) != len(shared_set):
         return None
@@ -480,18 +478,19 @@ def _contiguous_interface(boundary, legs):
             leg_run = [legs[(s + i) % 4] for i in range(k)]
             if leg_run != run[::-1]:
                 continue
-            if any((s + i) % 4 in loop_legs for i in range(k)):
-                continue
             pairs = tuple(((r + i) % m, (s + k - 1 - i) % 4) for i in range(k))
             left_order = tuple((r + k + i) % m for i in range(m - k))
-            free = [(s + k + i) % 4 for i in range(4 - k)]
-            piece_order = tuple(x for x in free if x not in loop_legs)
-            return pairs, _loop_pairs(legs), left_order, piece_order
+            piece_order = tuple((s + k + i) % 4 for i in range(4 - k))
+            return pairs, left_order, piece_order
     return None
 
 
+# The interface of the first crossing: nothing glued, legs in their order.
+FIRST_INTERFACE = ((), (), (0, 1, 2, 3))
+
+
 def _glued_boundary(boundary, legs, iface):
-    _pairs, _loops, left_order, piece_order = iface
+    _pairs, left_order, piece_order = iface
     return tuple(boundary[p] for p in left_order) + tuple(
         legs[x] for x in piece_order
     )
@@ -503,7 +502,9 @@ def reference_scan_order(od):
     Greedy with one step of lookahead, ties broken by crossing index,
     backtracking within ``_BACKTRACK_BUDGET``: every unplaced crossing is
     tried at every step, and every lookahead glues each next candidate.
+    Like the scan order it searches ``without_kinks(od)``.
     """
+    od = without_kinks(od)
     pd = od.pd
     n = pd.n
     if n == 0:
@@ -516,7 +517,7 @@ def reference_scan_order(od):
                 continue
             legs = pd.crossings[ci]
             if not done:
-                out.append((ci, _first_interface(legs)))
+                out.append((ci, FIRST_INTERFACE))
             else:
                 iface = _contiguous_interface(boundary, legs)
                 if iface is not None:

@@ -133,6 +133,13 @@ def add_kink(pd, edge, variant=0):
     )
 
 
+def nested_kink_trefoil():
+    """The trefoil with a kink, and a second kink on the first one's loop."""
+    pd = add_kink(parse_pd(PD_TREFOIL, "nested"), 1, 0)
+    loop = max(e for x in pd.crossings for e in x)
+    return add_kink(pd, loop, 3)
+
+
 def conjugate_word(word, g):
     return [g] + list(word) + [-g]
 

@@ -25,6 +25,7 @@ from bnscan.cob import (
 from bnscan.complex import scan
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from helpers import (
+    arcs,
     cob_from_comps,
     comps_of,
     compose_comps,
@@ -308,7 +309,7 @@ def random_canonical_cob(ring, rng, src, tgt):
     ends = [
         (side, kind, i)
         for side, t in ((SRC, src), (TGT, tgt))
-        for kind, count in ((ARC, len(t.arcs())), (CIRCLE, t.circles))
+        for kind, count in ((ARC, len(arcs(t))), (CIRCLE, t.circles))
         for i in range(count)
     ]
     cycles = cycles_of(tuple(ends), src, tgt)
@@ -519,24 +520,18 @@ def random_tangle(rng, n_points, max_circles=2):
 def random_interface(rng, m):
     """A planar interface between an m-point left side and a crossing piece.
 
-    Returns (pairs, self_pairs, left_order, piece_order).  A run of left
-    positions, consecutive around the boundary, is glued to a run of the
-    piece's legs 0..3 in the opposite cyclic order; two adjacent legs may
-    be glued to each other first, as at a kink.
+    Returns (pairs, left_order, piece_order).  A run of left positions,
+    consecutive around the boundary, is glued to a run of the piece's
+    legs 0..3 in the opposite cyclic order.
     """
     j = rng.randrange(4)
-    if rng.random() < 0.5:
-        self_pairs = ((j, (j + 1) % 4),)
-        free = [(j + 2) % 4, (j + 3) % 4]
-    else:
-        self_pairs = ()
-        free = [(j + i) % 4 for i in range(4)]
+    free = [(j + i) % 4 for i in range(4)]
     k = rng.randint(0, min(m, len(free)))
     start = rng.randrange(m) if m else 0
     glued = [(start + i) % m for i in range(k)]
     pairs = tuple(zip(glued, reversed(free[:k])))
     left_order = tuple(p for p in range(m) if p not in glued)
-    return pairs, self_pairs, left_order, tuple(free[k:])
+    return pairs, left_order, tuple(free[k:])
 
 
 def check_compose(ring, g, f):
@@ -575,8 +570,8 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
     # Random surfaces with handles, multi-cycle components and closed
     # components (discs capping a middle circle from both sides), chains
     # of elementary moves, and gluings beside a crossing piece along a
-    # random interface, kinks included.  F2 fills the compose plans and
-    # the glue plans with their tables first; the other rings read them.
+    # random interface.  F2 fills the compose plans and the glue plans
+    # with their tables first; the other rings read them.
     glue_tables: dict = {}
     with mock.patch.object(cob, "_COMPOSE_PLANS", {}):
         for ring in (F2, Z4, F3, Q, Z):
@@ -607,15 +602,14 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
             f = random_canonical_cob(ring, rng, a, b)
             p, q = rng.choice(PIECES), rng.choice(PIECES)
             phi = random_canonical_cob(ring, rng, p, q)
-            pairs, self_pairs, left_order, piece_order = random_interface(rng, n_points)
+            pairs, left_order, piece_order = random_interface(rng, n_points)
             infos = [
-                glued_at(t, piece, pairs, left_order, piece_order, self_pairs)
+                glued_at(t, piece, pairs, left_order, piece_order)
                 for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
             ]
-            got = glue_cobs(ring, f, phi, pairs, *infos, self_pairs=self_pairs,
-                            tables=glue_tables)
+            got = glue_cobs(ring, f, phi, pairs, *infos, tables=glue_tables)
             assert (got.src, got.tgt) == (infos[0][0], infos[1][0])
-            assert comps_of(got) == glue_comps(ring, f, phi, pairs, *infos, self_pairs)
+            assert comps_of(got) == glue_comps(ring, f, phi, pairs, *infos)
 
 
 # --- interned plans ---------------------------------------------------------
@@ -665,13 +659,9 @@ def _checked_products(counts):
         counts["checked"] += 1
         return got
 
-    def checked_glue(ring, f, phi, pairs, src_info, tgt_info, self_pairs=(), *,
-                     tables):
-        got = glue_cobs(ring, f, phi, pairs, src_info, tgt_info, self_pairs,
-                        tables=tables)
-        assert comps_of(got) == glue_comps(
-            ring, f, phi, pairs, src_info, tgt_info, self_pairs
-        )
+    def checked_glue(ring, f, phi, pairs, src_info, tgt_info, *, tables):
+        got = glue_cobs(ring, f, phi, pairs, src_info, tgt_info, tables=tables)
+        assert comps_of(got) == glue_comps(ring, f, phi, pairs, src_info, tgt_info)
         counts["checked"] += 1
         return got
 
@@ -688,16 +678,15 @@ def _checked_products(counts):
 def test_interned_plans_filled_over_another_ring_match_the_oracle():
     # Each ring scans with the plans and reduction tables that a scan over
     # another ring made first; every product of its scan must equal the
-    # pair-by-pair reduction.  The diagrams include kinks (the stabilized
-    # braids), so self-glued leg pairs are among the plans.
+    # pair-by-pair reduction.
     pds = [
         parse_pd(PD_TREFOIL),
         parse_pd(PD_FIGURE8),
         rational_pd([3, 2]),
         rational_pd([2, 1, 3]),
-        braid_pd([1, 1, 1, 2], 3),
-        braid_pd([1, -2, 1, -2, -3], 4),
-        braid_pd([1, 1, -2, 1, -2, 2, 3], 4),
+        braid_pd([1, 1, 2, -1, 2, 2], 3),
+        braid_pd([1, -2, 1, -2, 3, -2, 3], 4),
+        braid_pd([1, 1, -2, 1, 3, -2, 3], 4),
         braid_pd([3, -1, 2, -2, -1, 3, 1, 3, 2], 4),
         pretzel_pd(3, 3, 3),
     ]

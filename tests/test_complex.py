@@ -41,7 +41,15 @@ from helpers import (
     reduce_groups,
     strictly_raising,
 )
-from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, rational_pd, torus_pd
+from knotgen import (
+    PD_FIGURE8,
+    PD_TREFOIL,
+    add_kink,
+    braid_pd,
+    nested_kink_trefoil,
+    rational_pd,
+    torus_pd,
+)
 from oracle_dense import bn_s_invariant, khovanov_ranks
 
 
@@ -271,6 +279,11 @@ def test_scan_trefoil_full_matches_dense_oracle():
         lambda: rational_pd([3, 2]),
         lambda: braid_pd([1, 1, 1, 2, 2, 2], 3, "granny"),
         lambda: braid_pd([1, 1, 1, -2, -2, -2], 3, "square"),
+        # kinks, which the scan order undoes first: the oracle reads the
+        # kinked diagram as it is
+        *(lambda v=v: add_kink(parse_pd(PD_TREFOIL), 1, v) for v in range(4)),
+        nested_kink_trefoil,
+        lambda: parse_pd("PD[X[1,1,2,2]]"),
     ],
 )
 def test_scan_vs_dense_oracle(maker):
@@ -315,7 +328,7 @@ def test_glue_tables_agree_with_the_reduction_over_the_ring():
     # their plans first; each result is checked against the oracle, which
     # reduces pair by pair over the ring itself.
     rings = (F2, Z4, F3, Q)
-    for pd in (PD_FIGURE8, "PD[X[1,2,2,1]]"):  # the second has a loop edge
+    for pd in (PD_TREFOIL, PD_FIGURE8):
         order = scan_order(orient_and_sign(parse_pd(pd)))
         od = order.diagram
         scans = {r: initial_complex(r, od.n_plus, od.n_minus) for r in rings}
@@ -334,16 +347,12 @@ def test_glue_tables_agree_with_the_reduction_over_the_ring():
 
 def _check_glue(ring, f, phi, step, tables):
     infos = [
-        glued_at(t, piece, step.pairs, step.left_order, step.piece_order,
-                 step.self_pairs)
+        glued_at(t, piece, step.pairs, step.left_order, step.piece_order)
         for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
     ]
-    expected = glue_comps(ring, f, phi, step.pairs, *infos, step.self_pairs)
+    expected = glue_comps(ring, f, phi, step.pairs, *infos)
     for _ in range(2):
-        got = glue_cobs(
-            ring, f, phi, step.pairs, *infos, self_pairs=step.self_pairs,
-            tables=tables,
-        )
+        got = glue_cobs(ring, f, phi, step.pairs, *infos, tables=tables)
         assert comps_of(got) == expected
 
 

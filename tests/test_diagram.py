@@ -22,6 +22,7 @@ from bnscan.diagram import (
     scan_order,
     trace_passages,
     validate_pd,
+    without_kinks,
 )
 from knotgen import (
     PD_FIGURE8,
@@ -30,6 +31,7 @@ from knotgen import (
     braid_pd,
     dt_from_pd,
     interlacement_connected,
+    nested_kink_trefoil,
     parse_knot_file,
     pretzel_pd,
     rational_pd,
@@ -126,8 +128,7 @@ def test_scan_order_trefoil_girth():
 def test_scan_order_all_orders_close_trefoil():
     # every crossing order of the trefoil admits contiguous interfaces
     od = orient_and_sign(parse_pd(PD_TREFOIL))
-    from bnscan.diagram import _first_interface
-    from helpers import _contiguous_interface, _glued_boundary
+    from helpers import FIRST_INTERFACE, _contiguous_interface, _glued_boundary
 
     for perm in itertools.permutations(range(3)):
         boundary = ()
@@ -136,8 +137,7 @@ def test_scan_order_all_orders_close_trefoil():
         for step, ci in enumerate(perm):
             legs = od.pd.crossings[ci]
             iface = (
-                _first_interface(legs)
-                if step == 0
+                FIRST_INTERFACE if step == 0
                 else _contiguous_interface(boundary, legs)
             )
             if iface is None:
@@ -149,11 +149,38 @@ def test_scan_order_all_orders_close_trefoil():
 
 
 def test_scan_order_kinked_unknot():
+    # the one crossing is a kink twice over: undone, it leaves no crossing
     od = orient_and_sign(parse_pd("PD[X[1,1,2,2]]"))
     so = scan_order(od)
-    assert len(so.steps) == 1
-    step = so.steps[0]
-    assert step.self_pairs and step.boundary_after == ()
+    assert so.steps == ()
+    assert so.diagram.pd.crossings == () and so.diagram.signs == ()
+    assert (so.diagram.n_plus, so.diagram.n_minus) == (0, 0)
+
+
+def test_without_kinks_keeps_kink_free_diagrams_and_undoes_nested_kinks():
+    for pd in (parse_pd("PD[]"), parse_pd(PD_FIGURE8), torus_pd(7)):
+        od = orient_and_sign(pd)
+        assert without_kinks(od) is od
+    trefoil = orient_and_sign(parse_pd(PD_TREFOIL))
+    kinked = [add_kink(parse_pd(PD_TREFOIL), e, v) for e in (1, 4) for v in range(4)]
+    # the inner kink sits on the outer one's loop edge, so the outer one
+    # is a kink only once the inner one is undone
+    kinked.append(nested_kink_trefoil())
+    for pd in kinked:
+        od = orient_and_sign(pd)
+        plain = without_kinks(od)
+        assert pd.n > 3 and plain.pd.n == 3
+        # the moves keep the other crossings, their order and their signs,
+        # and change only edge labels
+        validate_pd(plain.pd)
+        assert orient_and_sign(plain.pd).signs == plain.signs == od.signs[:3]
+        assert (plain.n_plus, plain.n_minus) == (3, 0)
+        labels = dict(zip(sum(plain.pd.crossings, ()), sum(trefoil.pd.crossings, ())))
+        assert len(set(labels.values())) == len(labels) == 6
+        assert tuple(tuple(labels[e] for e in x) for x in plain.pd.crossings) == (
+            trefoil.pd.crossings
+        )
+        assert scan_order(od).diagram == plain
 
 
 def test_scan_order_granny_blocks():
@@ -478,7 +505,7 @@ def test_scan_order_matches_the_reference_search():
     # every crossing and glues every lookahead candidate: on every corpus
     # diagram and its mirror, on 200 seeded braid closures and on T(2,101).
     # Closures on 6-8 strands often touch the boundary out of order, and
-    # kinks change the arithmetic by their loop pairs.
+    # both searches run on the diagram with its kinks undone.
     pds = []
     for path in sorted(glob.glob(os.path.join(DATA, "*.txt"))):
         with open(path) as f:
