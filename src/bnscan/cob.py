@@ -18,8 +18,10 @@ canonical form each bounds exactly one disc, so a summand is a dot per
 cycle and a power of H.  H has quantum degree -2 and every map is
 homogeneous, so the dots and the endpoints' quantum shifts fix that
 power (see ``Cob``): ``Cob.terms`` is keyed by the dot mask alone, bit i
-the dot on the disc of cycle i of ``shape_cycles(src, tgt)``.  Equality
-of morphisms is equality of these terms.
+the dot on the disc of cycle i.  The cycles of src -> tgt are numbered
+as ``_cycles`` finds them: first the arc cycles, in order of their least
+boundary position, then the source circles, then the target circles.
+Equality of morphisms is equality of these terms.
 
 Both products, ``compose`` (stacking along the middle tangle) and
 ``glue_cobs`` (side by side, beside a crossing piece), reduce through a
@@ -95,20 +97,7 @@ class Tangle(NamedTuple):
         return Tangle(self.match, self.circles - 1, self.qshift)
 
 
-def _arcs(match):
-    return tuple((p, q) for p, q in enumerate(match) if p < q)
-
-
-@lru_cache(maxsize=None)
-def _arc_index(match):
-    """Position -> index in ``_arcs(match)`` of the arc ending there."""
-    return {p: i for i, arc in enumerate(_arcs(match)) for p in arc}
-
-
-# Surface ends are (side, kind, index): side 0 = source, 1 = target;
-# kind 0 = arc, 1 = circle; index into _arcs(match) or the circle numbering.
-ARC, CIRCLE = 0, 1
-SRC, TGT = 0, 1
+SRC, TGT = 0, 1  # the side of a cobordism: source, target
 
 
 @lru_cache(maxsize=None)
@@ -140,58 +129,43 @@ def _expand(genus, bits, dots):
     return tuple((mask, v) for mask, v in out.items() if v)
 
 
-def shape_cycles(src, tgt):
-    """The boundary cycles of src -> tgt and the cycle index of each end.
+@lru_cache(maxsize=None)
+def _cycles(smatch, tmatch):
+    """The arc cycles of a shape pair with matchings smatch -> tmatch.
 
-    Arc ends chain through vertical boundary lines into cycles of the
-    2-regular graph whose edges are the source and target arcs; each
-    circle end forms a cycle of its own.  Returns the sorted tuple of
-    sorted end tuples and a dict from end to its cycle's index there.
+    Each position p lies on one source arc and one target arc, and these
+    arcs chain through the positions into the cycles of a 2-regular
+    graph.  Returns the number of arc cycles and, for each position, the
+    index of the cycle through it; the cycles are numbered in order of
+    their least position.  The circles come after the arc cycles: with
+    c arc cycles, source circle j is cycle c + j and target circle j is
+    cycle c + (source circles) + j.
     """
-    return _shape_cycles(src.match, src.circles, tgt.match, tgt.circles)
-
-
-@lru_cache(maxsize=None)
-def _shape_cycles(smatch, scircles, tmatch, tcircles):
-    src_arc = _arc_index(smatch)
-    tgt_arc = _arc_index(tmatch)
-    cycles = [(_end(SRC, CIRCLE, j),) for j in range(scircles)]
-    cycles += [(_end(TGT, CIRCLE, j),) for j in range(tcircles)]
-    seen = set()
+    cycle = [None] * len(smatch)
+    count = 0
     for p0 in range(len(smatch)):
-        if p0 in seen:
+        if cycle[p0] is not None:
             continue
-        cyc = []
         p = p0
-        while True:
+        while cycle[p] is None:
             q = smatch[p]
-            seen.update((p, q))
-            cyc += (_end(SRC, ARC, src_arc[p]), _end(TGT, ARC, tgt_arc[q]))
+            cycle[p] = cycle[q] = count
             p = tmatch[q]
-            if p == p0:
-                break
-        cycles.append(tuple(sorted(cyc)))
-    cycles.sort()
-    index = {end: i for i, cyc in enumerate(cycles) for end in cyc}
-    return tuple(cycles), index
-
-
-@lru_cache(maxsize=None)
-def _end(side, kind, idx):
-    """One shared tuple per surface end, for the memoized cycles."""
-    return side, kind, idx
+        count += 1
+    return count, tuple(cycle)
 
 
 class Cob:
     """A K-linear combination of canonical dotted surfaces src -> tgt.
 
     ``terms`` maps a summand's dot mask to a nonzero coefficient: bit i
-    of the mask is the dot on the disc bounded by cycle i of
-    ``shape_cycles(src, tgt)``.  Every map is homogeneous and H has
-    quantum degree -2, so the grading fixes each summand's power of H:
-    with c boundary cycles, n boundary points and d = tgt.qshift -
-    src.qshift, the summand ``mask`` carries H^h for
-    h = (c - n/2 + d)/2 - popcount(mask).
+    of the mask is the dot on the disc bounded by cycle i.  The arc
+    cycles come first, in order of their least boundary position, then
+    the source circles and then the target circles (see ``_cycles``).
+    Every map is homogeneous and H has quantum degree -2, so the grading
+    fixes each summand's power of H: with c boundary cycles, n boundary
+    points and d = tgt.qshift - src.qshift, the summand ``mask`` carries
+    H^h for h = (c - n/2 + d)/2 - popcount(mask).
     """
 
     __slots__ = ("src", "tgt", "terms")
@@ -244,7 +218,8 @@ class Cob:
         summand a power of H: c - n/2 + d even and at least twice its
         dot count.
         """
-        width = len(shape_cycles(self.src, self.tgt)[0])
+        arcs = _cycles(self.src.match, self.tgt.match)[0]
+        width = arcs + self.src.circles + self.tgt.circles
         twice = width - self.src.n_points // 2 + self.degree()
         for mask in self.terms:
             if mask >> width:
@@ -272,11 +247,9 @@ def _combine(alternatives):
 @lru_cache(maxsize=None)
 def _identity_summands(match, circles):
     """Vertical strips on the arcs and annuli on the circles, reduced."""
-    t = Tangle(match, circles)
-    index = shape_cycles(t, t)[1]
+    arcs = len(match) // 2
     return _combine(
-        _expand(0, (index[SRC, CIRCLE, j], index[TGT, CIRCLE, j]), 0)
-        for j in range(circles)
+        _expand(0, (arcs + j, arcs + circles + j), 0) for j in range(circles)
     )
 
 
@@ -405,27 +378,28 @@ def _compose_plan(src, mid, tgt):
     """The plan of stacking src -> mid on mid -> tgt.
 
     The discs of f keep their ends on src and those of g their ends on
-    tgt, which name the result's ends as they are; every arc and circle
-    of mid is a seam.
+    tgt: a disc touches the result cycle through each position of its
+    cycle, and its circle if that lies on src (for f) or tgt (for g).
+    Every arc and circle of mid is a seam.
     """
-    fcycles, findex = shape_cycles(src, mid)
-    gcycles, gindex = shape_cycles(mid, tgt)
-    rindex = shape_cycles(src, tgt)[1]
-    parts = []
-    for cycles, keep in ((fcycles, SRC), (gcycles, TGT)):
-        for cyc in cycles:
-            mask = 0
-            for end in cyc:
-                if end[0] == keep:
-                    mask |= 1 << rindex[end]
-            parts.append(mask)
-    n = len(fcycles)
-    seams = [
-        (findex[TGT, kind, i], n + gindex[SRC, kind, i], int(kind == ARC))
-        for kind, count in ((ARC, len(mid.match) // 2), (CIRCLE, mid.circles))
-        for i in range(count)
+    f_arcs, fcycle = _cycles(src.match, mid.match)
+    g_arcs, gcycle = _cycles(mid.match, tgt.match)
+    r_arcs, rcycle = _cycles(src.match, tgt.match)
+    n = f_arcs + src.circles + mid.circles
+    fparts = [0] * n
+    gparts = [0] * (g_arcs + mid.circles + tgt.circles)
+    for p, r in enumerate(rcycle):
+        fparts[fcycle[p]] |= 1 << r
+        gparts[gcycle[p]] |= 1 << r
+    for j in range(src.circles):
+        fparts[f_arcs + j] = 1 << (r_arcs + j)
+    for j in range(tgt.circles):
+        gparts[g_arcs + mid.circles + j] = 1 << (r_arcs + src.circles + j)
+    seams = [(fcycle[p], n + gcycle[p], 1) for p, q in enumerate(mid.match) if p < q]
+    seams += [
+        (f_arcs + src.circles + j, n + g_arcs + j, 0) for j in range(mid.circles)
     ]
-    return _plan(n, parts, seams)
+    return _plan(n, fparts + gparts, seams)
 
 
 # (src, mid, tgt shapes) -> plan, for the process.
@@ -463,7 +437,9 @@ def deloop_iso(ring, f, side):
     """
     t = f.tgt if side == TGT else f.src
     base = t.drop_last_circle()
-    i = shape_cycles(f.src, f.tgt)[1][side, CIRCLE, base.circles]
+    i = _cycles(f.src.match, f.tgt.match)[0] + base.circles
+    if side == TGT:
+        i += f.src.circles
     low = (1 << i) - 1
     plus: dict = {}
     minus: dict = {}
@@ -511,90 +487,91 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order):
     ``left`` is the current object, ``piece_match`` a matching on the
     crossing's legs, ``pairs`` the glued (left position, leg) pairs, and
     ``left_order`` / ``piece_order`` list the surviving positions of each
-    side in their order on the new boundary.  Returns the glued Tangle
-    (qshift not set here) and an end map from ('b'|'x', kind, idx) to
-    (kind, idx) in the glued tangle, for transporting surfaces.
+    side in their order on the new boundary.  Both sides share one
+    integer space: the m left positions 0..m-1, then leg x as m + x.
+    Returns the glued Tangle (qshift not set here) and the end map, a
+    tuple over that space for transporting surfaces: each position holds
+    the least new position of the glued arc its arc runs into, or n + c
+    when its arc closes up into circle c of the glued tangle, n being
+    the size of the new boundary.  The left circles keep their numbers;
+    the closed strands follow them in order of the least position on
+    their arcs, each read on its own side (p, or x for leg x), ties by
+    the least left position.
     """
-    hops = {}
+    m = len(left.match)
+    match = left.match + tuple(m + x for x in piece_match)
+    hop = [None] * len(match)
     for p, x in pairs:
-        hops[("b", p)] = ("x", x)
-        hops[("x", x)] = ("b", p)
-    new_pos = {("b", p): i for i, p in enumerate(left_order)}
-    for i, x in enumerate(piece_order):
-        new_pos[("x", x)] = len(left_order) + i
+        hop[p], hop[m + x] = m + x, p
+    order = left_order + tuple(m + x for x in piece_order)
+    new_pos = [None] * len(match)
+    for i, k in enumerate(order):
+        new_pos[k] = i
 
     # One walk for every strand: open strands from their first new
-    # position, then closed ones from their first old position, b before
-    # x.  A strand alternates an arc of one side with a hop across a glued
-    # pair, and ends at an unglued leg or back at its start.
-    new_match = [None] * len(new_pos)
-    visited = set()
-    open_paths = []
-    closed_paths = []
-    starts = sorted(new_pos, key=new_pos.get)
-    starts += [("b", p) for p in range(len(left.match))]
-    starts += [("x", x) for x in range(len(piece_match))]
-    for node0 in starts:
-        if node0 in visited:
+    # position, then closed ones from their least position.  A strand
+    # alternates an arc of one side with a hop across a glued pair, and
+    # ends at an unglued position or back at its start.
+    n = len(order)
+    new_match = [None] * n
+    dest = [None] * len(match)
+    seen = [False] * len(match)
+    closed = []
+    for k0 in order + tuple(range(len(match))):
+        if seen[k0]:
             continue
-        arcs_seen = []
-        node = node0
-        while node is not None and node not in visited:
-            visited.add(node)
-            tag, p = node
-            end = (tag, (left.match if tag == "b" else piece_match)[p])
-            arcs_seen.append((tag, min(p, end[1])))
-            visited.add(end)
-            node = hops.get(end)
-        if node0 in new_pos:
-            a, b = new_pos[node0], new_pos[end]
+        strand = []
+        k = k0
+        while k is not None and not seen[k]:
+            end = match[k]
+            seen[k] = seen[end] = True
+            strand += (k, end)
+            k = hop[end]
+        if new_pos[k0] is not None:
+            a, b = new_pos[k0], new_pos[end]
             new_match[a], new_match[b] = b, a
-            open_paths.append((min(a, b), arcs_seen))
-        elif node is None:
+            for j in strand:
+                dest[j] = min(a, b)
+        elif k is None:
             raise AssertionError("open end inside a closed gluing path")
         else:
-            closed_paths.append((min(p for _t, p in arcs_seen), arcs_seen))
-    closed_paths.sort(key=lambda item: item[0])
-
-    glued = Tangle(tuple(new_match), left.circles + len(closed_paths), 0)
-    arc_ids = _arc_index(glued.match)
-    arc_of = {"b": _arc_index(left.match), "x": _arc_index(piece_match)}
-    dests = [(ARC, arc_ids[lo]) for lo, _seen in open_paths]
-    dests += [(CIRCLE, left.circles + ci) for ci in range(len(closed_paths))]
-    end_map = {("b", CIRCLE, j): (CIRCLE, j) for j in range(left.circles)}
-    for dest, (_lo, arcs_seen) in zip(dests, open_paths + closed_paths):
-        for tag, lo in arcs_seen:
-            end_map[(tag, ARC, arc_of[tag][lo])] = dest
-    return glued, end_map
+            closed.append((min(j if j < m else j - m for j in strand), strand))
+    closed.sort(key=lambda item: item[0])
+    for c, (_low, strand) in enumerate(closed, n + left.circles):
+        for j in strand:
+            dest[j] = c
+    return Tangle(tuple(new_match), left.circles + len(closed), 0), tuple(dest)
 
 
 def _glue_plan(f, phi, pairs, src_info, tgt_info):
     """The plan of gluing f beside phi along the interface.
 
-    The end maps of ``src_info`` and ``tgt_info`` name every disc's ends
-    on the glued boundary; each glued pair joins the discs through its
+    ``src_info`` and ``tgt_info`` hold the glued tangles and their end
+    maps, tuples over the left positions and then the legs (see
+    ``glue_tangles``): a value below the new boundary's size n is the
+    least position of a glued arc, n + c stands for glued circle c.  A
+    disc touches, on each side, the result cycle of every position on
+    its cycle, and f's circles keep their numbers; the crossing pieces
+    carry no circles.  Each glued pair joins the discs through its
     source arcs by an arc seam.
     """
     (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
-    emaps = (src_map, tgt_map)  # indexed by side
-    rindex = shape_cycles(new_src, new_tgt)[1]
-    fcycles, findex = shape_cycles(f.src, f.tgt)
-    pcycles, pindex = shape_cycles(phi.src, phi.tgt)
-    n = len(fcycles)
-    parts = []
-    for tag, cycles in (("b", fcycles), ("x", pcycles)):
-        for cyc in cycles:
-            mask = 0
-            for side, kind, i in cyc:
-                mask |= 1 << rindex[(side,) + emaps[side][tag, kind, i]]
-            parts.append(mask)
-
-    left_arc = _arc_index(f.src.match)
-    leg_arc = _arc_index(phi.src.match)
-    seams = [
-        (findex[SRC, ARC, left_arc[p]], n + pindex[SRC, ARC, leg_arc[x]], 1)
-        for p, x in pairs
-    ]
+    r_arcs, rcycle = _cycles(new_src.match, new_tgt.match)
+    r_tgt = r_arcs + new_src.circles  # the cycle of the first target circle
+    # the result cycle of each end map value, on the source and target side
+    on_src = rcycle + tuple(range(r_arcs, r_tgt))
+    on_tgt = rcycle + tuple(range(r_tgt, r_tgt + new_tgt.circles))
+    f_arcs, fcycle = _cycles(f.src.match, f.tgt.match)
+    x_arcs, xcycle = _cycles(phi.src.match, phi.tgt.match)
+    n = f_arcs + f.src.circles + f.tgt.circles
+    parts = [0] * (n + x_arcs)
+    for k, i in enumerate(fcycle + tuple(n + c for c in xcycle)):
+        parts[i] |= 1 << on_src[src_map[k]] | 1 << on_tgt[tgt_map[k]]
+    for j in range(f.src.circles):
+        parts[f_arcs + j] = 1 << (r_arcs + j)
+    for j in range(f.tgt.circles):
+        parts[f_arcs + f.src.circles + j] = 1 << (r_tgt + j)
+    seams = [(fcycle[p], n + xcycle[x], 1) for p, x in pairs]
     return _plan(n, parts, seams)
 
 

@@ -27,6 +27,7 @@ from .cob import (
     Tangle,
     compose,
     deloop_iso,
+    evaluate,
     glue_cobs,
     glue_tangles,
     identity_cob,
@@ -446,8 +447,6 @@ def scan(order, ring, mode="s"):
 
 def dump(C):
     """Stable debug dump: one line per generator, one per entry."""
-    from .cob import evaluate
-
     lines = []
     index = {}
     for h in C.degrees():

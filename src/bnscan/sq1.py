@@ -89,7 +89,7 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
     levels = sorted({q for q in D.q.values()}, reverse=True)
     for q in levels:
         pairs = []
-        for h in sorted(D.degrees()):
+        for h in D.degrees():
             srcs = [g for g in D.objects_at(h) if D.q[g] == q]
             for s0 in srcs:
                 t0 = next(
@@ -158,25 +158,6 @@ def _xor_reduce(v, basis, tag=0):
     return v, tag
 
 
-def _f2_span_solve(vectors, target):
-    """Is target in the F2 span of the vectors (sets of generator ids)?"""
-    coords = sorted({x for v in vectors for x in v} | set(target))
-    idx = {c: i for i, c in enumerate(coords)}
-
-    def bits(v):
-        out = 0
-        for x in v:
-            out ^= 1 << idx[x]
-        return out
-
-    basis: dict[int, tuple[int, int]] = {}
-    for v in vectors:
-        cur, _ = _xor_reduce(bits(v), basis)
-        if cur:
-            basis[cur.bit_length()] = (cur, 0)
-    return _xor_reduce(bits(target), basis)[0] == 0
-
-
 def intersect_with_p(E: BasedComplex, q, classes) -> list[frozenset]:
     """Span of class combinations extending to filtered cocycles mod 2.
 
@@ -184,44 +165,27 @@ def intersect_with_p(E: BasedComplex, q, classes) -> list[frozenset]:
     generators lies in the image of the filtration map exactly when some
     correction h by higher-level degree-0 generators makes c + h a
     cocycle.  Returns a basis of the subspace, each element given by its
-    level-q support.
+    level-q support.  Bit g of an F2 vector stands for generator g.
     """
     classes = [int(c) for c in classes]
     if not classes:
         return []
     correctors = [g for g in E.objects_at(0) if E.q[g] > q]
-    unknowns = classes + correctors
-    k = len(classes)
-    n = len(unknowns)
-    eq_index: dict[int, int] = {}
-    cols = [0] * n
-    for j, g in enumerate(unknowns):
-        for t, v in E.out[g].items():
-            if v % 2:
-                i = eq_index.setdefault(t, len(eq_index))
-                cols[j] |= 1 << i
-
-    # kernel of the column system, tagging each column with its unknown
+    on_classes = sum(1 << g for g in classes)
+    # the kernel of the column system, each column tagged with its
+    # unknown; a kernel vector is projected to the classes when found
     reduced: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-    for j in range(n):
-        v, tag = _xor_reduce(cols[j], reduced, 1 << j)
-        if v:
-            reduced[v.bit_length()] = (v, tag)
-        else:
-            kernel.append(tag)
-
-    # project kernel vectors to class coordinates and take a basis
     proj: dict[int, tuple[int, int]] = {}
-    mask = (1 << k) - 1
-    for tag in kernel:
-        p, _ = _xor_reduce(tag & mask, proj)
+    for g in classes + correctors:
+        col = sum(1 << t for t, v in E.out[g].items() if v % 2)
+        col, tag = _xor_reduce(col, reduced, 1 << g)
+        if col:
+            reduced[col.bit_length()] = (col, tag)
+            continue
+        p, _ = _xor_reduce(tag & on_classes, proj)
         if p:
             proj[p.bit_length()] = (p, 0)
-    return [
-        frozenset(classes[j] for j in range(k) if (p >> j) & 1)
-        for p, _ in proj.values()
-    ]
+    return [frozenset(g for g in classes if p >> g & 1) for p, _ in proj.values()]
 
 
 def survives_quotient(E: BasedComplex, q_cut, cls) -> bool:
@@ -229,21 +193,23 @@ def survives_quotient(E: BasedComplex, q_cut, cls) -> bool:
 
     The quotient keeps generators of quantum degree < q_cut; the class is
     a coboundary exactly when its support lies in the span of the
-    truncated degree-(-1) coboundaries.
+    truncated degree-(-1) coboundaries, bit g of a vector standing for
+    generator g.
     """
     support = {g for g in cls if E.q[g] < q_cut}
     if support != set(cls):
         raise ValueError("class has support at or above the cut")
     if not support:
         return False
-    vectors = []
+    basis: dict[int, tuple[int, int]] = {}
     for z in E.objects_at(-1):
         if E.q[z] >= q_cut:
             continue
-        row = {t for t, v in E.out[z].items() if v % 2 and E.q[t] < q_cut}
+        row = sum(1 << t for t, v in E.out[z].items() if v % 2 and E.q[t] < q_cut)
+        row, _ = _xor_reduce(row, basis)
         if row:
-            vectors.append(row)
-    return not _f2_span_solve(vectors, support)
+            basis[row.bit_length()] = (row, 0)
+    return _xor_reduce(sum(1 << g for g in support), basis)[0] != 0
 
 
 def half_refinement_from_based(D: BasedComplex):

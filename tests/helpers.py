@@ -12,10 +12,16 @@ delooping maps off an identity through ``cob.deloop_iso``;
 The rest is the oracle of the cobordism products: the reduction in comps
 form, where a summand is keyed by ``(comps, hpow)`` and ``comps`` is the
 sorted tuple of its discs ``(ends, dot)``, each ``ends`` the sorted ends
-of one boundary cycle.  Every pair of summands is glued and reduced from
-scratch, with no plan or table, and the oracle counts the powers of H
-itself.  ``comps_of`` and ``cob_from_comps`` convert between that form
-and the dot masks of ``cob.Cob``, whose power of H the grading implies
+of one boundary cycle.  An end is ``(side, kind, index)``: side ``SRC``
+or ``TGT``, kind ``ARC`` or ``CIRCLE``, and the index of the arc (in the
+order of ``arcs``) or of the circle.  ``shape_cycles`` sorts the cycles
+of a shape by their ends, which is the order of the dot mask bits of
+``cob.Cob``.  Every pair of summands is glued and reduced from scratch,
+with no plan or table, and the oracle counts the powers of H itself;
+gluing beside a crossing names the glued ends through
+``reference_glue``, not through the end map of ``cob.glue_tangles``.
+``comps_of`` and ``cob_from_comps`` convert between that form and the
+dot masks of ``cob.Cob``, whose power of H the grading implies
 (``graded_hpow``); ``cob_from_comps`` refuses a summand whose counted
 power differs from it.
 
@@ -32,15 +38,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from bnscan.cob import (
-    ARC,
-    CIRCLE,
     SRC,
     TGT,
     Cob,
+    Tangle,
     deloop_iso,
     glue_tangles,
     identity_cob,
-    shape_cycles,
 )
 from bnscan.coeff import Q, Z, Z4, Modular
 from bnscan.complex import InconsistentError, gauss_eliminate, scan
@@ -56,6 +60,10 @@ from bnscan.diagram import (
 )
 from bnscan.sinv import from_filtered
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based
+
+
+# The kind of a surface end: an arc of a tangle, or one of its circles.
+ARC, CIRCLE = 0, 1
 
 
 def canon(ring, a):
@@ -195,7 +203,7 @@ def graded_hpow(src, tgt, dots):
     h = (c - n/2 + d)/2 - dots.  Raises ValueError when that is not a
     whole number at least 0.
     """
-    c = len(shape_cycles(src, tgt)[0])
+    c = len(shape_cycles(src, tgt))
     twice = c - src.n_points // 2 + tgt.qshift - src.qshift - 2 * dots
     if twice % 2 or twice < 0:
         raise ValueError(f"no power of H fits {dots} dots on {src} -> {tgt}")
@@ -204,7 +212,7 @@ def graded_hpow(src, tgt, dots):
 
 def comps_of(f):
     """The terms of the Cob f keyed by (comps, hpow)."""
-    cycles = shape_cycles(f.src, f.tgt)[0]
+    cycles = shape_cycles(f.src, f.tgt)
     return {
         (
             tuple((cyc, mask >> i & 1) for i, cyc in enumerate(cycles)),
@@ -221,7 +229,7 @@ def cob_from_comps(src, tgt, terms):
     undotted or once-dotted disc on every boundary cycle of the shape,
     at the power of H that the grading gives it.
     """
-    cycles = shape_cycles(src, tgt)[0]
+    cycles = shape_cycles(src, tgt)
     out = {}
     for (comps, hpow), c in terms.items():
         if tuple(ends for ends, _dot in comps) != cycles:
@@ -314,6 +322,18 @@ def cycles_of(ends, src, tgt):
                 break
         cycles.append(tuple(sorted(cyc)))
     return tuple(sorted(cycles))
+
+
+@lru_cache(maxsize=None)
+def shape_cycles(src, tgt):
+    """The boundary cycles of src -> tgt: ``cycles_of`` all their ends."""
+    ends = [
+        (side, kind, i)
+        for side, t in ((SRC, src), (TGT, tgt))
+        for kind, count in ((ARC, len(arcs(t))), (CIRCLE, t.circles))
+        for i in range(count)
+    ]
+    return cycles_of(ends, src, tgt)
 
 
 def reduce_groups(ring, groups, coeff, hpow, src, tgt, out_terms):
@@ -425,13 +445,80 @@ def glued_at(t, piece, pairs, left_order, piece_order):
     return glued.shifted(t.qshift + piece.qshift), end_map
 
 
-def glue_comps(ring, f, phi, pairs, src_info, tgt_info):
+def reference_glue(left, piece_match, pairs, left_order, piece_order):
+    """The gluing of ``cob.glue_tangles``, found by a union of strands.
+
+    The points are ``("b", p)`` for the left positions and ``("x", x)``
+    for the legs of the piece; every arc and every glued pair joins two
+    of them, and each class is a strand.  A strand with surviving points
+    is an arc of the glued tangle between their new positions, which
+    ``left_order`` and then ``piece_order`` give.  The others are closed
+    and become new circles after the left ones, in order of the least
+    position on their arcs, each read on its own side (a left position
+    p or a leg x), ties by the least left position.  Returns the glued
+    Tangle (qshift 0) and the end map from ``(tag, kind, index)`` of an
+    arc or left circle to ``(kind, index)`` on the glued tangle.
+    """
+    parent: dict = {}
+
+    def find(a):
+        while parent.setdefault(a, a) != a:
+            a = parent[a]
+        return a
+
+    def join(a, b):
+        parent[find(a)] = find(b)
+
+    sides = {"b": left.match, "x": piece_match}
+    for tag, match in sides.items():
+        for p, q in enumerate(match):
+            join((tag, p), (tag, q))
+    for p, x in pairs:
+        join(("b", p), ("x", x))
+    new_pos = {("b", p): i for i, p in enumerate(left_order)}
+    new_pos.update(
+        (("x", x), len(left_order) + i) for i, x in enumerate(piece_order)
+    )
+    strands: dict = {}
+    for point in parent:
+        strands.setdefault(find(point), []).append(point)
+    new_match = [None] * len(new_pos)
+    closed = []
+    for root, points in strands.items():
+        ends = sorted(new_pos[a] for a in points if a in new_pos)
+        if ends:
+            a, b = ends
+            new_match[a], new_match[b] = b, a
+        else:
+            low = min(p for _tag, p in points)
+            first = min(p for tag, p in points if tag == "b")
+            closed.append((low, first, root))
+    glued = Tangle(tuple(new_match), left.circles + len(closed))
+    dest = {
+        root: (CIRCLE, i)
+        for i, (_low, _first, root) in enumerate(sorted(closed), left.circles)
+    }
+    point_at = {pos: a for a, pos in new_pos.items()}
+    for i, (p, _q) in enumerate(arcs(glued)):
+        dest[find(point_at[p])] = (ARC, i)
+    end_map = {("b", CIRCLE, j): (CIRCLE, j) for j in range(left.circles)}
+    for tag, match in sides.items():
+        for i, (p, _q) in enumerate(arcs(Tangle(match))):
+            end_map[tag, ARC, i] = dest[find((tag, p))]
+    return glued, end_map
+
+
+def glue_comps(ring, f, phi, pairs, left_order, piece_order):
     """f glued beside phi in comps form, every summand pair from scratch.
 
-    The discs of both factors are named on the glued boundary through
-    the end maps; each glued pair is an arc seam.
+    The discs of both factors are named on the boundary that
+    ``reference_glue`` glues on each side; each glued pair is an arc
+    seam.
     """
-    (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
+    (new_src, src_map), (new_tgt, tgt_map) = (
+        reference_glue(t, piece.match, pairs, left_order, piece_order)
+        for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
+    )
     emaps = (src_map, tgt_map)  # indexed by side
     out: dict = {}
     phi_terms = comps_of(phi).items()

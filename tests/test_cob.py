@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bnscan import cob, complex as complex_mod
 from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.cob import (
-    ARC,
-    CIRCLE,
     SRC,
     TGT,
     Cob,
@@ -20,11 +18,14 @@ from bnscan.cob import (
     deloop_iso,
     evaluate,
     glue_cobs,
+    glue_tangles,
     identity_cob,
 )
-from bnscan.complex import scan
+from bnscan.complex import scan, tensor_with_crossing
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from helpers import (
+    ARC,
+    CIRCLE,
     arcs,
     cob_from_comps,
     comps_of,
@@ -35,6 +36,8 @@ from helpers import (
     glued_at,
     neck_cut_deloop_maps,
     reduce_groups,
+    reference_glue,
+    shape_cycles,
 )
 from knotgen import PD_FIGURE8, PD_TREFOIL, braid_pd, pretzel_pd, rational_pd
 from oracle_frobenius import run_moves
@@ -534,6 +537,57 @@ def random_interface(rng, m):
     return pairs, left_order, tuple(free[k:])
 
 
+def test_cycles_are_numbered_in_the_order_of_the_end_tuples():
+    # Every dot mask, plan key and dump depends on this order: the oracle
+    # sorts the cycles by their ends, and cob._cycles numbers the arc
+    # cycles by their least position, then the source and target circles.
+    rng = random.Random(18)
+    shapes = [(Tangle(()), Tangle(())), (Tangle((), 2), Tangle((), 1))]
+    for _ in range(300):
+        n_points = rng.choice((0, 2, 4, 6, 8, 10))
+        shapes.append(tuple(random_tangle(rng, n_points, 3) for _ in range(2)))
+    for src, tgt in shapes:
+        n_arcs, cycle = cob._cycles(src.match, tgt.match)
+
+        def number(side, kind, i):
+            if kind == CIRCLE:
+                return n_arcs + i + (src.circles if side == TGT else 0)
+            return cycle[arcs(src if side == SRC else tgt)[i][0]]
+
+        expected = shape_cycles(src, tgt)
+        assert n_arcs + src.circles + tgt.circles == len(expected)
+        assert [{number(*end) for end in cyc} for cyc in expected] == [
+            {i} for i in range(len(expected))
+        ]
+
+
+def test_glue_tangles_matches_the_reference_gluing():
+    # The matching, the circle count and the destination of every arc,
+    # left positions first, then the legs: the least new position of a
+    # glued arc, or n + c for glued circle c.
+    rng = random.Random(18)
+    closed_beside_left_circles = 0
+    for _ in range(600):
+        n_points = rng.choice((0, 2, 4, 6, 8))
+        left = random_tangle(rng, n_points)
+        piece = rng.choice(PIECES)
+        iface = random_interface(rng, n_points)
+        glued, end_map = glue_tangles(left, piece.match, *iface)
+        ref, ref_map = reference_glue(left, piece.match, *iface)
+        assert glued == ref
+        n = len(ref.match)
+        expected = []
+        for tag, t in (("b", left), ("x", piece)):
+            arc_at = {p: i for i, arc in enumerate(arcs(t)) for p in arc}
+            for p in range(len(t.match)):
+                kind, i = ref_map[tag, ARC, arc_at[p]]
+                expected.append(arcs(ref)[i][0] if kind == ARC else n + i)
+        assert end_map == tuple(expected)
+        if left.circles and ref.circles > left.circles:
+            closed_beside_left_circles += 1
+    assert closed_beside_left_circles > 20
+
+
 def check_compose(ring, g, f):
     assert comps_of(compose(ring, g, f)) == compose_comps(ring, g, f)
 
@@ -609,7 +663,9 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
             ]
             got = glue_cobs(ring, f, phi, pairs, *infos, tables=glue_tables)
             assert (got.src, got.tgt) == (infos[0][0], infos[1][0])
-            assert comps_of(got) == glue_comps(ring, f, phi, pairs, *infos)
+            assert comps_of(got) == glue_comps(
+                ring, f, phi, pairs, left_order, piece_order
+            )
 
 
 # --- interned plans ---------------------------------------------------------
@@ -647,11 +703,17 @@ def test_plans_are_interned_by_their_combinatorics():
 
 
 def _checked_products(counts):
-    """compose, glue_cobs and _plan that check and count their calls.
+    """compose, glue_cobs, tensor_with_crossing and _plan for a checked scan.
 
-    The products compare every result with the oracle; ``_plan`` counts
-    the plans it finds interned and the ones it makes.
+    The products compare every result with the oracle, which takes the
+    interface of its gluing from the tensor step that runs; ``_plan``
+    counts the plans it finds interned and the ones it makes.
     """
+    running = []  # the scan step being tensored
+
+    def tensor_noting_the_step(C, step):
+        running[:] = [step]
+        return tensor_with_crossing(C, step)
 
     def checked_compose(ring, g, f):
         got = compose(ring, g, f)
@@ -661,7 +723,11 @@ def _checked_products(counts):
 
     def checked_glue(ring, f, phi, pairs, src_info, tgt_info, *, tables):
         got = glue_cobs(ring, f, phi, pairs, src_info, tgt_info, tables=tables)
-        assert comps_of(got) == glue_comps(ring, f, phi, pairs, src_info, tgt_info)
+        (step,) = running
+        assert pairs == step.pairs
+        assert comps_of(got) == glue_comps(
+            ring, f, phi, pairs, step.left_order, step.piece_order
+        )
         counts["checked"] += 1
         return got
 
@@ -672,7 +738,7 @@ def _checked_products(counts):
         counts["interned" if key in cob._PLANS else "new"] += 1
         return plan(n_first, parts, seams)
 
-    return checked_compose, checked_glue, counted_plan
+    return checked_compose, checked_glue, tensor_noting_the_step, counted_plan
 
 
 def test_interned_plans_filled_over_another_ring_match_the_oracle():
@@ -694,7 +760,7 @@ def test_interned_plans_filled_over_another_ring_match_the_oracle():
     rings = (Z, F2, F3, Z4, Q)
     for ring, filler in zip(rings, rings[1:] + rings[:1]):
         counts = {"checked": 0, "interned": 0, "new": 0}
-        compose_, glue_, plan_ = _checked_products(counts)
+        compose_, glue_, tensor_, plan_ = _checked_products(counts)
         with (
             mock.patch.object(cob, "_PLANS", {}),
             mock.patch.object(cob, "_TABLES", {}),
@@ -708,6 +774,7 @@ def test_interned_plans_filled_over_another_ring_match_the_oracle():
                 mock.patch.object(cob, "_plan", plan_),
                 mock.patch.object(complex_mod, "compose", compose_),
                 mock.patch.object(complex_mod, "glue_cobs", glue_),
+                mock.patch.object(complex_mod, "tensor_with_crossing", tensor_),
             ):
                 for order in orders:
                     scan(order, ring, "full")

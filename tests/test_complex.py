@@ -8,7 +8,6 @@ import bnscan.complex as cx
 from bnscan.cob import (
     SRC,
     TGT,
-    CIRCLE,
     Cob,
     Tangle,
     compose,
@@ -33,6 +32,7 @@ from bnscan.complex import (
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from bnscan.sinv import from_filtered, khovanov_table, s_from_based
 from helpers import (
+    CIRCLE,
     cob_from_comps,
     comps_of,
     deloop_maps,
@@ -350,7 +350,9 @@ def _check_glue(ring, f, phi, step, tables):
         glued_at(t, piece, step.pairs, step.left_order, step.piece_order)
         for t, piece in ((f.src, phi.src), (f.tgt, phi.tgt))
     ]
-    expected = glue_comps(ring, f, phi, step.pairs, *infos)
+    expected = glue_comps(
+        ring, f, phi, step.pairs, step.left_order, step.piece_order
+    )
     for _ in range(2):
         got = glue_cobs(ring, f, phi, step.pairs, *infos, tables=tables)
         assert comps_of(got) == expected

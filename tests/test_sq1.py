@@ -14,7 +14,6 @@ from bnscan.sinv import BasedComplex, base_change, from_filtered, s_from_based
 from bnscan.sq1 import (
     NotSaturatedError,
     Sq1Quadruple,
-    _f2_span_solve,
     half_refinement_from_based,
     intersect_with_p,
     normal_form,
@@ -332,15 +331,6 @@ def f2_complexes(draw):
             if E.h[b] == E.h[a] + 1 and E.q[b] >= E.q[a] and draw(st.booleans()):
                 E.set_entry(a, b, F2.one)
     return E
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    vectors=st.lists(st.frozensets(st.integers(0, 5)), max_size=8),
-    target=st.frozensets(st.integers(0, 5)),
-)
-def test_f2_span_solve_matches_enumeration(vectors, target):
-    assert _f2_span_solve(vectors, target) == (target in _span(vectors))
 
 
 @settings(max_examples=150, deadline=None)
