@@ -14,7 +14,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from .coeff import Z, Z4, ring_from_name
+from .coeff import F2, Z, Z4, ring_from_name
 from .complex import dump, reduce_pass, scan
 from .diagram import orient_and_sign, parse_knot_line, scan_order
 from .sinv import base_change, from_filtered, khovanov_table, s_from_based
@@ -60,19 +60,6 @@ def _write_dump(dump_dir, filename, C):
         f.write(dump(C))
 
 
-def _scan_ring(mode, rings):
-    """The one ring a row scans over.
-
-    Mode sq1 scans over Z/4Z.  Modes s and kh scan over their field when
-    one is asked for, else over Z, whose complex every field reads
-    through ``base_change``.
-    """
-    if mode == "sq1":
-        return Z4
-    fields = {ring_from_name(rname) for rname in rings}
-    return fields.pop() if len(fields) == 1 else Z
-
-
 def _compute_row(args):
     name, line, mode, rings, dump_dir, repeats = args
     t0 = time.perf_counter()
@@ -82,7 +69,12 @@ def _compute_row(args):
             _check_dump_name(name, repeats)
         pd = parse_knot_line(line)
         order = scan_order(orient_and_sign(pd))
-        C = scan(order, _scan_ring(mode, rings), _WINDOWS[mode])
+        # F2 alone scans over F2, where even entries vanish and the
+        # complex stays smaller; every other field list reads one scan
+        # over Z through base_change, which is faster than Fraction or
+        # mod-p arithmetic inside every cobordism product
+        ring = Z4 if mode == "sq1" else F2 if rings == ("f2",) else Z
+        C = scan(order, ring, _WINDOWS[mode])
         if mode == "sq1":
             s_values["f2"], quad = refine_scanned(C)
         else:
@@ -111,12 +103,15 @@ def run(job: Job):
     Modes s and kh read their numbers off a saturated complex, which
     needs a field; their ring names are lower-cased and kept once each,
     in order.  Mode sq1 always works over Z/4Z and F2, whatever known
-    rings it is given.  Every row scans its diagram once.  An unknown
-    mode or ring name raises ValueError, in every mode, before the input
-    is read.  With ``fail_fast`` the first failing row raises
-    RuntimeError at once.  With ``dump_dir`` each row whose name an
-    earlier row already has is an error row, since both would write one
-    dump file; the decision is made before any row is computed.
+    rings it is given.  Every row scans its diagram once, over F2 when
+    that is its only ring, else over Z (Z/4Z in mode sq1).  A row with
+    no name before its ``;``, or no ``;``, is named ``line{N}`` after
+    its line number.  An unknown mode or ring name raises ValueError,
+    in every mode, before the input is read.  With ``fail_fast`` the
+    first failing row raises RuntimeError at once.  With ``dump_dir``
+    each row whose name an earlier row already has is an error row,
+    since both would write one dump file; the decision is made before
+    any row is computed.
     """
     if job.mode not in _WINDOWS:
         raise ValueError(f"unknown mode {job.mode!r}")
@@ -135,7 +130,8 @@ def run(job: Job):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        name = stripped.split(";", 1)[0].strip() if ";" in stripped else f"line{lineno}"
+        name = stripped.split(";", 1)[0].strip() if ";" in stripped else ""
+        name = name or f"line{lineno}"
         first_line = first_lines.setdefault(name, lineno)
         repeats = first_line if first_line != lineno else None
         tasks.append((name, stripped, job.mode, rings, job.dump_dir, repeats))

@@ -42,9 +42,9 @@ parts and the seams, so every plan is interned for the process under
 that tuple of ints, and plans whose surfaces agree share one reduction
 table.  ``compose`` finds its plan by the shapes (matching and circle
 count, not the quantum shift) of its source, middle and target;
-``glue_cobs`` by the shapes of its factors in a dict of the caller's,
-because the plan also depends on the gluing interface: the scan keeps
-that dict for one tensor step.
+``glue_cobs`` by the matchings of its circle-free factors in a dict of
+the caller's, because the plan also depends on the gluing interface:
+the scan keeps that dict for one tensor step.
 
 Delooping reads the canonical form and makes no product: every circle
 bounds a disc of its own in each summand, and each delooping map only
@@ -484,20 +484,22 @@ def evaluate(ring, c):
 def glue_tangles(left, piece_match, pairs, left_order, piece_order):
     """Glue a crossing piece onto a tangle along interface pairs.
 
-    ``left`` is the current object, ``piece_match`` a matching on the
-    crossing's legs, ``pairs`` the glued (left position, leg) pairs, and
-    ``left_order`` / ``piece_order`` list the surviving positions of each
-    side in their order on the new boundary.  Both sides share one
+    ``left`` is the current object, which the scan has delooped, so a
+    left tangle with circles is refused.  ``piece_match`` is a matching
+    on the crossing's legs, ``pairs`` the glued (left position, leg)
+    pairs, and ``left_order`` / ``piece_order`` list the surviving
+    positions of each side in their order on the new boundary.  Both sides share one
     integer space: the m left positions 0..m-1, then leg x as m + x.
     Returns the glued Tangle (qshift not set here) and the end map, a
     tuple over that space for transporting surfaces: each position holds
     the least new position of the glued arc its arc runs into, or n + c
     when its arc closes up into circle c of the glued tangle, n being
-    the size of the new boundary.  The left circles keep their numbers;
-    the closed strands follow them in order of the least position on
-    their arcs, each read on its own side (p, or x for leg x), ties by
-    the least left position.
+    the size of the new boundary.  The closed strands are numbered in
+    order of the least position on their arcs, each read on its own side
+    (p, or x for leg x), ties by the least left position.
     """
+    if left.circles:
+        raise MismatchError("gluing onto a tangle with circles")
     m = len(left.match)
     match = left.match + tuple(m + x for x in piece_match)
     hop = [None] * len(match)
@@ -537,10 +539,10 @@ def glue_tangles(left, piece_match, pairs, left_order, piece_order):
         else:
             closed.append((min(j if j < m else j - m for j in strand), strand))
     closed.sort(key=lambda item: item[0])
-    for c, (_low, strand) in enumerate(closed, n + left.circles):
+    for c, (_low, strand) in enumerate(closed, n):
         for j in strand:
             dest[j] = c
-    return Tangle(tuple(new_match), left.circles + len(closed), 0), tuple(dest)
+    return Tangle(tuple(new_match), len(closed), 0), tuple(dest)
 
 
 def _glue_plan(f, phi, pairs, src_info, tgt_info):
@@ -551,9 +553,9 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info):
     ``glue_tangles``): a value below the new boundary's size n is the
     least position of a glued arc, n + c stands for glued circle c.  A
     disc touches, on each side, the result cycle of every position on
-    its cycle, and f's circles keep their numbers; the crossing pieces
-    carry no circles.  Each glued pair joins the discs through its
-    source arcs by an arc seam.
+    its cycle; neither f's delooped tangles nor the crossing pieces
+    carry circles.  Each glued pair joins the discs through its source
+    arcs by an arc seam.
     """
     (new_src, src_map), (new_tgt, tgt_map) = src_info, tgt_info
     r_arcs, rcycle = _cycles(new_src.match, new_tgt.match)
@@ -563,16 +565,11 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info):
     on_tgt = rcycle + tuple(range(r_tgt, r_tgt + new_tgt.circles))
     f_arcs, fcycle = _cycles(f.src.match, f.tgt.match)
     x_arcs, xcycle = _cycles(phi.src.match, phi.tgt.match)
-    n = f_arcs + f.src.circles + f.tgt.circles
-    parts = [0] * (n + x_arcs)
-    for k, i in enumerate(fcycle + tuple(n + c for c in xcycle)):
+    parts = [0] * (f_arcs + x_arcs)
+    for k, i in enumerate(fcycle + tuple(f_arcs + c for c in xcycle)):
         parts[i] |= 1 << on_src[src_map[k]] | 1 << on_tgt[tgt_map[k]]
-    for j in range(f.src.circles):
-        parts[f_arcs + j] = 1 << (r_arcs + j)
-    for j in range(f.tgt.circles):
-        parts[f_arcs + f.src.circles + j] = 1 << (r_tgt + j)
-    seams = [(fcycle[p], n + xcycle[x], 1) for p, x in pairs]
-    return _plan(n, parts, seams)
+    seams = [(fcycle[p], f_arcs + xcycle[x], 1) for p, x in pairs]
+    return _plan(f_arcs, parts, seams)
 
 
 def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, *, tables):
@@ -584,11 +581,10 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, *, tables):
     and target object pairs.  Each glued pair is one arc seam.
 
     ``tables`` is the caller's dict of the plans already made with the
-    same interface, keyed by the shapes of f and phi; new plans are
-    added to it.
+    same interface, keyed by the matchings of f and phi, whose tangles
+    carry no circles; new plans are added to it.
     """
-    shape = (f.src.match, f.src.circles, f.tgt.match, f.tgt.circles,
-             phi.src.match, phi.src.circles, phi.tgt.match, phi.tgt.circles)
+    shape = (f.src.match, f.tgt.match, phi.src.match, phi.tgt.match)
     plan = tables.get(shape)
     if plan is None:
         plan = tables[shape] = _glue_plan(f, phi, pairs, src_info, tgt_info)

@@ -101,8 +101,8 @@ class Modular(Ring):
 class Integers(Ring):
     """Z, with units +-1.
 
-    The scan ring of every ``s`` or ``kh`` row asked for more than one
-    field; each field reads the scan through ``sinv.base_change``.
+    The scan ring of every ``s`` or ``kh`` row whose rings are not F2
+    alone; each field reads the scan through ``sinv.base_change``.
     """
 
     name = "z"

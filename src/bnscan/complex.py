@@ -249,14 +249,14 @@ def tensor_with_crossing(C, step):
 
     D = FilteredComplex(ring)
     glue_tables: dict = {}  # reductions under this step's interface
-    shapes: dict = {}  # (match, circles, k) -> glued tangle and end map
+    shapes: dict = {}  # (match, k) -> glued tangle and end map
     info: dict = {}  # (oid, k) -> glued object and end map
     new_id: dict = {}
     for h in C.degrees():
         for oid in C.objects_at(h):
             t = C.obj[oid]
             for k, piece in enumerate(pieces):
-                key = (t.match, t.circles, k)
+                key = (t.match, k)
                 if key not in shapes:
                     shapes[key] = glue_tangles(
                         t, piece.match, pairs, left_order, piece_order

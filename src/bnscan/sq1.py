@@ -42,16 +42,11 @@ class Sq1Quadruple(NamedTuple):
     s_minus: int
 
 
-class Z4NormalForm:
-    """A Z/4Z based complex in filtered normal form plus its summand data."""
+class Z4NormalForm(NamedTuple):
+    """The summand data of a Z/4Z complex that ``normal_form`` slid."""
 
-    def __init__(self, based: BasedComplex):
-        self.based = based
-        self.elementary: dict[int, list[tuple[int, int]]] = {}
-        self.slides = 0
-
-    def elementary_at(self, q):
-        return list(self.elementary.get(q, []))
+    elementary: dict[int, list[tuple[int, int]]]
+    slides: int
 
 
 def _slide(D: BasedComplex, x, y, u):
@@ -75,7 +70,8 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
     within a level the 2-entries between equal-q generators are
     diagonalized by handle slides, recording the elementary summands.
     Slides at a level never disturb the internal structure of higher
-    levels.
+    levels.  D is slid in place; the result holds the (source, target)
+    pairs of its elementary summands by level and the number of slides.
     """
     if D.ring != Z4:
         raise ValueError("normal form runs over Z/4Z")
@@ -85,7 +81,8 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
                 raise NotSaturatedError(
                     f"unit entry at equal quantum degree {D.q[a]}"
                 )
-    nf = Z4NormalForm(D)
+    elementary: dict[int, list[tuple[int, int]]] = {}
+    slides = 0
     levels = sorted({q for q in D.q.values()}, reverse=True)
     for q in levels:
         pairs = []
@@ -106,38 +103,37 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
                     if t_prime == t0 or D.q.get(t_prime) != q:
                         continue
                     _slide(D, t0, t_prime, 1)
-                    nf.slides += 1
+                    slides += 1
                 for s_prime in sorted(D.inc[t0]):
                     if s_prime == s0 or D.q.get(s_prime) != q:
                         continue
                     _slide(D, s_prime, s0, 1)
-                    nf.slides += 1
+                    slides += 1
                 if any(D.q[t] == q for t in D.out[s0] if t != t0) or any(
                     D.q[s] == q for s in D.inc[t0] if s != s0
                 ):
                     raise InconsistentError("pivot row or column not cleared")
                 pairs.append((s0, t0))
         if pairs:
-            nf.elementary[q] = pairs
+            elementary[q] = pairs
     # integral tensor origin: no elementary chain is longer than 1
-    sources = {s for ps in nf.elementary.values() for s, _t in ps}
-    targets = {t for ps in nf.elementary.values() for _s, t in ps}
+    sources = {s for ps in elementary.values() for s, _t in ps}
+    targets = {t for ps in elementary.values() for _s, t in ps}
     if sources & targets:
         raise InconsistentError("elementary chain of length > 1")
     if any(D.q[b] < D.q[a] for a, row in D.out.items() for b in row):
         raise InconsistentError("slide broke the filtration")
-    return nf
+    return Z4NormalForm(elementary, slides)
 
 
-def sq1_image(nf: Z4NormalForm, q) -> list[int]:
+def sq1_image(D: BasedComplex, nf: Z4NormalForm, q) -> list[int]:
     """Generators of the Bockstein image inside degree 0 at level q.
 
     These are the targets of length-1 elementary summands ending in
-    homological degree 0, read as mod-2 classes.
+    homological degree 0, read as mod-2 classes; ``nf`` is the normal
+    form of ``D``.
     """
-    return [
-        t for (s, t) in nf.elementary_at(q) if nf.based.h[t] == 0
-    ]
+    return [t for _s, t in nf.elementary.get(q, ()) if D.h[t] == 0]
 
 
 def _xor_reduce(v, basis, tag=0):
@@ -220,10 +216,10 @@ def half_refinement_from_based(D: BasedComplex):
     """
     s_f2 = s_from_based(base_change(D, F2)).s
     nf = normal_form(D)
-    E = base_change(nf.based, F2)
+    E = base_change(D, F2)
 
     def gained(level_q, q_cut):
-        subspace = intersect_with_p(E, level_q, sq1_image(nf, level_q))
+        subspace = intersect_with_p(E, level_q, sq1_image(D, nf, level_q))
         return any(survives_quotient(E, q_cut, cls) for cls in subspace)
 
     r_plus = s_f2 + 2 if gained(s_f2 + 1, s_f2 + 3) else s_f2

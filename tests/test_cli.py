@@ -9,9 +9,10 @@ import pytest
 
 import bnscan.cli as cli
 from bnscan.cli import Job, main, report, rows_to_csv, rows_to_json, run
-from bnscan.coeff import F2, Q, Z, Z4
+from bnscan.coeff import F2, Z, Z4, ring_from_name
 from bnscan.complex import dump, scan
-from bnscan.diagram import orient_and_sign, parse_pd, scan_order
+from bnscan.diagram import orient_and_sign, parse_knot_line, parse_pd, scan_order
+from bnscan.sinv import from_filtered, khovanov_table, s_invariant
 from knotgen import PD_FIGURE8, PD_TREFOIL
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -159,6 +160,23 @@ def test_dump_complex_files(tmp_path, knot_file):
     assert content.strip()
 
 
+def test_a_row_without_a_name_is_named_after_its_line(tmp_path, capsys):
+    # an empty name before the ';' would print a blank name and dump to
+    # a hidden file ".txt"
+    path = tmp_path / "knots.txt"
+    path.write_text(f"# no names\n;{PD_TREFOIL}\n  ; {PD_FIGURE8}\n")
+    dump_dir, out = tmp_path / "dumps", tmp_path / "out.json"
+    args = ["compute", "--input", str(path), "--format", "json", "--out", str(out),
+            "--dump-complex", str(dump_dir)]
+    assert main(args) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())
+    assert [(r["name"], r["s"]) for r in rows] == [
+        ("line2", {"f2": 2}), ("line3", {"f2": 0})
+    ]
+    assert sorted(os.listdir(dump_dir)) == ["line2.txt", "line3.txt"]
+
+
 def test_rerun_bit_identical(knot_file):
     one = rows_to_json(run(Job(knot_file, mode="sq1", rings=("z4", "f2"))))
     two = rows_to_json(run(Job(knot_file, mode="sq1", rings=("z4", "f2"), jobs=2)))
@@ -196,12 +214,12 @@ def test_mode_s_scans_once_per_row_and_dumps_that_scan(
     assert calls == {"scan": ["z"] * 3, "scan_order": 3}
     so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
     assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "s"))
-    # one field is scanned over itself
+    # a field other than F2 alone reads the scan over Z as well
     calls["scan"].clear()
     rows = run(Job(knot_file, mode="s", rings=("q",), dump_dir=str(dump_dir)))
     assert [r.s_values for r in rows] == [{"q": 2}, {"q": 0}, {"q": 0}]
-    assert calls["scan"] == ["q"] * 3
-    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Q, "s"))
+    assert calls["scan"] == ["z"] * 3
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "s"))
     assert sorted(os.listdir(dump_dir)) == ["fig8.txt", "trefoil.txt", "unknot.txt"]
 
 
@@ -456,20 +474,31 @@ def corpus_file(tmp_path, filename, step):
 def test_one_scan_over_z_gives_every_field_its_own_numbers(
     tmp_path, filename, step, modes
 ):
-    # several fields read one scan over Z; each field alone is scanned
-    # over itself, so the two paths must agree row by row
+    # every row but an f2-only one reads one scan over Z, whether it asks
+    # for one field or several, so the reference is a scan over the field
+    # itself: s_invariant in mode s, a full scan's table in mode kh
     path = corpus_file(tmp_path, filename, step)
+    with open(path) as f:
+        pds = [pd for pd in map(parse_knot_line, f) if pd is not None]
     for mode in modes:
         shared = run(Job(path, mode=mode, rings=FIELDS))
-        assert shared and all(r.error is None for r in shared)
-        for rname in FIELDS:
-            alone = run(Job(path, mode=mode, rings=(rname,)))
-            for a, b in zip(shared, alone):
+        assert len(shared) == len(pds)
+        assert all(r.error is None for r in shared)
+        alone = {rname: run(Job(path, mode=mode, rings=(rname,))) for rname in FIELDS}
+        for i, pd in enumerate(pds):
+            order = scan_order(orient_and_sign(pd))
+            for rname in FIELDS:
+                field = ring_from_name(rname)
+                a, b = shared[i], alone[rname][i]
                 assert b.error is None, (b.name, b.error)
                 if mode == "s":
-                    assert a.s_values[rname] == b.s_values[rname], (a.name, rname)
+                    ref = s_invariant(pd, field).s
+                    got = (a.s_values[rname], b.s_values[rname])
                 else:
-                    assert a.kh_tables[rname] == b.kh_tables[rname], (a.name, rname)
+                    table = khovanov_table(from_filtered(scan(order, field, "full")))
+                    ref = {f"{h},{q}": v for (h, q), v in sorted(table.items())}
+                    got = (a.kh_tables[rname], b.kh_tables[rname])
+                assert got == (ref, ref), (pd.name, rname)
 
 
 def test_importing_the_cli_loads_no_pool_csv_or_argparse(tmp_path, knot_file):
