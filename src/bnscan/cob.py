@@ -43,8 +43,10 @@ that tuple of ints, and plans whose surfaces agree share one reduction
 table.  ``compose`` finds its plan by the shapes (matching and circle
 count, not the quantum shift) of its source, middle and target;
 ``glue_cobs`` by the matchings of its circle-free factors in a dict of
-the caller's, because the plan also depends on the gluing interface:
-the scan keeps that dict for one tensor step.
+the caller's, because the plan also depends on the gluing interface.
+The scan takes that dict, and a dict of the glued tangles, from
+``glue_caches``, which keeps both for the process under the interface:
+interfaces recur across the knots of a batch.
 
 Delooping reads the canonical form and makes no product: every circle
 bounds a disc of its own in each summand, and each delooping map only
@@ -91,10 +93,12 @@ class Tangle(NamedTuple):
     def shifted(self, dq):
         return Tangle(self.match, self.circles, self.qshift + dq)
 
-    def drop_last_circle(self):
+    def halves(self):
+        """t'{+1} and t'{-1}, for t = t' plus a circle: delooping's halves."""
         if self.circles < 1:
             raise NoCircleError("tangle has no circle")
-        return Tangle(self.match, self.circles - 1, self.qshift)
+        c, q = self.circles - 1, self.qshift
+        return Tangle(self.match, c, q + 1), Tangle(self.match, c, q - 1)
 
 
 SRC, TGT = 0, 1  # the side of a cobordism: source, target
@@ -362,12 +366,15 @@ def _product(ring, f, g, plan):
 
 
 def _add_summands(ring, out, summands, coeff):
-    """Add coeff times the integer summands (mask, v) into the terms out."""
+    """Add coeff, not zero, times the integer summands (mask, v) into out."""
     for mask, v in summands:
         c = coeff if v == 1 else ring.mul(coeff, ring.from_int(v))
         old = out.get(mask)
         if old is not None:
             c = ring.add(old, c)
+        elif v == 1:
+            out[mask] = c
+            continue
         if ring.is_zero(c):
             out.pop(mask, None)
         else:
@@ -420,8 +427,8 @@ def compose(ring, g, f):
     return Cob(src, tgt, _product(ring, f, g, plan))
 
 
-def deloop_iso(ring, f, side):
-    """The halves of f at the last circle of f.tgt (TGT) or of f.src (SRC).
+def deloop_iso(ring, f, side, halves):
+    """The parts of f at the last circle of t = f.tgt (TGT) or f.src (SRC).
 
     The delooping isomorphism t ~ t'{+1} + t'{-1} splits off that circle
     by p_plus = dotted death - H death, p_minus = death, i_plus = birth
@@ -432,12 +439,12 @@ def deloop_iso(ring, f, side):
     those with d = 1, f i_plus those with d = 1, and f i_minus all of
     them, with H^d; the disc's bit is dropped, which leaves the other
     cycles in their order on the smaller shape, and the shifted ends
-    give each summand its power of H.  Returns (p_plus f, p_minus f)
-    for TGT and (f i_plus, f i_minus) for SRC.
+    give each summand its power of H.  ``halves`` is ``t.halves()``,
+    made once by a caller that splits every entry at t.  Returns
+    (p_plus f, p_minus f) for TGT and (f i_plus, f i_minus) for SRC.
     """
-    t = f.tgt if side == TGT else f.src
-    base = t.drop_last_circle()
-    i = _cycles(f.src.match, f.tgt.match)[0] + base.circles
+    t_plus, t_minus = halves
+    i = _cycles(f.src.match, f.tgt.match)[0] + t_plus.circles
     if side == TGT:
         i += f.src.circles
     low = (1 << i) - 1
@@ -453,7 +460,6 @@ def deloop_iso(ring, f, side):
                 plus[rest] = c
             # a dotted summand and an H-summand can collide here
             _add_summands(ring, minus, ((rest, 1),), c)
-    t_plus, t_minus = base.shifted(+1), base.shifted(-1)
     if side == TGT:
         return Cob(f.src, t_plus, plus), Cob(f.src, t_minus, minus)
     return Cob(t_plus, f.tgt, plus), Cob(t_minus, f.tgt, minus)
@@ -572,6 +578,25 @@ def _glue_plan(f, phi, pairs, src_info, tgt_info):
     return _plan(f_arcs, parts, seams)
 
 
+# The glued tangles and glue plans of each gluing interface
+# (pairs, left_order, piece_order), for the process; see ``glue_caches``.
+_INTERFACES: dict = {}
+
+
+def glue_caches(pairs, left_order, piece_order):
+    """The two dicts kept for the process under one gluing interface.
+
+    The first maps (left matching, piece matching) to the
+    ``glue_tangles`` result, the second is the ``tables`` of
+    ``glue_cobs``: both depend on nothing else.
+    """
+    key = (pairs, left_order, piece_order)
+    caches = _INTERFACES.get(key)
+    if caches is None:
+        caches = _INTERFACES[key] = ({}, {})
+    return caches
+
+
 def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, *, tables):
     """Glue cobordisms side by side along the interface ``pairs``.
 
@@ -581,8 +606,8 @@ def glue_cobs(ring, f, phi, pairs, src_info, tgt_info, *, tables):
     and target object pairs.  Each glued pair is one arc seam.
 
     ``tables`` is the caller's dict of the plans already made with the
-    same interface, keyed by the matchings of f and phi, whose tangles
-    carry no circles; new plans are added to it.
+    same interface (see ``glue_caches``), keyed by the matchings of f
+    and phi, whose tangles carry no circles; new plans are added to it.
     """
     shape = (f.src.match, f.tgt.match, phi.src.match, phi.tgt.match)
     plan = tables.get(shape)

@@ -28,6 +28,7 @@ from .cob import (
     compose,
     deloop_iso,
     evaluate,
+    glue_caches,
     glue_cobs,
     glue_tangles,
     identity_cob,
@@ -113,9 +114,11 @@ class FilteredComplex:
     during the scan, a quantum degree once evaluated.  ``out[src]`` maps
     target ids to entries one homological degree up, ``inc[tgt]`` indexes
     the sources; the entry algebra (cobordisms unless given) says how
-    entries test for zero, add, compose and scale.  All mutation goes
-    through the add/remove/update helpers so the two indexes stay
-    coherent.
+    entries test for zero, add, compose and scale; ``by_h[h]`` holds the
+    ids of degree h as the keys of a dict, in the order they were added.
+    Mutation goes through the add/remove/update helpers so the indexes
+    stay coherent; only ``deloop`` writes the entries of its fresh halves
+    into them directly, and ``check`` tests their coherence.
     """
 
     def __init__(self, ring, entries=cob_entries):
@@ -123,7 +126,7 @@ class FilteredComplex:
         self.entries = entries(ring)
         self.obj: dict[int, object] = {}
         self.h: dict[int, int] = {}
-        self.by_h: dict[int, list[int]] = {}
+        self.by_h: dict[int, dict[int, None]] = {}
         self.out: dict[int, dict[int, object]] = {}
         self.inc: dict[int, set[int]] = {}
         self._next = 0
@@ -131,22 +134,28 @@ class FilteredComplex:
     # -- bookkeeping -------------------------------------------------------
 
     def add_object(self, h, label, oid=None):
-        """Add an object in degree h under a fresh id, or under ``oid``."""
-        oid = self._next if oid is None else oid
+        """Add an object in degree h under a fresh id, or under ``oid``.
+
+        An ``oid`` that a live object holds is refused with ValueError.
+        """
+        if oid is None:
+            oid = self._next
+        elif oid in self.obj:
+            raise ValueError(f"object id {oid} is already in use")
         self._next = max(self._next, oid + 1)
         self.obj[oid] = label
         self.h[oid] = h
-        self.by_h.setdefault(h, []).append(oid)
+        self.by_h.setdefault(h, {})[oid] = None
         self.out[oid] = {}
         self.inc[oid] = set()
         return oid
 
     def remove_object(self, oid):
-        for tgt in list(self.out[oid]):
+        for tgt in self.out[oid]:
             self.inc[tgt].discard(oid)
-        for src in list(self.inc[oid]):
+        for src in self.inc[oid]:
             self.out[src].pop(oid, None)
-        self.by_h[self.h[oid]].remove(oid)
+        del self.by_h[self.h[oid]][oid]
         del self.obj[oid], self.h[oid], self.out[oid], self.inc[oid]
 
     def set_entry(self, src, tgt, entry):
@@ -189,10 +198,22 @@ class FilteredComplex:
     # -- verification ------------------------------------------------------
 
     def check(self):
-        """Debug invariants: well-formed entries, d^2 = 0, no falling jumps.
+        """Debug invariants: coherent indexes, well-formed entries, d^2 = 0
+        and no falling jumps.
 
         Raises InconsistentError, so the check also runs under ``python -O``.
         """
+        if not self.obj.keys() == self.h.keys() == self.out.keys() == self.inc.keys():
+            raise InconsistentError("obj, h, out and inc hold different ids")
+        listed = {(a, b) for a, outs in self.out.items() for b in outs}
+        indexed = {(a, b) for b, srcs in self.inc.items() for a in srcs}
+        if listed != indexed:
+            a, b = min(listed ^ indexed)
+            raise InconsistentError(f"out and inc disagree on {a} -> {b}")
+        if sum(map(len, self.by_h.values())) != len(self.h) or any(
+            self.h.get(oid) != h for h, ids in self.by_h.items() for oid in ids
+        ):
+            raise InconsistentError("by_h disagrees with h")
         e = self.entries
         for a, outs in self.out.items():
             acc: dict = {}
@@ -231,7 +252,14 @@ def initial_complex(ring, n_plus, n_minus):
 
 
 def tensor_with_crossing(C, step):
-    """Glue one crossing onto every object; Koszul signs on the saddle."""
+    """Glue one crossing onto every object; Koszul signs on the saddle.
+
+    The glued tangles and glue plans come from the caches of the step's
+    interface (``glue_caches``).  The saddle entry of an object,
+    identity glued beside the saddle, depends only on its matching and
+    the parity of its degree, so it is glued once per such shape and
+    those objects share its terms: no code mutates terms in place.
+    """
     ring = C.ring
     if C.obj:
         m = next(iter(C.obj.values())).n_points
@@ -240,47 +268,53 @@ def tensor_with_crossing(C, step):
             raise MismatchError(
                 f"interface covers positions {sorted(used)} of a {m}-point boundary"
             )
-    (t0, t1), saddle = crossing_complex(ring)
-    pieces = (t0, t1)
-    piece_id = (identity_cob(ring, t0), identity_cob(ring, t1))
-    pairs = step.pairs
-    left_order = step.left_order
-    piece_order = step.piece_order
+    pieces, saddle = crossing_complex(ring)
+    piece_id = [identity_cob(ring, piece) for piece in pieces]
+    pairs, left_order, piece_order = step.pairs, step.left_order, step.piece_order
+    shapes, tables = glue_caches(pairs, left_order, piece_order)
 
     D = FilteredComplex(ring)
-    glue_tables: dict = {}  # reductions under this step's interface
-    shapes: dict = {}  # (match, k) -> glued tangle and end map
-    info: dict = {}  # (oid, k) -> glued object and end map
-    new_id: dict = {}
+    info: dict = {}  # oid -> (glued object, end map) beside each piece
+    new_id: dict = {}  # oid -> its ids beside each piece
     for h in C.degrees():
-        for oid in C.objects_at(h):
+        for oid in C.by_h[h]:
             t = C.obj[oid]
-            for k, piece in enumerate(pieces):
-                key = (t.match, k)
-                if key not in shapes:
-                    shapes[key] = glue_tangles(
+            glued = []
+            for piece in pieces:
+                key = (t.match, piece.match)
+                shape = shapes.get(key)
+                if shape is None:
+                    shape = shapes[key] = glue_tangles(
                         t, piece.match, pairs, left_order, piece_order
                     )
-                raw, end_map = shapes[key]
-                glued = Tangle(raw.match, raw.circles, t.qshift + piece.qshift)
-                info[oid, k] = (glued, end_map)
-                new_id[oid, k] = D.add_object(h + k, glued)
+                raw, end_map = shape
+                qshift = t.qshift + piece.qshift
+                glued.append((Tangle(raw.match, raw.circles, qshift), end_map))
+            info[oid] = glued
+            new_id[oid] = (
+                D.add_object(h, glued[0][0]), D.add_object(h + 1, glued[1][0])
+            )
+    # every (source, target) pair below is written once
     for src, outs in C.out.items():
+        src_info, src_ids = info[src], new_id[src]
         for tgt, f in outs.items():
+            tgt_info, tgt_ids = info[tgt], new_id[tgt]
             for k in (0, 1):
-                entry = glue_cobs(
+                D.set_entry(src_ids[k], tgt_ids[k], glue_cobs(
                     ring, f, piece_id[k], pairs,
-                    info[src, k], info[tgt, k], tables=glue_tables,
-                )
-                D.add_to_entry(new_id[(src, k)], new_id[(tgt, k)], entry)
-    for oid in C.obj:
-        sign = ring.one if C.h[oid] % 2 == 0 else ring.neg(ring.one)
-        ident = identity_cob(ring, C.obj[oid])
-        entry = glue_cobs(
-            ring, ident, saddle, pairs,
-            info[oid, 0], info[oid, 1], tables=glue_tables,
-        ).scaled(ring, sign)
-        D.add_to_entry(new_id[(oid, 0)], new_id[(oid, 1)], entry)
+                    src_info[k], tgt_info[k], tables=tables,
+                ))
+    saddles: dict = {}  # (matching, degree parity) -> terms of the saddle entry
+    for oid, t in C.obj.items():
+        glued = info[oid]
+        key = (t.match, C.h[oid] % 2)
+        terms = saddles.get(key)
+        if terms is None:
+            sign = ring.neg(ring.one) if key[1] else ring.one
+            terms = saddles[key] = glue_cobs(
+                ring, identity_cob(ring, t), saddle, pairs, *glued, tables=tables,
+            ).scaled(ring, sign).terms
+        D.set_entry(*new_id[oid], Cob(glued[0][0], glued[1][0], terms))
     if DEBUG:
         D.check()
     return D
@@ -292,34 +326,44 @@ def deloop(C):
     The last circle of an object t splits off as t'{+1} + t'{-1}; each
     entry into t is replaced by its (p_plus, p_minus) halves and each
     entry out of t by its (i_plus, i_minus) halves, both read off the
-    entry's canonical form by ``deloop_iso``, one call per entry.
-    Halves with more circles go back on the queue; no id enters it
-    twice, so every id popped is a live circled object.
+    entry's canonical form by ``deloop_iso``, one call per entry.  The
+    halves are fresh objects, so their entries go straight into the
+    indexes.  Halves with more circles go back on the queue; no id
+    enters it twice, so every id popped is a live circled object.
     """
     ring = C.ring
+    out, inc = C.out, C.inc
     queue = [
-        oid for h in C.degrees() for oid in C.objects_at(h)
-        if C.obj[oid].circles > 0
+        oid for h in C.degrees() for oid in C.by_h[h] if C.obj[oid].circles > 0
     ]
     while queue:
         oid = queue.pop()
-        t = C.obj[oid]
         h = C.h[oid]
-        base = t.drop_last_circle()
-        id_p = C.add_object(h, base.shifted(+1))
-        id_m = C.add_object(h, base.shifted(-1))
-        for src in list(C.inc[oid]):
-            f_plus, f_minus = deloop_iso(ring, C.out[src][oid], TGT)
-            C.add_to_entry(src, id_p, f_plus)
-            C.add_to_entry(src, id_m, f_minus)
-        for tgt, g in list(C.out[oid].items()):
-            g_plus, g_minus = deloop_iso(ring, g, SRC)
-            C.add_to_entry(id_p, tgt, g_plus)
-            C.add_to_entry(id_m, tgt, g_minus)
+        halves = C.obj[oid].halves()
+        id_p = C.add_object(h, halves[0])
+        id_m = C.add_object(h, halves[1])
+        inc_p, inc_m = inc[id_p], inc[id_m]
+        for src in inc[oid]:
+            outs = out[src]
+            f_plus, f_minus = deloop_iso(ring, outs[oid], TGT, halves)
+            if f_plus.terms:
+                outs[id_p] = f_plus
+                inc_p.add(src)
+            if f_minus.terms:
+                outs[id_m] = f_minus
+                inc_m.add(src)
+        outs_p, outs_m = out[id_p], out[id_m]
+        for tgt, g in out[oid].items():
+            g_plus, g_minus = deloop_iso(ring, g, SRC, halves)
+            if g_plus.terms:
+                outs_p[tgt] = g_plus
+                inc[tgt].add(id_p)
+            if g_minus.terms:
+                outs_m[tgt] = g_minus
+                inc[tgt].add(id_m)
         C.remove_object(oid)
-        if base.circles:
-            queue.append(id_p)
-            queue.append(id_m)
+        if halves[0].circles:
+            queue += (id_p, id_m)
     if DEBUG:
         C.check()
     return C
@@ -346,7 +390,9 @@ def gauss_eliminate(C, a, b):
     k = cancellable_coefficient(C, a, b)
     if k is None:
         raise NotCancellableError(f"entry {a}->{b} is not a unit identity")
-    minus_inv = C.ring.neg(C.ring.invert(k))
+    ring = C.ring
+    minus_inv = ring.neg(ring.invert(k))
+    unit = minus_inv == ring.one
     comp, scale = C.entries.compose, C.entries.scale
     srcs = [s for s in C.inc[b] if s != a]
     tgts = [(t, g) for t, g in C.out[a].items() if t != b]
@@ -354,7 +400,10 @@ def gauss_eliminate(C, a, b):
     for s in srcs:
         delta = C.out[s][b]
         for t, gamma in tgts:
-            C.add_to_entry(s, t, scale(comp(gamma, delta), minus_inv))
+            correction = comp(gamma, delta)
+            if not unit:
+                correction = scale(correction, minus_inv)
+            C.add_to_entry(s, t, correction)
             touched.append((s, t))
     C.remove_object(a)
     C.remove_object(b)
@@ -381,8 +430,8 @@ def reduce_pass(C, lo=-INF, hi=INF):
         h = C.h[a]
         if not (lo - 1 <= h <= hi):
             return
-        if (cancellable_coefficient(C, a, b) is not None
-                and C.obj[a] == C.obj[b]):
+        if (C.obj[a] == C.obj[b]
+                and cancellable_coefficient(C, a, b) is not None):
             heapq.heappush(heap, (h, fill_estimate(a, b), a, b))
 
     for a, outs in C.out.items():

@@ -159,7 +159,8 @@ def two_scan_refine(pd):
 def deloop_maps(ring, t):
     """(p_plus, p_minus, i_plus, i_minus) for the last circle of t."""
     ident = identity_cob(ring, t)
-    return deloop_iso(ring, ident, TGT) + deloop_iso(ring, ident, SRC)
+    halves = t.halves()
+    return deloop_iso(ring, ident, TGT, halves) + deloop_iso(ring, ident, SRC, halves)
 
 
 def neck_cut_deloop_maps(ring, t):
@@ -169,9 +170,8 @@ def neck_cut_deloop_maps(ring, t):
     p_plus = dotted death - H death, p_minus = death, i_plus = birth and
     i_minus = dotted birth; strips and annuli run along the rest of t.
     """
-    base = t.drop_last_circle()
-    k = base.circles
-    t_plus, t_minus = base.shifted(+1), base.shifted(-1)
+    t_plus, t_minus = t.halves()
+    k = t_plus.circles
     cylinders = [({(SRC, ARC, i), (TGT, ARC, i)}, 0, 1) for i in range(len(arcs(t)))]
     cylinders += [({(SRC, CIRCLE, j), (TGT, CIRCLE, j)}, 0, 0) for j in range(k)]
 

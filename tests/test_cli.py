@@ -352,21 +352,50 @@ def test_an_unknown_ring_is_rejected_in_every_mode(tmp_path, knot_file, capsys):
 
 def test_outputs_and_dumps_match_the_golden_files(tmp_path):
     # JSON rows without time_ms and every dump file, byte for byte, as
-    # recorded by tests/record_golden.py
-    from record_golden import CASES, GOLDEN, compute_case
+    # recorded by tests/record_golden.py, whose --check compares the same way
+    from record_golden import CASES, GOLDEN, differing, record
 
-    for corpus, mode, rings in CASES:
-        stem = f"{corpus}-{mode}"
-        dump_dir = tmp_path / stem
-        text = compute_case(corpus, mode, rings, str(dump_dir))
-        with open(os.path.join(GOLDEN, stem + ".json")) as f:
-            assert text == f.read(), stem
-        golden_dir = os.path.join(GOLDEN, stem)
-        names = sorted(os.listdir(golden_dir))
-        assert names and sorted(os.listdir(dump_dir)) == names, stem
-        for name in names:
-            with open(os.path.join(golden_dir, name)) as f:
-                assert (dump_dir / name).read_text() == f.read(), (stem, name)
+    record(str(tmp_path))
+    for corpus, mode, _rings in CASES:
+        assert os.listdir(os.path.join(GOLDEN, f"{corpus}-{mode}")), (corpus, mode)
+    assert differing(GOLDEN, str(tmp_path)) == []
+
+
+def test_record_golden_check_names_each_differing_file(tmp_path, capsys):
+    # --check rewrites nothing: it names the changed, missing and new
+    # files of a fresh recording and exits 1, or exits 0 when all agree
+    import shutil
+    from unittest import mock
+
+    import record_golden
+    from record_golden import GOLDEN
+
+    def copy(dest):
+        shutil.copytree(GOLDEN, dest, dirs_exist_ok=True)
+
+    def tampered(dest):
+        copy(dest)
+        with open(os.path.join(dest, "k16-s.json"), "a") as f:
+            f.write(" ")
+        dumps = os.path.join(dest, "k16-kh")
+        gone = sorted(os.listdir(dumps))[0]
+        os.remove(os.path.join(dumps, gone))
+        open(os.path.join(dumps, "new.txt"), "w").close()
+        return gone
+
+    gone = tampered(str(tmp_path / "probe"))
+    with mock.patch.object(record_golden, "record", tampered):
+        assert record_golden.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: {name}" for name in sorted(
+            ["k16-s.json", os.path.join("k16-kh", gone),
+             os.path.join("k16-kh", "new.txt")]
+        )
+    ]
+    with mock.patch.object(record_golden, "record", copy):
+        assert record_golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    assert not os.path.exists(os.path.join(GOLDEN, "k16-kh", "new.txt"))
 
 
 def test_an_unknown_mode_is_rejected_before_the_input_is_read(tmp_path, knot_file):

@@ -21,7 +21,7 @@ from bnscan.cob import (
     glue_tangles,
     identity_cob,
 )
-from bnscan.complex import scan, tensor_with_crossing
+from bnscan.complex import dump, scan, tensor_with_crossing
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
 from helpers import (
     ARC,
@@ -282,9 +282,13 @@ def test_deloop_on_bare_circle_gives_empty_objects():
 
 
 def test_deloop_requires_circle():
-    for side in (SRC, TGT):
-        with pytest.raises(NoCircleError):
-            deloop_iso(Q, identity_cob(Q, empty_tangle()), side)
+    # deloop_iso takes the halves of the tangle it splits, and a tangle
+    # without circles has none
+    with pytest.raises(NoCircleError):
+        empty_tangle().halves()
+    assert circle_tangle(2, qshift=0).halves() == (
+        Tangle((), 1, 1), Tangle((), 1, -1)
+    )
 
 
 def test_deloop_refuses_a_summand_without_the_disc():
@@ -363,7 +367,7 @@ def test_deloop_iso_matches_composition_with_neck_cut_maps(
             expected = (compose(ring, pp, f), compose(ring, pm, f))
         else:
             expected = (compose(ring, f, ip), compose(ring, f, im))
-        got = deloop_iso(ring, f, side)
+        got = deloop_iso(ring, f, side, t.halves())
         for g, e in zip(got, expected):
             assert (g.src, g.tgt, g.terms) == (e.src, e.tgt, e.terms)
 
@@ -608,7 +612,7 @@ def check_deloop(ring, f):
         if not t.circles:
             continue
         _objects, (pp, pm, ip, im) = neck_cut_deloop_maps(ring, t)
-        got = deloop_iso(ring, f, side)
+        got = deloop_iso(ring, f, side, t.halves())
         if side == TGT:
             expected = (compose_comps(ring, pp, f), compose_comps(ring, pm, f))
             ends = ((f.src, pp.tgt), (f.src, pm.tgt))
@@ -680,6 +684,36 @@ def test_plans_match_the_oracle_over_every_ring(seed, n_points, ops):
             )
 
 
+def test_products_and_delooping_leave_their_inputs_terms_alone():
+    # The scan lets entries share one terms dict (the saddle entries of
+    # same-shape objects), so no routine may write into an input's terms.
+    rng = random.Random(20)
+    for _ in range(150):
+        ring = rng.choice((F2, Z4, F3, Q, Z))
+        n_points = rng.choice((0, 2, 4, 6))
+        t0, t1, t2 = (random_tangle(rng, n_points) for _ in range(3))
+        f = random_canonical_cob(ring, rng, t0, t1)
+        g = random_canonical_cob(ring, rng, f.tgt, t2)
+        k = ring.from_int(rng.choice((1, -1, 2, 3)))
+        fk = f.scaled(ring, k)
+        a, b = (random_tangle(rng, n_points, max_circles=0) for _ in range(2))
+        h = random_canonical_cob(ring, rng, a, b)
+        phi = random_canonical_cob(ring, rng, rng.choice(PIECES), rng.choice(PIECES))
+        iface = random_interface(rng, n_points)
+        infos = [glued_at(t, p, *iface) for t, p in ((a, phi.src), (b, phi.tgt))]
+        inputs = (f, g, fk, h, phi)
+        before = [dict(c.terms) for c in inputs]
+        f.plus(ring, fk)
+        fk.plus(ring, f)
+        f.scaled(ring, k)
+        compose(ring, g, f)
+        glue_cobs(ring, h, phi, iface[0], *infos, tables={})
+        for side, t in ((TGT, f.tgt), (SRC, f.src)):
+            if t.circles:
+                deloop_iso(ring, f, side, t.halves())
+        assert [c.terms for c in inputs] == before
+
+
 # --- interned plans ---------------------------------------------------------
 
 
@@ -690,7 +724,11 @@ def _int_leaves(key):
 
 
 def test_plans_are_interned_by_their_combinatorics():
-    with mock.patch.object(cob, "_PLANS", {}), mock.patch.object(cob, "_TABLES", {}):
+    with (
+        mock.patch.object(cob, "_PLANS", {}),
+        mock.patch.object(cob, "_TABLES", {}),
+        mock.patch.object(cob, "_INTERFACES", {}),
+    ):
         # two discs on cycle 0 joined by an arc seam: one disc
         plan = cob._plan(1, [1, 1], [(0, 1, 1)])
         assert cob._plan(1, (1, 1), ((0, 1, 1),)) is plan
@@ -712,6 +750,27 @@ def test_plans_are_interned_by_their_combinatorics():
         assert all(
             cob._TABLES[p.groups] is p.table for p in cob._PLANS.values()
         )
+
+
+def test_a_second_scan_of_a_diagram_glues_no_tangle():
+    # The glued tangles and glue plans are kept per interface for the
+    # process, so scanning the same diagram again glues no tangle and
+    # leaves the same complex.
+    order = scan_order(orient_and_sign(braid_pd([1, -2, 1, -2, 3, -2, 3], 4)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return glue_tangles(*args)
+
+    with (
+        mock.patch.object(cob, "_INTERFACES", {}),
+        mock.patch.object(complex_mod, "glue_tangles", counted),
+    ):
+        first = dump(scan(order, F2, "s"))
+        glued = len(calls)
+        assert dump(scan(order, F2, "s")) == first
+    assert glued and len(calls) == glued
 
 
 def _checked_products(counts):
@@ -777,12 +836,14 @@ def test_interned_plans_filled_over_another_ring_match_the_oracle():
             mock.patch.object(cob, "_PLANS", {}),
             mock.patch.object(cob, "_TABLES", {}),
             mock.patch.object(cob, "_COMPOSE_PLANS", {}),
+            mock.patch.object(cob, "_INTERFACES", {}),
         ):
             for order in orders:
                 scan(order, filler, "full")
             filled = sum(len(t) for t in cob._TABLES.values())
             with (
                 mock.patch.object(cob, "_COMPOSE_PLANS", {}),
+                mock.patch.object(cob, "_INTERFACES", {}),
                 mock.patch.object(cob, "_plan", plan_),
                 mock.patch.object(complex_mod, "compose", compose_),
                 mock.patch.object(complex_mod, "glue_cobs", glue_),

@@ -142,8 +142,8 @@ def _circle_cyl(ring, dot=0, hpow=0):
 def _conjugated(ring, f):
     """{(a, b): p_a f i_b} over a, b in "+-", each read off by deloop_iso."""
     out = {}
-    for b, f_i in zip("+-", deloop_iso(ring, f, SRC)):
-        for a, p_f_i in zip("+-", deloop_iso(ring, f_i, TGT)):
+    for b, f_i in zip("+-", deloop_iso(ring, f, SRC, f.src.halves())):
+        for a, p_f_i in zip("+-", deloop_iso(ring, f_i, TGT, f_i.tgt.halves())):
             out[a, b] = p_f_i
     return out
 
@@ -358,6 +358,17 @@ def _check_glue(ring, f, phi, step, tables):
         assert comps_of(got) == expected
 
 
+def _run_optimized(script, **env):
+    """Run script under ``python -O`` with bnscan importable; the process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_check_raises_under_optimized_mode():
     # a -> b -> d and a -> c -> d with entries 1, 1, 1, -1 square to zero;
     # flipping the -1 leaves d^2 = 2, which check() must report even when
@@ -378,13 +389,7 @@ def test_check_raises_under_optimized_mode():
         "except InconsistentError:\n"
         "    raise SystemExit(3)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_optimized(script)
     assert proc.returncode == 3, proc.stderr
 
 
@@ -421,12 +426,97 @@ def test_check_raises_on_a_dot_beyond_the_cycles_under_optimized_mode():
         "        raise SystemExit(8)\n"
         "raise SystemExit(3)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["BNSCAN_DEBUG"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_optimized(script, BNSCAN_DEBUG="1")
     assert proc.returncode == 3, proc.stderr
+
+
+def test_check_raises_on_incoherent_indexes_under_optimized_mode():
+    # out and inc must list the same entries, and by_h the degrees of h,
+    # each id once; check() must name each corruption even when assert
+    # statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.coeff import Q\n"
+        "from bnscan.sinv import BasedComplex, InconsistentError\n"
+        "corruptions = [\n"
+        "    ('disagree on 0 -> 1', lambda D, a, b, c: D.inc[b].discard(a)),\n"
+        "    ('disagree on 1 -> 2', lambda D, a, b, c: D.inc[c].add(b)),\n"
+        "    ('by_h disagrees with h', lambda D, a, b, c: D.by_h[1].pop(c)),\n"
+        "    ('by_h disagrees with h', lambda D, a, b, c: D.by_h[2].update({c: None})),\n"
+        "    ('by_h disagrees with h', lambda D, a, b, c: D.h.update({c: 2})),\n"
+        "    ('hold different ids', lambda D, a, b, c: D.out.pop(c)),\n"
+        "]\n"
+        "for message, corrupt in corruptions:\n"
+        "    D = BasedComplex(Q)\n"
+        "    a, b, c, d = (D.add_object(h, 0) for h in (0, 1, 1, 2))\n"
+        "    D.set_entry(a, b, Q.one)\n"
+        "    D.set_entry(a, c, Q.one)\n"
+        "    D.check()\n"
+        "    corrupt(D, a, b, c)\n"
+        "    try:\n"
+        "        D.check()\n"
+        "    except InconsistentError as exc:\n"
+        "        if message not in str(exc):\n"
+        "            raise SystemExit(f'expected {message!r}, got {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'check() missed: {message}')\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_add_object_refuses_an_id_in_use():
+    t = Tangle((1, 0))
+    C = FilteredComplex(Q)
+    a, b = C.add_object(0, t), C.add_object(1, t)
+    C.set_entry(a, b, identity_cob(Q, t))
+    with pytest.raises(ValueError, match="already in use"):
+        C.add_object(2, Tangle(()), a)
+    assert C.obj[a] == t and C.h[a] == 0 and b in C.out[a]
+    assert C.by_h == {0: {a: None}, 1: {b: None}}
+    C.check()
+    # the id of a removed object is free again
+    C.remove_object(a)
+    assert C.add_object(2, Tangle((), 0, 1), a) == a
+    C.check()
+
+
+def test_shared_saddle_terms_survive_an_elimination_beside_them():
+    # Same-shape objects of one tensor step share the terms of their
+    # saddle entries.  Next to one of them, x0 -> x1, add a pair a -> b
+    # of identities with x0 -> b and a -> x1: cancelling it corrects
+    # x0 -> x1 to zero, and the entries that shared its terms must keep
+    # them unchanged.
+    order = scan_order(orient_and_sign(braid_pd([1, -2, 1, -2, 3, -2, 3], 4)))
+    od = order.diagram
+    for ring in (Q, F2, Z):
+        C = initial_complex(ring, od.n_plus, od.n_minus)
+        for step in order.steps:
+            D = tensor_with_crossing(C, step)
+            groups: dict = {}
+            for x0, outs in D.out.items():
+                for x1, f in outs.items():
+                    if not (f.src.circles or f.tgt.circles):
+                        groups.setdefault(id(f.terms), []).append((x0, x1, f))
+            shared = next((g for g in groups.values() if len(g) > 1), None)
+            if shared:
+                break
+            C = reduce_pass(deloop(D))
+        else:
+            raise AssertionError("no tensor step shared saddle terms")
+        (x0, x1, f), *others = shared
+        before = dict(f.terms)
+        label = D.obj[x0]
+        a = D.add_object(D.h[x0], label)
+        b = D.add_object(D.h[x1], label)
+        D.set_entry(a, b, identity_cob(ring, label))
+        D.set_entry(x0, b, identity_cob(ring, label))
+        D.set_entry(a, x1, f)
+        gauss_eliminate(D, a, b)
+        assert x1 not in D.out[x0]
+        for y0, y1, g in others:
+            assert D.out[y0][y1] is g and g.terms == before
+
+
