@@ -15,13 +15,10 @@ import time
 from typing import NamedTuple
 
 from .coeff import F2, Z, Z4, ring_from_name
-from .complex import dump, reduce_pass, scan
+from .complex import HALF_WIDTH, dump, reduce_pass, scan
 from .diagram import orient_and_sign, parse_knot_line, scan_order
 from .sinv import base_change, from_filtered, khovanov_table, s_from_based
 from .sq1 import refine_scanned
-
-# the scan window of each mode
-_WINDOWS = {"s": "s", "kh": "full", "sq1": "sq1"}
 
 
 class Job(NamedTuple):
@@ -74,7 +71,7 @@ def _compute_row(args):
         # over Z through base_change, which is faster than Fraction or
         # mod-p arithmetic inside every cobordism product
         ring = Z4 if mode == "sq1" else F2 if rings == ("f2",) else Z
-        C = scan(order, ring, _WINDOWS[mode])
+        C = scan(order, ring, mode)
         if mode == "sq1":
             s_values["f2"], quad = refine_scanned(C)
         else:
@@ -113,7 +110,7 @@ def run(job: Job):
     since both would write one dump file; the decision is made before
     any row is computed.
     """
-    if job.mode not in _WINDOWS:
+    if job.mode not in HALF_WIDTH:
         raise ValueError(f"unknown mode {job.mode!r}")
     rings = tuple(dict.fromkeys(rname.strip().lower() for rname in job.rings))
     if job.mode != "sq1" and not rings:
@@ -246,7 +243,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     comp = sub.add_parser("compute", help="process a knot table")
     comp.add_argument("--input", required=True)
-    comp.add_argument("--mode", choices=("s", "sq1", "kh"), default="s")
+    comp.add_argument("--mode", choices=tuple(HALF_WIDTH), default="s")
     comp.add_argument("--ring", default="f2")
     comp.add_argument("--out")
     comp.add_argument("--format", choices=("csv", "json"), default="csv")

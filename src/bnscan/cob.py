@@ -458,8 +458,12 @@ def deloop_iso(ring, f, side, halves):
         else:
             if dot:
                 plus[rest] = c
-            # a dotted summand and an H-summand can collide here
-            _add_summands(ring, minus, ((rest, 1),), c)
+            if rest in minus:  # a dotted summand and an H-summand collide
+                c = ring.add(minus[rest], c)
+                if ring.is_zero(c):
+                    del minus[rest]
+                    continue
+            minus[rest] = c
     if side == TGT:
         return Cob(f.src, t_plus, plus), Cob(f.src, t_minus, minus)
     return Cob(t_plus, f.tgt, plus), Cob(t_minus, f.tgt, minus)

@@ -38,6 +38,9 @@ DEBUG = os.environ.get("BNSCAN_DEBUG", "") == "1"
 
 INF = 10**9
 
+# the half-width w of the homological window [-w, w] each scan mode keeps
+HALF_WIDTH = {"s": 1, "sq1": 2, "kh": INF}
+
 # Crossing piece matchings on legs 0..3 (counterclockwise from the
 # incoming under-strand): resolution 0 joins legs (0,3) and (1,2),
 # resolution 1 joins (0,1) and (2,3).
@@ -114,8 +117,9 @@ class FilteredComplex:
     during the scan, a quantum degree once evaluated.  ``out[src]`` maps
     target ids to entries one homological degree up, ``inc[tgt]`` indexes
     the sources; the entry algebra (cobordisms unless given) says how
-    entries test for zero, add, compose and scale; ``by_h[h]`` holds the
-    ids of degree h as the keys of a dict, in the order they were added.
+    entries test for zero, add, compose and scale.  ``h`` holds the ids
+    in the order they were added, which every walk by degree keeps
+    within a degree (``objects_at``, the stable ``sorted(C.h, key=C.h.get)``).
     Mutation goes through the add/remove/update helpers so the indexes
     stay coherent; only ``deloop`` writes the entries of its fresh halves
     into them directly, and ``check`` tests their coherence.
@@ -126,7 +130,6 @@ class FilteredComplex:
         self.entries = entries(ring)
         self.obj: dict[int, object] = {}
         self.h: dict[int, int] = {}
-        self.by_h: dict[int, dict[int, None]] = {}
         self.out: dict[int, dict[int, object]] = {}
         self.inc: dict[int, set[int]] = {}
         self._next = 0
@@ -145,7 +148,6 @@ class FilteredComplex:
         self._next = max(self._next, oid + 1)
         self.obj[oid] = label
         self.h[oid] = h
-        self.by_h.setdefault(h, {})[oid] = None
         self.out[oid] = {}
         self.inc[oid] = set()
         return oid
@@ -155,7 +157,6 @@ class FilteredComplex:
             self.inc[tgt].discard(oid)
         for src in self.inc[oid]:
             self.out[src].pop(oid, None)
-        del self.by_h[self.h[oid]][oid]
         del self.obj[oid], self.h[oid], self.out[oid], self.inc[oid]
 
     def set_entry(self, src, tgt, entry):
@@ -173,10 +174,10 @@ class FilteredComplex:
         )
 
     def degrees(self):
-        return sorted(h for h, ids in self.by_h.items() if ids)
+        return sorted(set(self.h.values()))
 
-    def objects_at(self, h):
-        return list(self.by_h.get(h, []))
+    def objects_at(self, d):
+        return [oid for oid, h in self.h.items() if h == d]
 
     def rebuild(self, into, label=None, entry=None, flip=False):
         """Copy every object and entry into the empty ``into``, keeping ids.
@@ -185,10 +186,10 @@ class FilteredComplex:
         ``flip`` turns the complex upside down (degrees negated, entries
         transposed).
         """
-        for h in self.degrees():
-            for oid in self.by_h[h]:
-                lab = self.obj[oid] if label is None else label(self.obj[oid])
-                into.add_object(-h if flip else h, lab, oid)
+        for oid in sorted(self.h, key=self.h.get):
+            h = self.h[oid]
+            lab = self.obj[oid] if label is None else label(self.obj[oid])
+            into.add_object(-h if flip else h, lab, oid)
         for a, outs in self.out.items():
             for b, f in outs.items():
                 src, tgt = (b, a) if flip else (a, b)
@@ -210,10 +211,6 @@ class FilteredComplex:
         if listed != indexed:
             a, b = min(listed ^ indexed)
             raise InconsistentError(f"out and inc disagree on {a} -> {b}")
-        if sum(map(len, self.by_h.values())) != len(self.h) or any(
-            self.h.get(oid) != h for h, ids in self.by_h.items() for oid in ids
-        ):
-            raise InconsistentError("by_h disagrees with h")
         e = self.entries
         for a, outs in self.out.items():
             acc: dict = {}
@@ -240,14 +237,16 @@ class FilteredComplex:
 
 
 def initial_complex(ring, n_plus, n_minus):
-    """The seed complex: one empty object carrying the global shifts.
+    """The seed complex: one closed object carrying the global shifts.
 
     Tensoring every crossing piece at local degrees {0,1} and quantum
     shifts {0,1} on top of this reproduces the usual normalization
-    (homological degrees offset by the negative crossing count).
+    (homological degrees offset by the negative crossing count).  A
+    diagram without crossings is one circle, so its seed is that circle.
     """
     C = FilteredComplex(ring)
-    C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
+    circles = 0 if n_plus or n_minus else 1
+    C.add_object(-n_minus, Tangle((), circles, n_plus - 2 * n_minus))
     return C
 
 
@@ -276,24 +275,23 @@ def tensor_with_crossing(C, step):
     D = FilteredComplex(ring)
     info: dict = {}  # oid -> (glued object, end map) beside each piece
     new_id: dict = {}  # oid -> its ids beside each piece
-    for h in C.degrees():
-        for oid in C.by_h[h]:
-            t = C.obj[oid]
-            glued = []
-            for piece in pieces:
-                key = (t.match, piece.match)
-                shape = shapes.get(key)
-                if shape is None:
-                    shape = shapes[key] = glue_tangles(
-                        t, piece.match, pairs, left_order, piece_order
-                    )
-                raw, end_map = shape
-                qshift = t.qshift + piece.qshift
-                glued.append((Tangle(raw.match, raw.circles, qshift), end_map))
-            info[oid] = glued
-            new_id[oid] = (
-                D.add_object(h, glued[0][0]), D.add_object(h + 1, glued[1][0])
-            )
+    for oid in sorted(C.h, key=C.h.get):
+        t, h = C.obj[oid], C.h[oid]
+        glued = []
+        for piece in pieces:
+            key = (t.match, piece.match)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = glue_tangles(
+                    t, piece.match, pairs, left_order, piece_order
+                )
+            raw, end_map = shape
+            qshift = t.qshift + piece.qshift
+            glued.append((Tangle(raw.match, raw.circles, qshift), end_map))
+        info[oid] = glued
+        new_id[oid] = (
+            D.add_object(h, glued[0][0]), D.add_object(h + 1, glued[1][0])
+        )
     # every (source, target) pair below is written once
     for src, outs in C.out.items():
         src_info, src_ids = info[src], new_id[src]
@@ -333,9 +331,7 @@ def deloop(C):
     """
     ring = C.ring
     out, inc = C.out, C.inc
-    queue = [
-        oid for h in C.degrees() for oid in C.by_h[h] if C.obj[oid].circles > 0
-    ]
+    queue = [oid for oid in sorted(C.h, key=C.h.get) if C.obj[oid].circles > 0]
     while queue:
         oid = queue.pop()
         h = C.h[oid]
@@ -446,10 +442,8 @@ def reduce_pass(C, lo=-INF, hi=INF):
         touched = gauss_eliminate(C, a, b)
         for s, t in touched:
             push(s, t)
-    for h in C.degrees():
-        if h < lo or h > hi:
-            for oid in C.objects_at(h):
-                C.remove_object(oid)
+    for oid in [oid for oid, h in C.h.items() if not lo <= h <= hi]:
+        C.remove_object(oid)
     if DEBUG:
         C.check()
     return C
@@ -458,37 +452,29 @@ def reduce_pass(C, lo=-INF, hi=INF):
 def scan(order, ring, mode="s"):
     """Run the whole scan for one knot diagram.
 
-    Modes: "full" keeps everything (the final complex computes the graded
-    homology), "s" truncates to the window needed for the s-invariant,
-    "sq1" to the wider window needed for the Bockstein refinement.
-
-    The truncating modes share one rule with half-width w (1 for "s", 2
-    for "sq1").  Degrees never fall, and the last n - i crossings raise
+    Each mode keeps the homological window [-w, w] of its half-width
+    ``HALF_WIDTH[mode]``: 1 for "s", the window of the s-invariant, 2 for
+    "sq1", the wider one of the Bockstein refinement, and INF for "kh",
+    which keeps everything (the final complex computes the graded
+    homology).  Degrees never fall, and the last n - i crossings raise
     them by at most n - i, so after step i only degrees -w - n + i to w
-    can reach the final window [-w, w]; those are kept.  Eliminations
-    run from one degree lower, -w - 1 - n + i: a pair cancelled with its
-    source there removes from the lowest kept degree a cocycle that is
-    a boundary, which leaves the kept differentials their images.
+    can reach the final window; those are kept.  Eliminations run from
+    one degree lower, -w - 1 - n + i: a pair cancelled with its source
+    there removes from the lowest kept degree a cocycle that is a
+    boundary, which leaves the kept differentials their images.  The
+    seed is delooped first, which splits the circle of a diagram without
+    crossings and leaves any other seed as it is.
     """
-    if mode not in ("full", "s", "sq1"):
+    if mode not in HALF_WIDTH:
         raise ValueError(f"unknown scan mode {mode!r}")
+    w = HALF_WIDTH[mode]
     od = order.diagram
     n = od.pd.n
-    if n == 0:
-        # a crossingless unknot diagram is a bare circle
-        C = FilteredComplex(ring)
-        C.add_object(0, Tangle((), 1, 0))
-        deloop(C)
-        return C
-    C = initial_complex(ring, od.n_plus, od.n_minus)
+    C = deloop(initial_complex(ring, od.n_plus, od.n_minus))
     for i, step in enumerate(order.steps, start=1):
-        C = tensor_with_crossing(C, step)
+        C = tensor_with_crossing(C, step)  # the last complex is freed here
         deloop(C)
-        if mode == "full":
-            reduce_pass(C)
-        else:
-            w = 1 if mode == "s" else 2
-            reduce_pass(C, -w - n + i, w)
+        reduce_pass(C, -w - n + i, w)
     if any(t.n_points or t.circles for t in C.obj.values()):
         raise NotClosedError("scan left open objects")
     return C

@@ -103,7 +103,7 @@ def read_s(D: BasedComplex) -> SResult:
 
 
 def khovanov_table(D: BasedComplex):
-    """Generator counts per (h, q): the graded homology of a full scan."""
+    """Generator counts per (h, q): the graded homology of a scan in mode kh."""
     table: dict[tuple[int, int], int] = {}
     for gid, h in D.h.items():
         key = (h, D.q[gid])

@@ -221,7 +221,7 @@ def test_criterion_5_brute_force_oracle():
         crossings, signs = crossing_signs(pd)
         so = scan_order(orient_and_sign(pd))
         for ring, fld in ((F2, "f2"), (Q, "q")):
-            mine = khovanov_table(from_filtered(scan(so, ring, "full")))
+            mine = khovanov_table(from_filtered(scan(so, ring, "kh")))
             oracle = khovanov_ranks(crossings, signs, fld)
             assert mine == oracle, (pd.name, fld)
         s_scan = s_from_based(from_filtered(scan(so, F2, "s"))).s

@@ -236,7 +236,7 @@ def test_mode_kh_scans_once_per_row_and_dumps_that_scan(
     assert calls == {"scan": ["z"] * 3, "scan_order": 3}
     assert sorted(os.listdir(dump_dir)) == ["fig8.txt", "trefoil.txt", "unknot.txt"]
     so = scan_order(orient_and_sign(parse_pd(PD_TREFOIL)))
-    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "full"))
+    assert (dump_dir / "trefoil.txt").read_text() == dump(scan(so, Z, "kh"))
 
 
 def test_mode_sq1_scans_once_per_row_and_dumps_that_scan(
@@ -398,6 +398,42 @@ def test_record_golden_check_names_each_differing_file(tmp_path, capsys):
     assert not os.path.exists(os.path.join(GOLDEN, "k16-kh", "new.txt"))
 
 
+def test_record_golden_against_compares_two_package_trees(tmp_path, capsys):
+    # --against records the same cases from the other tree and from src/
+    # beside tests/, names each file that differs and writes no golden
+    # file; a case run from a tree in a fresh interpreter gives the JSON
+    # and dumps of the same case run in this process
+    from unittest import mock
+
+    import record_golden
+    from record_golden import AGAINST_CASES, SRC, compute_case, differing
+
+    calls = []
+
+    def fake(dest, cases, src, stem):
+        calls.append((cases, src, stem))
+        os.makedirs(dest)
+        for name in ("same.json", "moved.txt"):
+            with open(os.path.join(dest, name), "w") as f:
+                f.write(src if name == "moved.txt" else "")
+
+    other = str(tmp_path / "other" / "src")
+    with mock.patch.object(record_golden, "record", fake):
+        assert record_golden.main(["--against", other]) == 1
+    assert capsys.readouterr().out == "differs: moved.txt\n"
+    assert [(cases, src) for cases, src, _stem in calls] == [
+        (AGAINST_CASES, other), (AGAINST_CASES, SRC)
+    ]
+    trees = [str(tmp_path / side) for side in ("fresh", "here")]
+    texts = [
+        compute_case("mixed_knots", "s", "f2", os.path.join(tree, "dumps"), src)
+        for tree, src in zip(trees, (SRC, None))
+    ]
+    assert texts[0] == texts[1]
+    assert len(os.listdir(os.path.join(trees[0], "dumps"))) == 19
+    assert differing(*trees) == []
+
+
 def test_an_unknown_mode_is_rejected_before_the_input_is_read(tmp_path, knot_file):
     # a missing input would raise FileNotFoundError if it were opened first
     missing = str(tmp_path / "missing.txt")
@@ -524,7 +560,7 @@ def test_one_scan_over_z_gives_every_field_its_own_numbers(
                     ref = s_invariant(pd, field).s
                     got = (a.s_values[rname], b.s_values[rname])
                 else:
-                    table = khovanov_table(from_filtered(scan(order, field, "full")))
+                    table = khovanov_table(from_filtered(scan(order, field, "kh")))
                     ref = {f"{h},{q}": v for (h, q), v in sorted(table.items())}
                     got = (a.kh_tables[rname], b.kh_tables[rname])
                 assert got == (ref, ref), (pd.name, rname)

@@ -839,7 +839,7 @@ def test_interned_plans_filled_over_another_ring_match_the_oracle():
             mock.patch.object(cob, "_INTERFACES", {}),
         ):
             for order in orders:
-                scan(order, filler, "full")
+                scan(order, filler, "kh")
             filled = sum(len(t) for t in cob._TABLES.values())
             with (
                 mock.patch.object(cob, "_COMPOSE_PLANS", {}),
@@ -850,7 +850,7 @@ def test_interned_plans_filled_over_another_ring_match_the_oracle():
                 mock.patch.object(complex_mod, "tensor_with_crossing", tensor_),
             ):
                 for order in orders:
-                    scan(order, ring, "full")
+                    scan(order, ring, "kh")
         assert filled and counts["checked"], (ring, counts)
         assert counts["interned"] > counts["new"], (ring, counts)
 

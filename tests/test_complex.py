@@ -30,7 +30,7 @@ from bnscan.complex import (
     tensor_with_crossing,
 )
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
-from bnscan.sinv import from_filtered, khovanov_table, s_from_based
+from bnscan.sinv import BasedComplex, from_filtered, khovanov_table, s_from_based
 from helpers import (
     CIRCLE,
     cob_from_comps,
@@ -237,7 +237,7 @@ def test_reduce_pass_saturates():
         pd = parse_pd(txt)
         so = scan_order(orient_and_sign(pd))
         for ring in (F2, Q, Z4):
-            C = scan(so, ring, mode="full")
+            C = scan(so, ring, mode="kh")
             for a, outs in C.out.items():
                 for b, f in outs.items():
                     k = f.identity_coefficient()
@@ -266,7 +266,7 @@ def test_scan_trefoil_full_matches_dense_oracle():
     pd = parse_pd(PD_TREFOIL)
     od = orient_and_sign(pd)
     so = scan_order(od)
-    mine = khovanov_table(from_filtered(scan(so, F2, "full")))
+    mine = khovanov_table(from_filtered(scan(so, F2, "kh")))
     oracle = khovanov_ranks(od.pd.crossings, od.signs, "f2")
     assert mine == oracle
 
@@ -291,12 +291,12 @@ def test_scan_vs_dense_oracle(maker):
     od = orient_and_sign(pd)
     so = scan_order(od)
     for ring, fld in ((F2, "f2"), (F3, "f3"), (Q, "q")):
-        mine = khovanov_table(from_filtered(scan(so, ring, "full")))
+        mine = khovanov_table(from_filtered(scan(so, ring, "kh")))
         assert mine == khovanov_ranks(od.pd.crossings, od.signs, fld)
     s_scan = s_from_based(from_filtered(scan(so, F2, "s"))).s
     assert s_scan == bn_s_invariant(od.pd.crossings, od.signs, "f2")
     # mode-s and mode-full agree on the invariant
-    assert s_scan == s_from_based(from_filtered(scan(so, F2, "full"))).s
+    assert s_scan == s_from_based(from_filtered(scan(so, F2, "kh"))).s
 
 
 def test_full_scan_two_generators_over_fields():
@@ -431,9 +431,9 @@ def test_check_raises_on_a_dot_beyond_the_cycles_under_optimized_mode():
 
 
 def test_check_raises_on_incoherent_indexes_under_optimized_mode():
-    # out and inc must list the same entries, and by_h the degrees of h,
-    # each id once; check() must name each corruption even when assert
-    # statements are compiled away
+    # out and inc must list the same entries, and each entry must raise
+    # the degree by one; check() must name each corruption even when
+    # assert statements are compiled away
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
@@ -442,9 +442,7 @@ def test_check_raises_on_incoherent_indexes_under_optimized_mode():
         "corruptions = [\n"
         "    ('disagree on 0 -> 1', lambda D, a, b, c: D.inc[b].discard(a)),\n"
         "    ('disagree on 1 -> 2', lambda D, a, b, c: D.inc[c].add(b)),\n"
-        "    ('by_h disagrees with h', lambda D, a, b, c: D.by_h[1].pop(c)),\n"
-        "    ('by_h disagrees with h', lambda D, a, b, c: D.by_h[2].update({c: None})),\n"
-        "    ('by_h disagrees with h', lambda D, a, b, c: D.h.update({c: 2})),\n"
+        "    ('entry 0 -> 2 skips a degree', lambda D, a, b, c: D.h.update({c: 2})),\n"
         "    ('hold different ids', lambda D, a, b, c: D.out.pop(c)),\n"
         "]\n"
         "for message, corrupt in corruptions:\n"
@@ -475,12 +473,37 @@ def test_add_object_refuses_an_id_in_use():
     with pytest.raises(ValueError, match="already in use"):
         C.add_object(2, Tangle(()), a)
     assert C.obj[a] == t and C.h[a] == 0 and b in C.out[a]
-    assert C.by_h == {0: {a: None}, 1: {b: None}}
+    assert C.objects_at(0) == [a] and C.objects_at(1) == [b]
     C.check()
     # the id of a removed object is free again
     C.remove_object(a)
     assert C.add_object(2, Tangle((), 0, 1), a) == a
     C.check()
+
+
+def test_each_degree_lists_its_objects_in_the_order_they_were_added():
+    # The walks by degree (objects_at, the stable sort by h in tensor,
+    # deloop and rebuild) visit ids of one degree in the order they were
+    # added; the dumps depend on it.  Removals and the re-add of a freed
+    # id must keep it, and so must rebuild and flipped.
+    C = BasedComplex(Q)
+    for h in (1, 0, 1, 2, 0, 1):  # ids 0..5
+        C.add_object(h, 2 * h)
+    C.remove_object(2)
+    C.remove_object(1)
+    assert C.add_object(0, 0, 2) == 2
+    assert C.add_object(1, 2) == 6
+    C.set_entry(4, 0, Q.one)
+    C.set_entry(2, 5, Q.one)
+    C.check()
+    expect = {0: [4, 2], 1: [0, 5, 6], 2: [3]}
+    assert C.degrees() == [0, 1, 2]
+    assert {d: C.objects_at(d) for d in C.degrees()} == expect
+    assert sorted(C.h, key=C.h.get) == [4, 2, 0, 5, 6, 3]
+    R = C.rebuild(BasedComplex(Q))
+    assert {d: R.objects_at(d) for d in R.degrees()} == expect
+    F = C.flipped()
+    assert {-d: F.objects_at(d) for d in F.degrees()} == expect
 
 
 def test_shared_saddle_terms_survive_an_elimination_beside_them():

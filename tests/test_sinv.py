@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bnscan.cli import Job, run
 from bnscan.coeff import F2, F3, Q, Z, Z4, Modular
 from bnscan.complex import gauss_eliminate, reduce_pass, scan
 from bnscan.diagram import mirror_pd, orient_and_sign, parse_pd, scan_order
@@ -23,6 +24,7 @@ from bnscan.sinv import (
 from bnscan.sq1 import _slide
 from helpers import cancel_below, seifert_circles
 from knotgen import PD_TREFOIL, braid_pd, parse_knot_file, rational_pd, torus_pd
+from make_corpus import pd_text
 from oracle_dense import khovanov_ranks
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -166,7 +168,7 @@ def test_read_s_rejects_wide_witness():
 def test_khovanov_table_torus():
     pd = torus_pd(3)
     od = orient_and_sign(pd)
-    D = from_filtered(scan(scan_order(od), Q, "full"))
+    D = from_filtered(scan(scan_order(od), Q, "kh"))
     assert khovanov_table(D) == {(0, 1): 1, (0, 3): 1, (2, 5): 1, (3, 9): 1}
 
 
@@ -175,8 +177,8 @@ def test_f2_rank_dominates_q_rank():
     for pd in (torus_pd(3), rational_pd([2, 2]), rational_pd([3, 1, 1])):
         od = orient_and_sign(pd)
         so = scan_order(od)
-        t2 = khovanov_table(from_filtered(scan(so, F2, "full")))
-        tq = khovanov_table(from_filtered(scan(so, Q, "full")))
+        t2 = khovanov_table(from_filtered(scan(so, F2, "kh")))
+        tq = khovanov_table(from_filtered(scan(so, Q, "kh")))
         for key, v in tq.items():
             assert t2.get(key, 0) >= v
 
@@ -328,7 +330,7 @@ def test_integral_scan_finished_per_field_matches_the_field_scan(pd):
     # appear there: the s readoff and the homology table must be those of
     # the scan over the field itself
     order = scan_order(orient_and_sign(pd))
-    for mode in ("s", "full"):
+    for mode in ("s", "kh"):
         D = from_filtered(scan(order, Z, mode))
         for ring in (F2, F3, Modular(5), Q):
             E = reduce_pass(base_change(D, ring))
@@ -366,6 +368,30 @@ def test_mirror_negates_s_on_large_diagrams():
         for ring in (F2, Q):
             s = s_invariant(pd, ring).s
             assert s_invariant(mirror_pd(pd), ring).s == -s, (pd.name, ring)
+
+
+# a 28-crossing closure of a 5-strand braid, writhe 4
+C28A = (-3, 4, 1, 4, 2, -3, 2, 1, 1, 4, -2, -4, -3, -1, -4, 3, 2, 4, 4, 1,
+        -2, -2, -1, -4, -1, 4, 4, 4)
+
+
+def test_both_scan_rings_agree_on_a_28_crossing_closure(tmp_path):
+    # The CLI scans over Z for the rings f2,q and over F2 for f2 alone;
+    # both must give s = 4, the mirror over F2 -4, and s must lie in the
+    # slice-Bennequin sandwich w - 4 <= s <= w + 4 of a closed 5-strand
+    # braid of writhe 4
+    pd = braid_pd(C28A, 5, "c28a")
+    od = orient_and_sign(pd)
+    assert (pd.n, od.writhe, seifert_circles(od)) == (28, 4, 5)
+    knot, both = tmp_path / "c28a.txt", tmp_path / "c28a_and_mirror.txt"
+    knot.write_text(f"c28a ; {pd_text(pd)}\n")
+    both.write_text(f"c28a ; {pd_text(pd)}\nm ; {pd_text(mirror_pd(pd))}\n")
+    (over_z,) = run(Job(str(knot), "s", ("f2", "q")))
+    over_f2, mirror = run(Job(str(both), "s", ("f2",)))
+    assert over_z.s_values == {"f2": 4, "q": 4}, over_z.error
+    assert over_f2.s_values == {"f2": 4}, over_f2.error
+    assert mirror.s_values == {"f2": -4}, mirror.error
+    assert 0 <= over_f2.s_values["f2"] <= 8
 
 
 def test_slice_bennequin_sandwich_on_braid_closures():

@@ -230,7 +230,7 @@ def test_mod2_reduction_matches_f2_scan_window():
         counts_z4 = {}
         for g, h in E.h.items():
             counts_z4[(h, E.q[g])] = counts_z4.get((h, E.q[g]), 0) + 1
-        full = khovanov_table(from_filtered(scan(so, F2, "full")))
+        full = khovanov_table(from_filtered(scan(so, F2, "kh")))
         window = {k: v for k, v in full.items() if -2 <= k[0] <= 2}
         assert counts_z4 == window
 
@@ -288,7 +288,7 @@ def test_sq1_scan_keeps_no_more_low_generators_than_the_full_scan():
     for pd in knots:
         order = scan_order(orient_and_sign(pd))
         kept = scan(order, Z4, "sq1")
-        full = scan(order, Z4, "full")
+        full = scan(order, Z4, "kh")
         for h in (-2, -1):
             assert len(kept.objects_at(h)) <= len(full.objects_at(h)), (pd.name, h)
 
