@@ -67,9 +67,11 @@ def _compute_row(args):
         pd = parse_knot_line(line)
         order = scan_order(orient_and_sign(pd))
         # F2 alone scans over F2, where even entries vanish and the
-        # complex stays smaller; every other field list reads one scan
-        # over Z through base_change, which is faster than Fraction or
-        # mod-p arithmetic inside every cobordism product
+        # complex stays smaller, and in mode s it stops at the reduced
+        # complex, whose one survivor gives s; every other field list
+        # reads one closed scan over Z through base_change, which is
+        # faster than Fraction or mod-p arithmetic inside every
+        # cobordism product
         ring = Z4 if mode == "sq1" else F2 if rings == ("f2",) else Z
         C = scan(order, ring, mode)
         if mode == "sq1":

@@ -5,7 +5,9 @@ the crossing's two-term complex, deloop every circle, then saturate with
 quantum-degree-preserving Gaussian eliminations inside the mode's
 homological window and truncate outside its retention window.  Over a
 field the final complex has strictly quantum-raising coboundaries; over
-Z/4Z entries equal to 2 survive at equal quantum degree.
+Z/4Z entries equal to 2 survive at equal quantum degree.  A scan in mode
+s over F2 leaves one pair of the last crossing open and returns the
+reduced complex, whose objects are the marked arc (see ``scan``).
 
 One complex class serves the scan, whose entries are cobordisms, and the
 readoff, whose entries are ring scalars once the scan output has been
@@ -19,6 +21,7 @@ import os
 from typing import Callable, NamedTuple
 
 from .cob import (
+    MARKED_ARC,
     SRC,
     TGT,
     Cob,
@@ -33,6 +36,7 @@ from .cob import (
     glue_tangles,
     identity_cob,
 )
+from .coeff import F2
 
 DEBUG = os.environ.get("BNSCAN_DEBUG", "") == "1"
 
@@ -122,7 +126,9 @@ class FilteredComplex:
     within a degree (``objects_at``, the stable ``sorted(C.h, key=C.h.get)``).
     Mutation goes through the add/remove/update helpers so the indexes
     stay coherent; only ``deloop`` writes the entries of its fresh halves
-    into them directly, and ``check`` tests their coherence.
+    into them directly, and ``check`` tests their coherence.  ``marked``
+    flags the reduced complex of a reduced scan (see ``scan``);
+    ``rebuild`` passes it on.
     """
 
     def __init__(self, ring, entries=cob_entries):
@@ -132,6 +138,7 @@ class FilteredComplex:
         self.h: dict[int, int] = {}
         self.out: dict[int, dict[int, object]] = {}
         self.inc: dict[int, set[int]] = {}
+        self.marked = False
         self._next = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -186,6 +193,7 @@ class FilteredComplex:
         ``flip`` turns the complex upside down (degrees negated, entries
         transposed).
         """
+        into.marked = self.marked
         for oid in sorted(self.h, key=self.h.get):
             h = self.h[oid]
             lab = self.obj[oid] if label is None else label(self.obj[oid])
@@ -236,17 +244,23 @@ class FilteredComplex:
 # -- the scan steps ----------------------------------------------------------
 
 
-def initial_complex(ring, n_plus, n_minus):
+def initial_complex(ring, n_plus, n_minus, marked=False):
     """The seed complex: one closed object carrying the global shifts.
 
     Tensoring every crossing piece at local degrees {0,1} and quantum
     shifts {0,1} on top of this reproduces the usual normalization
     (homological degrees offset by the negative crossing count).  A
-    diagram without crossings is one circle, so its seed is that circle.
+    diagram without crossings is one circle, so its seed is that circle,
+    or with ``marked`` the marked arc, the circle cut open at the marked
+    point, in a reduced complex.  With crossings ``scan`` opens the arc
+    at the last step instead.
     """
     C = FilteredComplex(ring)
-    circles = 0 if n_plus or n_minus else 1
-    C.add_object(-n_minus, Tangle((), circles, n_plus - 2 * n_minus))
+    if n_plus or n_minus:
+        C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
+    else:
+        C.marked = marked
+        C.add_object(0, Tangle(MARKED_ARC) if marked else Tangle((), 1))
     return C
 
 
@@ -365,6 +379,33 @@ def deloop(C):
     return C
 
 
+def drop_marked_dots(C):
+    """Set the dot on the marked arc to 0: the entries of the reduced theory.
+
+    Every object must be the marked arc, without circles, so an entry's
+    summands are the undotted strip (mask 0) and the dotted one (mask 1,
+    the arc's cycle).  The dotted ones are dropped, which is the ring map
+    x -> 0 of the arc's algebra F[H, x]/(x^2 - Hx), so composition and
+    elimination commute with it; ``C`` is then marked as reduced.  Raises
+    InconsistentError for any other object or summand, also under
+    ``python -O``.
+    """
+    for oid, t in C.obj.items():
+        if t.match != MARKED_ARC or t.circles:
+            raise InconsistentError(f"object {oid} is not the marked arc: {t}")
+    for a, outs in C.out.items():
+        for b, f in list(outs.items()):
+            if f.terms.keys() - {0, 1}:
+                raise InconsistentError(
+                    f"entry {a} -> {b} keeps a summand other than the undotted one"
+                )
+            if 1 in f.terms:  # a new Cob: entries may share their terms
+                kept = {0: f.terms[0]} if 0 in f.terms else {}
+                C.set_entry(a, b, Cob(f.src, f.tgt, kept))
+    C.marked = True
+    return C
+
+
 def cancellable_coefficient(C, a, b):
     """The unit k when the entry a -> b is k times an identity.
 
@@ -464,36 +505,64 @@ def scan(order, ring, mode="s"):
     boundary, which leaves the kept differentials their images.  The
     seed is delooped first, which splits the circle of a diagram without
     crossings and leaves any other seed as it is.
+
+    A scan in mode "s" over F2 closes one pair fewer and returns the
+    reduced complex, marked as such.  Its last step glues the crossing
+    by the first three of its four pairs; the last pair stays open as
+    the marked point, so every object is the marked arc plus circles,
+    and delooping it makes half the objects a closed step would.  Right
+    after that deloop ``drop_marked_dots`` sets the dot on the arc to 0,
+    and the readoff finds s at the one survivor.  Over F2 Bar-Natan's
+    theory splits, the closed complex being the reduced one tensored
+    with the rank-2 algebra of a circle (Wigderson, *The Bar-Natan
+    theory splits*, JKTR 2016; Shumakovitch, *Torsion of the Khovanov
+    homology*, Fund. Math. 2014), so the reduced survivor sits at s where
+    the closed ones sit at s +- 1.  Every other ring and mode closes.
     """
     if mode not in HALF_WIDTH:
         raise ValueError(f"unknown scan mode {mode!r}")
     w = HALF_WIDTH[mode]
     od = order.diagram
     n = od.pd.n
-    C = deloop(initial_complex(ring, od.n_plus, od.n_minus))
+    marked = mode == "s" and ring == F2
+    C = deloop(initial_complex(ring, od.n_plus, od.n_minus, marked))
     for i, step in enumerate(order.steps, start=1):
+        last = marked and i == n
+        if last:
+            (p, x), bnd = step.pairs[-1], step.boundary_before
+            step = step._replace(
+                pairs=step.pairs[:-1], left_order=(p,), piece_order=(x,),
+                boundary_after=(bnd[p], bnd[p]),
+            )
         C = tensor_with_crossing(C, step)  # the last complex is freed here
         deloop(C)
+        if last:
+            drop_marked_dots(C)
         reduce_pass(C, -w - n + i, w)
-    if any(t.n_points or t.circles for t in C.obj.values()):
+    ends = MARKED_ARC if marked else ()
+    if any(t.match != ends or t.circles for t in C.obj.values()):
         raise NotClosedError("scan left open objects")
     return C
 
 
 def dump(C):
-    """Stable debug dump: one line per generator, one per entry."""
+    """Stable debug dump: one line per generator, one per entry.
+
+    The objects are the empty tangle, or the marked arc of a reduced
+    scan; both dump in one format, walking the degrees once.
+    """
     lines = []
-    index = {}
-    for h in C.degrees():
-        for i, oid in enumerate(C.objects_at(h)):
-            index[oid] = i
-            lines.append(f"{h} {C.obj[oid].qshift} {i}")
-    for h in C.degrees():
-        for oid in C.objects_at(h):
-            for tgt in sorted(C.out[oid], key=lambda t: (C.h[t], index[t])):
-                entry = C.out[oid][tgt]
-                coeff, jump = evaluate(C.ring, entry)
-                lines.append(
-                    f"{h} {index[oid]} {index[tgt]} {coeff} {jump // 2}"
-                )
+    index: dict = {}
+    count: dict = {}
+    walk = sorted(C.h, key=C.h.get)
+    for oid in walk:
+        h = C.h[oid]
+        i = index[oid] = count.get(h, 0)
+        count[h] = i + 1
+        lines.append(f"{h} {C.obj[oid].qshift} {i}")
+    for oid in walk:
+        h, i, outs = C.h[oid], index[oid], C.out[oid]
+        for tgt in sorted(outs, key=index.get):
+            coeff, jump = evaluate(C.ring, outs[tgt], C.marked)
+            lines.append(f"{h} {i} {index[tgt]} {coeff} {jump // 2}")
     return "\n".join(lines) + "\n"

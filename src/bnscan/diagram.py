@@ -348,23 +348,33 @@ def scan_order(od: OrientedDiagram) -> ScanOrder:
         return m
 
     def ranked(done, boundary):
-        """The candidates of one step, best first, with their gluings."""
+        """The candidates of one step, best first, with their gluings.
+
+        They are grouped by the length they leave, m + 4 - 2k, and a
+        group's interfaces, boundaries and lookaheads are made only when
+        the search reaches it; a group of one needs no lookahead.  The
+        score (length, lookahead, index) is lexicographic, so the order
+        is that of sorting every candidate by it.
+        """
+        m = len(boundary)
         pos = {e: p for p, e in enumerate(boundary)}
-        scored = []
+        groups: dict[int, list] = {}
         for ci in held(done, boundary) if done else range(n):
-            legs = xs[ci]
-            attach = _attachment(boundary, pos, legs) if done else (0, 0, 0)
-            if attach is None:
-                continue
-            iface = _interface(len(boundary), *attach)
-            _pairs, left_order, piece_order = iface
-            bnd = tuple(boundary[p] for p in left_order)
-            bnd += tuple(legs[x] for x in piece_order)
-            done2 = done | {ci}
-            score = (len(bnd), shortest_next(done2, bnd), ci)
-            scored.append((score, ci, iface, bnd, done2))
-        scored.sort(key=lambda item: item[0])
-        return iter(scored)
+            attach = _attachment(boundary, pos, xs[ci]) if done else (0, 0, 0)
+            if attach is not None:
+                groups.setdefault(m + 4 - 2 * attach[2], []).append((ci, attach))
+        for length in sorted(groups):
+            group = []
+            for ci, attach in groups[length]:
+                iface = _interface(m, *attach)
+                _pairs, left_order, piece_order = iface
+                bnd = tuple(boundary[p] for p in left_order)
+                bnd += tuple(xs[ci][x] for x in piece_order)
+                done2 = done | {ci}
+                ahead = shortest_next(done2, bnd) if len(groups[length]) > 1 else 0
+                group.append(((ahead, ci), ci, iface, bnd, done2))
+            group.sort(key=lambda item: item[0])
+            yield from group
 
     # Depth-first search on an explicit stack: frames[k] holds the prefix
     # after k steps and its untried candidates; steps[k] leads out of it.

@@ -1,16 +1,18 @@
 """Based complexes over the ground ring and the s-invariant readoff.
 
-After the scan every object is a copy of the empty tangle, so the
-complex becomes a free based complex with numeric entries (quantum jumps
-absorbed by the grading).  The readoff cancels the coboundary out of
-homological degree 0, largest quantum degree first, each generator
-against its lowest target.  The coboundary into degree 0 is the
+After the scan every object is a copy of the empty tangle, or of the
+marked arc after a reduced scan (mode s over F2, see ``complex.scan``),
+so the complex becomes a free based complex with numeric entries
+(quantum jumps absorbed by the grading).  The readoff cancels the
+coboundary out of homological degree 0, largest quantum degree first,
+each generator against its lowest target.  The coboundary into degree 0 is the
 coboundary out of degree 0 of the dual complex (degrees and gradings
 negated, entries transposed), so the same routine cancels it there:
 smallest quantum degree hit first, each against its highest source.
 Cancelling a degree-0 generator g adds entries s -> t only with
 q(t) >= q(g) >= q(s), so each elimination is a filtered change of
-basis, and the two survivors sit in quantum degrees s +- 1.
+basis, and the two survivors sit in quantum degrees s +- 1; the one
+survivor of a reduced complex sits at s.
 
 One scan over Z serves every field: elimination along +-1 entries and
 window truncation commute with base change, so ``base_change`` followed
@@ -23,7 +25,7 @@ from __future__ import annotations
 from operator import neg
 from typing import NamedTuple
 
-from .cob import NotClosedError, evaluate
+from .cob import MARKED_ARC, NotClosedError, evaluate
 from .complex import (
     FilteredComplex,
     InconsistentError,
@@ -37,7 +39,8 @@ from .diagram import orient_and_sign, scan_order
 class SResult(NamedTuple):
     s: int
     ring: str
-    witness: tuple[int, int]  # the surviving quantum degrees (s+1, s-1)
+    # the quantum degrees (s+1, s-1) of the closed complex's survivors
+    witness: tuple[int, int]
 
 
 class BasedComplex(FilteredComplex):
@@ -58,17 +61,23 @@ class BasedComplex(FilteredComplex):
         return self.rebuild(BasedComplex(self.ring), label=neg, flip=True)
 
 
-def _closed_qshift(t):
-    if t.n_points or t.circles:
-        raise NotClosedError("objects must be empty tangles")
-    return t.qshift
-
-
 def from_filtered(C) -> BasedComplex:
-    """Evaluate a complex of empty tangles into a based complex."""
-    ring = C.ring
+    """Evaluate a scan's complex into a based complex.
+
+    Its objects are empty tangles, or marked arcs if ``C.marked``.
+    """
+    ring, marked = C.ring, C.marked
+    ends = MARKED_ARC if marked else ()
+
+    def qshift(t):
+        if t.match != ends or t.circles:
+            raise NotClosedError(
+                "objects must be " + ("marked arcs" if marked else "empty tangles")
+            )
+        return t.qshift
+
     return C.rebuild(
-        BasedComplex(ring), _closed_qshift, lambda f: evaluate(ring, f)[0]
+        BasedComplex(ring), qshift, lambda f: evaluate(ring, f, marked)[0]
     )
 
 
@@ -88,8 +97,21 @@ def cancel_above(D: BasedComplex) -> BasedComplex:
 
 
 def read_s(D: BasedComplex) -> SResult:
-    """The s-invariant from the two surviving degree-0 generators."""
+    """The s-invariant from the surviving degree-0 generators.
+
+    A closed complex keeps two, at s + 1 and s - 1.  A reduced one
+    (``D.marked``) keeps one, at s, which stands for that pair (the
+    witness): over F2 the closed complex is the reduced one tensored
+    with the circle's algebra, generated in quantum degrees +-1.
+    """
     survivors = D.objects_at(0)
+    if D.marked:
+        qs = [D.q[g] for g in survivors]
+        if len(qs) != 1 or qs[0] % 2:
+            raise InconsistentError(
+                f"a reduced readoff needs one survivor at even q, found {qs}"
+            )
+        return SResult(qs[0], D.ring.name, (qs[0] + 1, qs[0] - 1))
     if len(survivors) != 2:
         raise InconsistentError(
             f"readoff needs exactly two survivors, found {len(survivors)}"
@@ -125,7 +147,11 @@ def s_from_based(D: BasedComplex) -> SResult:
 
 
 def s_invariant(pd, ring) -> SResult:
-    """Scan a knot diagram and read off its s-invariant over a field."""
+    """Scan a knot diagram and read off its s-invariant over a field.
+
+    Over F2 the scan stops at the reduced complex and s is read off its
+    one survivor; over any other field it reads the closed complex.
+    """
     order = scan_order(orient_and_sign(pd))
     return s_from_based(from_filtered(scan(order, ring, "s")))
 

@@ -83,37 +83,36 @@ def normal_form(D: BasedComplex) -> Z4NormalForm:
                 )
     elementary: dict[int, list[tuple[int, int]]] = {}
     slides = 0
-    levels = sorted({q for q in D.q.values()}, reverse=True)
-    for q in levels:
+    # one walk by degree; each level keeps its generators in that order
+    by_level: dict[int, list[int]] = {}
+    for g in sorted(D.h, key=D.h.get):
+        by_level.setdefault(D.q[g], []).append(g)
+    for q in sorted(by_level, reverse=True):
         pairs = []
-        for h in D.degrees():
-            srcs = [g for g in D.objects_at(h) if D.q[g] == q]
-            for s0 in srcs:
-                t0 = next(
-                    (t for t in sorted(D.out[s0]) if D.q[t] == q), None
-                )
-                if t0 is None:
+        for s0 in by_level[q]:
+            t0 = next((t for t in sorted(D.out[s0]) if D.q[t] == q), None)
+            if t0 is None:
+                continue
+            if D.out[s0][t0] != 2:
+                raise NotSaturatedError("equal-q entry must be 2")
+            # clear the pivot row first: afterwards column slides add
+            # nothing but the cancelling pivot entry, so finished rows
+            # never get repolluted
+            for t_prime in sorted(D.out[s0]):
+                if t_prime == t0 or D.q.get(t_prime) != q:
                     continue
-                if D.out[s0][t0] != 2:
-                    raise NotSaturatedError("equal-q entry must be 2")
-                # clear the pivot row first: afterwards column slides add
-                # nothing but the cancelling pivot entry, so finished rows
-                # never get repolluted
-                for t_prime in sorted(D.out[s0]):
-                    if t_prime == t0 or D.q.get(t_prime) != q:
-                        continue
-                    _slide(D, t0, t_prime, 1)
-                    slides += 1
-                for s_prime in sorted(D.inc[t0]):
-                    if s_prime == s0 or D.q.get(s_prime) != q:
-                        continue
-                    _slide(D, s_prime, s0, 1)
-                    slides += 1
-                if any(D.q[t] == q for t in D.out[s0] if t != t0) or any(
-                    D.q[s] == q for s in D.inc[t0] if s != s0
-                ):
-                    raise InconsistentError("pivot row or column not cleared")
-                pairs.append((s0, t0))
+                _slide(D, t0, t_prime, 1)
+                slides += 1
+            for s_prime in sorted(D.inc[t0]):
+                if s_prime == s0 or D.q.get(s_prime) != q:
+                    continue
+                _slide(D, s_prime, s0, 1)
+                slides += 1
+            if any(D.q[t] == q for t in D.out[s0] if t != t0) or any(
+                D.q[s] == q for s in D.inc[t0] if s != s0
+            ):
+                raise InconsistentError("pivot row or column not cleared")
+            pairs.append((s0, t0))
         if pairs:
             elementary[q] = pairs
     # integral tensor origin: no elementary chain is longer than 1

@@ -116,7 +116,8 @@ def cancel_below(D):
     """Steps 9-10: kill the coboundary into homological degree 0.
 
     The lowest quantum degree hit from degree -1 goes first, each
-    against its lowest-q unit source.
+    against its lowest-q unit source.  Two generators survive in degree
+    0, or one in a reduced complex (``D.marked``).
     """
     while True:
         hit = sorted(
@@ -136,9 +137,10 @@ def cancel_below(D):
                 "no unit partner below; is the ground ring a field?"
             )
         gauss_eliminate(D, partner, g)
-    if len(D.objects_at(0)) != 2:
+    want = 1 if D.marked else 2
+    if len(D.objects_at(0)) != want:
         raise InconsistentError(
-            f"expected 2 surviving generators, found {len(D.objects_at(0))}"
+            f"expected {want} surviving generators, found {len(D.objects_at(0))}"
         )
     return D
 

@@ -8,7 +8,8 @@ Run from the repository root::
 
 For each corpus and mode of ``CASES`` it runs ``sinv compute --format
 json --dump-complex`` and keeps the JSON rows without ``time_ms`` as
-``<corpus>-<mode>.json`` and the dump files under ``<corpus>-<mode>/``.
+``<corpus>-<name>.json`` and the dump files under ``<corpus>-<name>/``,
+the name of a mode and ring set being given in ``MODES``.
 ``--check`` writes the same files into a temporary directory instead,
 prints the name of every file that differs from the golden one, is
 missing or is new, and exits 1 if there is any; the golden files are left
@@ -45,7 +46,12 @@ GOLDEN = os.path.join(DATA, "golden")
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 CORPORA = ("mixed_knots", "k16")
-MODES = (("s", "f2,f3,q"), ("kh", "f2,q"), ("sq1", "z4,f2"))
+# (mode, rings) -> the name of its files after the corpus: F2 alone
+# scans the reduced complex, every other ring set the closed one
+MODES = {
+    ("s", "f2,f3,q"): "s", ("kh", "f2,q"): "kh", ("sq1", "z4,f2"): "sq1",
+    ("s", "f2"): "s-f2",
+}
 CASES = tuple((corpus, mode, rings) for corpus in CORPORA for mode, rings in MODES)
 
 # every corpus of tests/data in one mode and ring set per scan ring:
@@ -91,14 +97,18 @@ def compute_case(corpus, mode, rings, dump_dir, src=None):
     return json.dumps(rows, indent=1, sort_keys=True) + "\n"
 
 
-def record(dest, cases=CASES, src=None, stem="{corpus}-{mode}"):
+def record(dest, cases=CASES, src=None, stem="{corpus}-{name}"):
     """Write every case's JSON file and dump directory into dest.
 
-    ``stem`` names both after the case's corpus, mode and rings; ``src``
+    ``stem`` names both after the case's corpus, mode and rings, and
+    ``name``, its name in ``MODES`` (the mode if it has none); ``src``
     is passed on to ``compute_case``.
     """
     for corpus, mode, rings in cases:
-        path = os.path.join(dest, stem.format(corpus=corpus, mode=mode, rings=rings))
+        name = MODES.get((mode, rings), mode)
+        path = os.path.join(
+            dest, stem.format(corpus=corpus, mode=mode, rings=rings, name=name)
+        )
         text = compute_case(corpus, mode, rings, path, src)
         with open(path + ".json", "w") as f:
             f.write(text)

@@ -353,11 +353,12 @@ def test_an_unknown_ring_is_rejected_in_every_mode(tmp_path, knot_file, capsys):
 def test_outputs_and_dumps_match_the_golden_files(tmp_path):
     # JSON rows without time_ms and every dump file, byte for byte, as
     # recorded by tests/record_golden.py, whose --check compares the same way
-    from record_golden import CASES, GOLDEN, differing, record
+    from record_golden import CASES, GOLDEN, MODES, differing, record
 
     record(str(tmp_path))
-    for corpus, mode, _rings in CASES:
-        assert os.listdir(os.path.join(GOLDEN, f"{corpus}-{mode}")), (corpus, mode)
+    for corpus, mode, rings in CASES:
+        stem = f"{corpus}-{MODES[mode, rings]}"
+        assert os.listdir(os.path.join(GOLDEN, stem)), (corpus, mode, rings)
     assert differing(GOLDEN, str(tmp_path)) == []
 
 

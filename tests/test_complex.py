@@ -6,6 +6,7 @@ import pytest
 
 import bnscan.complex as cx
 from bnscan.cob import (
+    MARKED_ARC,
     SRC,
     TGT,
     Cob,
@@ -22,6 +23,7 @@ from bnscan.complex import (
     NotCancellableError,
     crossing_complex,
     deloop,
+    drop_marked_dots,
     dump,
     gauss_eliminate,
     initial_complex,
@@ -300,14 +302,17 @@ def test_scan_vs_dense_oracle(maker):
 
 
 def test_full_scan_two_generators_over_fields():
-    # the saturated deformed complex of a knot has exactly two generators
-    # in homological degree 0 once restricted to mode-s windows
+    # the saturated deformed complex of a knot has at least two generators
+    # in homological degree 0 once restricted to mode-s windows; over F2
+    # the scan stops at the knot cut open at a marked point, whose reduced
+    # complex keeps at least one there, the survivor the readoff finds
     pd = torus_pd(3)
     so = scan_order(orient_and_sign(pd))
-    for ring in (F2, F3, Q):
+    for ring, least in ((F2, 1), (F3, 2), (Q, 2)):
         D = from_filtered(scan(so, ring, "s"))
+        assert D.marked == (ring == F2)
         total_h0 = len(D.objects_at(0))
-        assert total_h0 >= 2
+        assert total_h0 >= least
 
 
 def test_dump_format():
@@ -463,6 +468,120 @@ def test_check_raises_on_incoherent_indexes_under_optimized_mode():
     )
     proc = _run_optimized(script)
     assert proc.returncode == 3, proc.stderr
+
+
+def test_reduced_scan_refuses_an_object_other_than_the_marked_arc_under_optimized_mode():
+    # after the last deloop of a reduced scan every object must be the
+    # marked arc without circles; drop_marked_dots must name any other
+    # one even when assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.cob import MARKED_ARC, Tangle\n"
+        "from bnscan.coeff import F2\n"
+        "from bnscan.complex import FilteredComplex, InconsistentError, drop_marked_dots\n"
+        "for other in (Tangle(()), Tangle(MARKED_ARC, 1), Tangle((1, 0, 3, 2))):\n"
+        "    C = FilteredComplex(F2)\n"
+        "    C.add_object(0, Tangle(MARKED_ARC))\n"
+        "    C.add_object(1, other)\n"
+        "    try:\n"
+        "        drop_marked_dots(C)\n"
+        "    except InconsistentError as exc:\n"
+        "        if 'not the marked arc' not in str(exc):\n"
+        "            raise SystemExit(f'wrong message: {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'missed the object {other}')\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_reduced_scan_refuses_a_summand_beyond_the_marked_arc_under_optimized_mode():
+    # between marked arcs a summand is the undotted strip (mask 0) or the
+    # dotted one (mask 1), which is dropped; a mask with any other bit
+    # would be kept or dropped wrongly, so it must be refused even when
+    # assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.cob import MARKED_ARC, Cob, Tangle\n"
+        "from bnscan.coeff import F2\n"
+        "from bnscan.complex import FilteredComplex, InconsistentError, drop_marked_dots\n"
+        "arc = Tangle(MARKED_ARC)\n"
+        "for terms in ({2: 1}, {0: 1, 2: 1}, {3: 1}):\n"
+        "    C = FilteredComplex(F2)\n"
+        "    a, b = C.add_object(0, arc), C.add_object(1, arc.shifted(4))\n"
+        "    C.set_entry(a, b, Cob(arc, arc.shifted(4), terms))\n"
+        "    try:\n"
+        "        drop_marked_dots(C)\n"
+        "    except InconsistentError as exc:\n"
+        "        if 'other than the undotted one' not in str(exc):\n"
+        "            raise SystemExit(f'wrong message: {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'missed the terms {terms}')\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_reduced_readoff_needs_one_survivor_at_even_q_under_optimized_mode():
+    # a reduced complex keeps one degree-0 generator, at s, which is even
+    # for a knot; read_s must refuse none, two, or one at odd q even when
+    # assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.coeff import F2\n"
+        "from bnscan.sinv import BasedComplex, InconsistentError, read_s\n"
+        "for qs in ((), (0, 2), (1,)):\n"
+        "    D = BasedComplex(F2)\n"
+        "    D.marked = True\n"
+        "    D.add_object(-1, -4)\n"
+        "    for q in qs:\n"
+        "        D.add_object(0, q)\n"
+        "    try:\n"
+        "        read_s(D)\n"
+        "    except InconsistentError as exc:\n"
+        "        if 'one survivor at even q' not in str(exc):\n"
+        "            raise SystemExit(f'wrong message: {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'missed the survivors {qs}')\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
+    # mode s over F2 ends at the marked arc; every entry keeps only its
+    # undotted summand, the survivor sits at s and stands for the pair at
+    # s +- 1 of the closed scan (mode kh), and a diagram without crossings
+    # is the arc itself
+    arc = Tangle(MARKED_ARC)
+    for txt, s in (("PD[]", 0), ("PD[X[1,1,2,2]]", 0), (PD_TREFOIL, 2)):
+        so = scan_order(orient_and_sign(parse_pd(txt)))
+        C = scan(so, F2, "s")
+        assert C.marked and not scan(so, F2, "kh").marked
+        assert all(t == arc.shifted(t.qshift) for t in C.obj.values())
+        entries = [f for outs in C.out.values() for f in outs.values()]
+        assert all(f.terms.keys() == {0} for f in entries)
+        D = from_filtered(C)
+        assert D.marked
+        res = s_from_based(D)
+        assert (abs(res.s), res.witness[0] - res.witness[1]) == (s, 2)
+        assert res == s_from_based(from_filtered(scan(so, F2, "kh")))
+    # a dotted summand is dropped, an undotted one kept in a new entry
+    C = FilteredComplex(F2)
+    a, b, c = (C.add_object(h, arc.shifted(q)) for h, q in ((0, 0), (1, 2), (1, 4)))
+    shared = {0: 1, 1: 1}
+    C.set_entry(a, b, Cob(arc, arc.shifted(2), shared))
+    C.set_entry(a, c, Cob(arc, arc.shifted(4), {1: 1}))
+    drop_marked_dots(C)
+    assert C.marked and C.out[a] == {b: C.out[a][b]} and C.inc[c] == set()
+    assert C.out[a][b].terms == {0: 1} and shared == {0: 1, 1: 1}
+    assert dump(C) == "0 0 0\n1 2 0\n1 4 1\n0 0 0 1 1\n"
 
 
 def test_add_object_refuses_an_id_in_use():

@@ -83,9 +83,13 @@ def test_figure2_unknown_signs_do_not_change_f2_answer():
 
 
 def _random_filtered_slides(D, rng, count):
-    """``count`` handle slides x -> x + u*y, q(y) >= q(x), u in {1, -1, 2}."""
+    """``count`` handle slides x -> x + u*y, q(y) >= q(x), u in {1, -1, 2}.
+
+    A complex with at most one generator per degree, such as the reduced
+    complex of a small knot, admits no slide and is left as it is.
+    """
     degrees = [h for h in D.degrees() if len(D.objects_at(h)) > 1]
-    for _ in range(count):
+    for _ in range(count if degrees else 0):
         x, y = sorted(rng.sample(D.objects_at(rng.choice(degrees)), 2),
                       key=lambda g: D.q[g])
         _slide(D, x, y, D.ring.from_int(rng.choice((1, -1, 2))))
@@ -97,7 +101,8 @@ def test_the_dual_readoff_matches_the_readoff_from_below():
     # the readoff runs steps 9-10 as steps 7-8 on the dual complex, which
     # pairs each generator with its highest source instead of its lowest;
     # both are filtered changes of basis, so s and the witness agree, also
-    # after random filtered changes of basis of the input
+    # after random filtered changes of basis of the input, on closed and
+    # on reduced complexes
     rng = random.Random(16)
     with open(os.path.join(DATA, "figure2.json")) as f:
         fix = json.load(f)
@@ -113,8 +118,11 @@ def test_the_dual_readoff_matches_the_readoff_from_below():
             pds = [pd for _line, pd in parse_knot_file(f.read())]
         for pd in pds:
             order = scan_order(orient_and_sign(pd))
+            # the F2 scan is reduced; the closed F2 complex comes from Z
             for ring in (F2, Q):
                 cases.append((pd.name, from_filtered(scan(order, ring, "s"))))
+            closed = from_filtered(scan(order, Z, "s"))
+            cases.append((pd.name, reduce_pass(base_change(closed, F2))))
     # one source hitting two degree-0 generators: the order of the lower
     # half decides which survives, and only the lower one may go
     D = BasedComplex(F2)
@@ -124,7 +132,7 @@ def test_the_dual_readoff_matches_the_readoff_from_below():
         if q < 1:
             D.set_entry(src, g, F2.one)
     cases.append(("fork", D))
-    assert len(cases) == 10 + 2 * 20 + 1
+    assert len(cases) == 10 + 3 * 20 + 1
     for name, D in cases:
         for slides in (0, 4):
             E = _random_filtered_slides(base_change(D, D.ring), rng, slides)
@@ -365,9 +373,27 @@ def test_mirror_negates_s_on_large_diagrams():
             pds += [pd for _line, pd in parse_knot_file(f.read())]
     assert len(pds) == 8
     for pd in pds:
+        # over F2 both scans are reduced, over Q both are closed
         for ring in (F2, Q):
             s = s_invariant(pd, ring).s
             assert s_invariant(mirror_pd(pd), ring).s == -s, (pd.name, ring)
+
+
+def test_reduced_f2_scan_agrees_with_the_closed_scan_on_the_corpora():
+    # F2 alone scans the reduced complex (the knot cut open at a marked
+    # point), rings f2,q scan the closed complex over Z: s over F2 must
+    # agree on every row, which checks in code that Bar-Natan's theory
+    # splits over F2 (the mirror check above runs the reduced path too)
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(DATA, "*.txt"))):
+        reduced = run(Job(path, "s", ("f2",)))
+        closed = run(Job(path, "s", ("f2", "q")))
+        assert [r.name for r in reduced] == [r.name for r in closed]
+        for r, c in zip(reduced, closed):
+            assert r.error is None and c.error is None, (r.name, r.error, c.error)
+            assert r.s_values == {"f2": c.s_values["f2"]}, r.name
+            checked += 1
+    assert checked == 396
 
 
 # a 28-crossing closure of a 5-strand braid, writhe 4
