@@ -100,10 +100,11 @@ def run(job: Job):
     """Compute one row per knot of the input file, in input order.
 
     Modes s and kh read their numbers off a saturated complex, which
-    needs a field; their ring names are lower-cased and kept once each,
-    in order.  Mode sq1 always works over Z/4Z and F2, whatever known
-    rings it is given.  Every row scans its diagram once, over F2 when
-    that is its only ring, else over Z (Z/4Z in mode sq1).  A row with
+    needs a field; each ring is kept once, in order, under its own name
+    (``F2`` and ``f02`` are ``f2``).  Mode sq1 always works over Z/4Z and
+    F2, whatever known rings it is given.  Every row scans its diagram
+    once, over F2 when that is its only ring, else over Z (Z/4Z in mode
+    sq1).  A row with
     no name before its ``;``, or no ``;``, is named ``line{N}`` after
     its line number.  An unknown mode or ring name raises ValueError,
     in every mode, before the input is read.  With ``fail_fast`` the
@@ -114,12 +115,11 @@ def run(job: Job):
     """
     if job.mode not in HALF_WIDTH:
         raise ValueError(f"unknown mode {job.mode!r}")
-    rings = tuple(dict.fromkeys(rname.strip().lower() for rname in job.rings))
+    rings = tuple(dict.fromkeys(ring_from_name(rname).name for rname in job.rings))
     if job.mode != "sq1" and not rings:
         raise ValueError(f"mode {job.mode} needs at least one ring")
     for rname in rings:
-        ring = ring_from_name(rname)
-        if job.mode != "sq1" and not ring.is_field:
+        if job.mode != "sq1" and not ring_from_name(rname).is_field:
             raise ValueError(f"mode {job.mode} needs a field, not ring {rname!r}")
     with open(job.input_path) as f:
         text = f.read()

@@ -90,9 +90,6 @@ class Tangle(NamedTuple):
     def n_points(self):
         return len(self.match)
 
-    def shifted(self, dq):
-        return Tangle(self.match, self.circles, self.qshift + dq)
-
     def halves(self):
         """t'{+1} and t'{-1}, for t = t' plus a circle: delooping's halves."""
         if self.circles < 1:
@@ -102,10 +99,6 @@ class Tangle(NamedTuple):
 
 
 SRC, TGT = 0, 1  # the side of a cobordism: source, target
-
-# The matching of the marked arc: a reduced scan leaves the knot open at
-# one point, whose two sides are the arc's ends (see ``complex.scan``).
-MARKED_ARC = (1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -473,22 +466,17 @@ def deloop_iso(ring, f, side, halves):
     return Cob(t_plus, f.tgt, plus), Cob(t_minus, f.tgt, minus)
 
 
-def evaluate(ring, c, marked=False):
+def evaluate(ring, c):
     """Evaluate a cobordism between empty tangles to (coefficient, jump).
 
     The jump is the quantum-degree gain.  With no cycles the only
     canonical summand is the empty mask, at H^(jump/2); under the
     twice-dotted-sphere relation H acts as the scalar 1 while raising the
-    grading by 2, so the jump must be even and not negative.  With
-    ``marked`` both ends are the marked arc, whose undotted strip (the
-    empty mask again, its dot being set to 0) evaluates the same way.
+    grading by 2, so the jump must be even and not negative.
     """
-    ends = MARKED_ARC if marked else ()
     for t in (c.src, c.tgt):
-        if t.match != ends or t.circles:
-            raise NotClosedError("evaluation needs " + (
-                "marked arcs" if marked else "closed empty endpoints"
-            ))
+        if t.match or t.circles:
+            raise NotClosedError("evaluation needs closed empty endpoints")
     jump = c.degree()
     if jump % 2 or jump < 0:
         raise AssertionError(f"no power of H gives a quantum jump of {jump}")

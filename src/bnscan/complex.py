@@ -6,8 +6,9 @@ quantum-degree-preserving Gaussian eliminations inside the mode's
 homological window and truncate outside its retention window.  Over a
 field the final complex has strictly quantum-raising coboundaries; over
 Z/4Z entries equal to 2 survive at equal quantum degree.  A scan in mode
-s over F2 leaves one pair of the last crossing open and returns the
-reduced complex, whose objects are the marked arc (see ``scan``).
+s over F2 leaves one pair of the last crossing open, the marked arc, and
+closes it once the arc's dot is set to 0: it returns the reduced
+complex, closed like any other (see ``scan``).
 
 One complex class serves the scan, whose entries are cobordisms, and the
 readoff, whose entries are ring scalars once the scan output has been
@@ -21,7 +22,6 @@ import os
 from typing import Callable, NamedTuple
 
 from .cob import (
-    MARKED_ARC,
     SRC,
     TGT,
     Cob,
@@ -50,6 +50,10 @@ HALF_WIDTH = {"s": 1, "sq1": 2, "kh": INF}
 # resolution 1 joins (0,1) and (2,3).
 PIECE0_MATCH = (3, 2, 1, 0)
 PIECE1_MATCH = (1, 0, 3, 2)
+
+# The matching of the marked arc: a reduced scan leaves the knot open at
+# one point, whose two sides are the arc's ends (see ``scan``).
+MARKED_ARC = (1, 0)
 
 
 class NotCancellableError(ValueError):
@@ -127,8 +131,8 @@ class FilteredComplex:
     Mutation goes through the add/remove/update helpers so the indexes
     stay coherent; only ``deloop`` writes the entries of its fresh halves
     into them directly, and ``check`` tests their coherence.  ``marked``
-    flags the reduced complex of a reduced scan (see ``scan``);
-    ``rebuild`` passes it on.
+    flags the reduced complex of a reduced scan (see ``scan``), whose
+    readoff finds one survivor, not two; ``rebuild`` passes it on.
     """
 
     def __init__(self, ring, entries=cob_entries):
@@ -251,16 +255,17 @@ def initial_complex(ring, n_plus, n_minus, marked=False):
     shifts {0,1} on top of this reproduces the usual normalization
     (homological degrees offset by the negative crossing count).  A
     diagram without crossings is one circle, so its seed is that circle,
-    or with ``marked`` the marked arc, the circle cut open at the marked
-    point, in a reduced complex.  With crossings ``scan`` opens the arc
-    at the last step instead.
+    or with ``marked`` the empty tangle of a reduced complex: the circle
+    cut open at the marked point, its dot set to 0, is the arc closed
+    again.  With crossings ``scan`` opens the arc at the last step
+    instead.
     """
     C = FilteredComplex(ring)
     if n_plus or n_minus:
         C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
     else:
         C.marked = marked
-        C.add_object(0, Tangle(MARKED_ARC) if marked else Tangle((), 1))
+        C.add_object(0, Tangle((), 0 if marked else 1))
     return C
 
 
@@ -380,28 +385,32 @@ def deloop(C):
 
 
 def drop_marked_dots(C):
-    """Set the dot on the marked arc to 0: the entries of the reduced theory.
+    """Set the dot on the marked arc to 0 and close the arc: the reduced complex.
 
     Every object must be the marked arc, without circles, so an entry's
     summands are the undotted strip (mask 0) and the dotted one (mask 1,
     the arc's cycle).  The dotted ones are dropped, which is the ring map
     x -> 0 of the arc's algebra F[H, x]/(x^2 - Hx), so composition and
-    elimination commute with it; ``C`` is then marked as reduced.  Raises
-    InconsistentError for any other object or summand, also under
-    ``python -O``.
+    elimination commute with it.  The undotted strip then composes,
+    cancels and evaluates like the empty cobordism at the same grading,
+    so every object becomes the empty tangle at its qshift and every
+    entry a new Cob of its undotted coefficient, or none; ``C`` is
+    marked as reduced.  Raises InconsistentError for any other object or
+    summand, also under ``python -O``.
     """
-    for oid, t in C.obj.items():
+    obj = C.obj
+    for oid, t in obj.items():
         if t.match != MARKED_ARC or t.circles:
             raise InconsistentError(f"object {oid} is not the marked arc: {t}")
+        obj[oid] = Tangle((), 0, t.qshift)
     for a, outs in C.out.items():
         for b, f in list(outs.items()):
             if f.terms.keys() - {0, 1}:
                 raise InconsistentError(
                     f"entry {a} -> {b} keeps a summand other than the undotted one"
                 )
-            if 1 in f.terms:  # a new Cob: entries may share their terms
-                kept = {0: f.terms[0]} if 0 in f.terms else {}
-                C.set_entry(a, b, Cob(f.src, f.tgt, kept))
+            kept = {0: f.terms[0]} if 0 in f.terms else {}
+            C.set_entry(a, b, Cob(obj[a], obj[b], kept))
     C.marked = True
     return C
 
@@ -506,18 +515,19 @@ def scan(order, ring, mode="s"):
     seed is delooped first, which splits the circle of a diagram without
     crossings and leaves any other seed as it is.
 
-    A scan in mode "s" over F2 closes one pair fewer and returns the
-    reduced complex, marked as such.  Its last step glues the crossing
-    by the first three of its four pairs; the last pair stays open as
-    the marked point, so every object is the marked arc plus circles,
-    and delooping it makes half the objects a closed step would.  Right
-    after that deloop ``drop_marked_dots`` sets the dot on the arc to 0,
-    and the readoff finds s at the one survivor.  Over F2 Bar-Natan's
-    theory splits, the closed complex being the reduced one tensored
-    with the rank-2 algebra of a circle (Wigderson, *The Bar-Natan
-    theory splits*, JKTR 2016; Shumakovitch, *Torsion of the Khovanov
-    homology*, Fund. Math. 2014), so the reduced survivor sits at s where
-    the closed ones sit at s +- 1.  Every other ring and mode closes.
+    A scan in mode "s" over F2 returns the reduced complex, marked as
+    such.  Its last step glues the crossing by the first three of its
+    four pairs; the last pair stays open as the marked point, so every
+    object is the marked arc plus circles, and delooping it makes half
+    the objects a closed step would.  Right after that deloop
+    ``drop_marked_dots`` sets the dot on the arc to 0 and closes the
+    arc, so the complex ends closed like any other, and the readoff
+    finds s at the one survivor.  Over F2 Bar-Natan's theory splits, the
+    closed complex being the reduced one tensored with the rank-2
+    algebra of a circle (Wigderson, *The Bar-Natan theory splits*, JKTR
+    2016; Shumakovitch, *Torsion of the Khovanov homology*, Fund. Math.
+    2014), so the reduced survivor sits at s where the closed ones sit
+    at s +- 1.  Every other ring and mode closes every pair.
     """
     if mode not in HALF_WIDTH:
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -539,8 +549,7 @@ def scan(order, ring, mode="s"):
         if last:
             drop_marked_dots(C)
         reduce_pass(C, -w - n + i, w)
-    ends = MARKED_ARC if marked else ()
-    if any(t.match != ends or t.circles for t in C.obj.values()):
+    if any(t.match or t.circles for t in C.obj.values()):
         raise NotClosedError("scan left open objects")
     return C
 
@@ -548,8 +557,7 @@ def scan(order, ring, mode="s"):
 def dump(C):
     """Stable debug dump: one line per generator, one per entry.
 
-    The objects are the empty tangle, or the marked arc of a reduced
-    scan; both dump in one format, walking the degrees once.
+    The objects are empty tangles; the walk goes through the degrees once.
     """
     lines = []
     index: dict = {}
@@ -563,6 +571,6 @@ def dump(C):
     for oid in walk:
         h, i, outs = C.h[oid], index[oid], C.out[oid]
         for tgt in sorted(outs, key=index.get):
-            coeff, jump = evaluate(C.ring, outs[tgt], C.marked)
+            coeff, jump = evaluate(C.ring, outs[tgt])
             lines.append(f"{h} {i} {index[tgt]} {coeff} {jump // 2}")
     return "\n".join(lines) + "\n"

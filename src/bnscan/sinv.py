@@ -1,18 +1,18 @@
 """Based complexes over the ground ring and the s-invariant readoff.
 
-After the scan every object is a copy of the empty tangle, or of the
-marked arc after a reduced scan (mode s over F2, see ``complex.scan``),
-so the complex becomes a free based complex with numeric entries
-(quantum jumps absorbed by the grading).  The readoff cancels the
-coboundary out of homological degree 0, largest quantum degree first,
-each generator against its lowest target.  The coboundary into degree 0 is the
+After the scan every object is a copy of the empty tangle, so the
+complex becomes a free based complex with numeric entries (quantum
+jumps absorbed by the grading).  The readoff cancels the coboundary out
+of homological degree 0, largest quantum degree first, each generator
+against its lowest target.  The coboundary into degree 0 is the
 coboundary out of degree 0 of the dual complex (degrees and gradings
 negated, entries transposed), so the same routine cancels it there:
 smallest quantum degree hit first, each against its highest source.
 Cancelling a degree-0 generator g adds entries s -> t only with
 q(t) >= q(g) >= q(s), so each elimination is a filtered change of
 basis, and the two survivors sit in quantum degrees s +- 1; the one
-survivor of a reduced complex sits at s.
+survivor of a reduced complex (mode s over F2, see ``complex.scan``)
+sits at s.
 
 One scan over Z serves every field: elimination along +-1 entries and
 window truncation commute with base change, so ``base_change`` followed
@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import neg
 from typing import NamedTuple
 
-from .cob import MARKED_ARC, NotClosedError, evaluate
+from .cob import NotClosedError, evaluate
 from .complex import (
     FilteredComplex,
     InconsistentError,
@@ -62,23 +62,15 @@ class BasedComplex(FilteredComplex):
 
 
 def from_filtered(C) -> BasedComplex:
-    """Evaluate a scan's complex into a based complex.
-
-    Its objects are empty tangles, or marked arcs if ``C.marked``.
-    """
-    ring, marked = C.ring, C.marked
-    ends = MARKED_ARC if marked else ()
+    """Evaluate a scan's complex, a complex of empty tangles, into a based one."""
+    ring = C.ring
 
     def qshift(t):
-        if t.match != ends or t.circles:
-            raise NotClosedError(
-                "objects must be " + ("marked arcs" if marked else "empty tangles")
-            )
+        if t.match or t.circles:
+            raise NotClosedError("objects must be empty tangles")
         return t.qshift
 
-    return C.rebuild(
-        BasedComplex(ring), qshift, lambda f: evaluate(ring, f, marked)[0]
-    )
+    return C.rebuild(BasedComplex(ring), qshift, lambda f: evaluate(ring, f)[0])
 
 
 def cancel_above(D: BasedComplex) -> BasedComplex:

@@ -444,7 +444,7 @@ def glued_at(t, piece, pairs, left_order, piece_order):
     """``glue_tangles`` of t and a crossing piece, with the glued tangle
     at t.qshift + piece.qshift, where the scan's tensor step puts it."""
     glued, end_map = glue_tangles(t, piece.match, pairs, left_order, piece_order)
-    return glued.shifted(t.qshift + piece.qshift), end_map
+    return glued._replace(qshift=t.qshift + piece.qshift), end_map
 
 
 def reference_glue(left, piece_match, pairs, left_order, piece_order):

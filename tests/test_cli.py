@@ -263,16 +263,18 @@ def test_an_empty_ring_list_is_rejected(knot_file, capsys):
 
 
 def test_ring_names_are_lowercased_and_kept_once(knot_file, monkeypatch, capsys):
+    # every spelling of a field (f2, F2, f02) is one column under its name
     calls = count_scans(monkeypatch)
-    rows = run(Job(knot_file, mode="s", rings=("f2", "F2")))
+    rows = run(Job(knot_file, mode="s", rings=("f2", "F2", "f02")))
     assert [r.s_values for r in rows] == [{"f2": 2}, {"f2": 0}, {"f2": 0}]
     assert calls["scan"] == ["f2"] * 3  # one field: no scan over Z
     calls["scan"].clear()
-    rows = run(Job(knot_file, mode="s", rings=("Q", "f3", "q", "F3")))
+    rows = run(Job(knot_file, mode="s", rings=("Q", "f3", "q", "F3", "f03")))
     assert list(rows[0].s_values) == ["q", "f3"]
     assert calls["scan"] == ["z"] * 3
     out = os.path.join(os.path.dirname(knot_file), "out.csv")
-    assert main(["compute", "--input", knot_file, "--ring", "f2,F2", "--out", out]) == 0
+    argv = ["compute", "--input", knot_file, "--ring", "f2,F2,f02", "--out", out]
+    assert main(argv) == 0
     capsys.readouterr()
     with open(out) as f:
         assert next(csv.reader(f))[:3] == ["name", "s_f2", "r_plus"]

@@ -144,7 +144,7 @@ def elem_cob(ring, move, src_circles, dotted=False, match=(), qshift=0):
         idx = {j: j for j in range(c)}
     else:
         raise ValueError(op)
-    tgt = tgt.shifted(qshift - MOVE_DEGREE[op] + (2 if dotted else 0))
+    tgt = tgt._replace(qshift=qshift - MOVE_DEGREE[op] + (2 if dotted else 0))
     terms: dict = {}
     reduce_groups(ring, arcs + groups, ring.one, 0, src, tgt, terms)
     return cob_from_comps(src, tgt, terms), tgt.circles, idx
@@ -952,14 +952,15 @@ def test_identity_coefficient_detection():
     # both strips, the first one dotted, which lowers the degree by 2
     strips = [((SRC, ARC, i), (TGT, ARC, i)) for i in range(2)]
     dotted = {(((strips[0], 1), (strips[1], 0)), 0): 1}
-    assert cob_from_comps(t, t.shifted(2), dotted).identity_coefficient() is None
-    assert Cob(t, t.shifted(2), {0: 1}).identity_coefficient() is None  # H times id
+    up = t._replace(qshift=6)
+    assert cob_from_comps(t, up, dotted).identity_coefficient() is None
+    assert Cob(t, up, {0: 1}).identity_coefficient() is None  # H times id
     # on a circle the dot-free summand is H times the cap after the cup
     circled = Tangle((1, 0), 1)
     assert Cob(circled, circled, {0: 1}).identity_coefficient() is None
-    assert identity_cob(F3, t.shifted(2)).identity_coefficient() == 1
+    assert identity_cob(F3, up).identity_coefficient() == 1
     f = identity_cob(F3, t)
-    g = Cob(t, t.shifted(2), {})
+    g = Cob(t, up, {})
     assert g.identity_coefficient() is None
 
 

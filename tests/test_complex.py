@@ -6,7 +6,6 @@ import pytest
 
 import bnscan.complex as cx
 from bnscan.cob import (
-    MARKED_ARC,
     SRC,
     TGT,
     Cob,
@@ -18,6 +17,7 @@ from bnscan.cob import (
 )
 from bnscan.coeff import F2, F3, Q, Z, Z4
 from bnscan.complex import (
+    MARKED_ARC,
     FilteredComplex,
     MismatchError,
     NotCancellableError,
@@ -132,7 +132,7 @@ def test_deloop_splits_qshifts():
 
 def _circle_cyl(ring, dot=0, hpow=0):
     t = Tangle((), 1, 0)
-    t2 = t.shifted(2 * (dot + hpow))
+    t2 = t._replace(qshift=2 * (dot + hpow))
     terms = {}
     reduce_groups(
         ring, [({(SRC, CIRCLE, 0), (TGT, CIRCLE, 0)}, dot, 0)], ring.one, hpow,
@@ -218,7 +218,7 @@ def test_gauss_rejects_non_identity():
     t = Tangle((1, 0), 0, 0)
     # present entries that are not a unit identity: a dotted strip, and
     # twice the identity over Z
-    for ring, tgt, terms in ((Q, t.shifted(2), {1: Q.one}), (Z, t, {0: Z.from_int(2)})):
+    for ring, tgt, terms in ((Q, t._replace(qshift=2), {1: Q.one}), (Z, t, {0: Z.from_int(2)})):
         C = FilteredComplex(ring)
         a = C.add_object(0, t)
         b = C.add_object(1, tgt)
@@ -229,7 +229,7 @@ def test_gauss_rejects_non_identity():
     # no entry at all
     C = FilteredComplex(Q)
     a = C.add_object(0, t)
-    b = C.add_object(1, t.shifted(2))
+    b = C.add_object(1, t._replace(qshift=2))
     with pytest.raises(NotCancellableError):
         gauss_eliminate(C, a, b)
 
@@ -422,11 +422,11 @@ def test_check_raises_on_a_dot_beyond_the_cycles_under_optimized_mode():
         "    except InconsistentError as exc:\n"
         "        return str(exc)\n"
         "    return ''\n"
-        "if refusal(t.shifted(2), 1):\n"
+        "if refusal(t._replace(qshift=2), 1):\n"
         "    raise SystemExit(6)\n"
-        "if 'a dot beyond its cycles' not in refusal(t.shifted(2), 2):\n"
+        "if 'a dot beyond its cycles' not in refusal(t._replace(qshift=2), 2):\n"
         "    raise SystemExit(7)\n"
-        "for tgt, mask in ((t, 1), (t.shifted(1), 0)):\n"
+        "for tgt, mask in ((t, 1), (t._replace(qshift=1), 0)):\n"
         "    if 'an H-power the grading cannot give' not in refusal(tgt, mask):\n"
         "        raise SystemExit(8)\n"
         "raise SystemExit(3)\n"
@@ -477,9 +477,11 @@ def test_reduced_scan_refuses_an_object_other_than_the_marked_arc_under_optimize
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
-        "from bnscan.cob import MARKED_ARC, Tangle\n"
+        "from bnscan.cob import Tangle\n"
         "from bnscan.coeff import F2\n"
-        "from bnscan.complex import FilteredComplex, InconsistentError, drop_marked_dots\n"
+        "from bnscan.complex import (\n"
+        "    MARKED_ARC, FilteredComplex, InconsistentError, drop_marked_dots,\n"
+        ")\n"
         "for other in (Tangle(()), Tangle(MARKED_ARC, 1), Tangle((1, 0, 3, 2))):\n"
         "    C = FilteredComplex(F2)\n"
         "    C.add_object(0, Tangle(MARKED_ARC))\n"
@@ -505,14 +507,16 @@ def test_reduced_scan_refuses_a_summand_beyond_the_marked_arc_under_optimized_mo
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
-        "from bnscan.cob import MARKED_ARC, Cob, Tangle\n"
+        "from bnscan.cob import Cob, Tangle\n"
         "from bnscan.coeff import F2\n"
-        "from bnscan.complex import FilteredComplex, InconsistentError, drop_marked_dots\n"
+        "from bnscan.complex import (\n"
+        "    MARKED_ARC, FilteredComplex, InconsistentError, drop_marked_dots,\n"
+        ")\n"
         "arc = Tangle(MARKED_ARC)\n"
         "for terms in ({2: 1}, {0: 1, 2: 1}, {3: 1}):\n"
         "    C = FilteredComplex(F2)\n"
-        "    a, b = C.add_object(0, arc), C.add_object(1, arc.shifted(4))\n"
-        "    C.set_entry(a, b, Cob(arc, arc.shifted(4), terms))\n"
+        "    a, b = C.add_object(0, arc), C.add_object(1, arc._replace(qshift=4))\n"
+        "    C.set_entry(a, b, Cob(arc, arc._replace(qshift=4), terms))\n"
         "    try:\n"
         "        drop_marked_dots(C)\n"
         "    except InconsistentError as exc:\n"
@@ -555,32 +559,39 @@ def test_reduced_readoff_needs_one_survivor_at_even_q_under_optimized_mode():
 
 
 def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
-    # mode s over F2 ends at the marked arc; every entry keeps only its
+    # mode s over F2 ends at the marked arc, closed again once its dot is
+    # dropped: every object is empty and every entry keeps only its
     # undotted summand, the survivor sits at s and stands for the pair at
     # s +- 1 of the closed scan (mode kh), and a diagram without crossings
-    # is the arc itself
+    # is the closed arc itself
     arc = Tangle(MARKED_ARC)
     for txt, s in (("PD[]", 0), ("PD[X[1,1,2,2]]", 0), (PD_TREFOIL, 2)):
         so = scan_order(orient_and_sign(parse_pd(txt)))
         C = scan(so, F2, "s")
         assert C.marked and not scan(so, F2, "kh").marked
-        assert all(t == arc.shifted(t.qshift) for t in C.obj.values())
+        assert all(t == Tangle((), 0, t.qshift) for t in C.obj.values())
         entries = [f for outs in C.out.values() for f in outs.values()]
         assert all(f.terms.keys() == {0} for f in entries)
+        C.check()
         D = from_filtered(C)
         assert D.marked
         res = s_from_based(D)
         assert (abs(res.s), res.witness[0] - res.witness[1]) == (s, 2)
         assert res == s_from_based(from_filtered(scan(so, F2, "kh")))
     # a dotted summand is dropped, an undotted one kept in a new entry
+    # between the closed objects
     C = FilteredComplex(F2)
-    a, b, c = (C.add_object(h, arc.shifted(q)) for h, q in ((0, 0), (1, 2), (1, 4)))
+    a, b, c = (
+        C.add_object(h, arc._replace(qshift=q)) for h, q in ((0, 0), (1, 2), (1, 4))
+    )
     shared = {0: 1, 1: 1}
-    C.set_entry(a, b, Cob(arc, arc.shifted(2), shared))
-    C.set_entry(a, c, Cob(arc, arc.shifted(4), {1: 1}))
+    C.set_entry(a, b, Cob(arc, arc._replace(qshift=2), shared))
+    C.set_entry(a, c, Cob(arc, arc._replace(qshift=4), {1: 1}))
     drop_marked_dots(C)
     assert C.marked and C.out[a] == {b: C.out[a][b]} and C.inc[c] == set()
     assert C.out[a][b].terms == {0: 1} and shared == {0: 1, 1: 1}
+    assert (C.out[a][b].src, C.out[a][b].tgt) == (Tangle(()), Tangle((), 0, 2))
+    C.check()
     assert dump(C) == "0 0 0\n1 2 0\n1 4 1\n0 0 0 1 1\n"
 
 

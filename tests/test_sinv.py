@@ -420,6 +420,27 @@ def test_both_scan_rings_agree_on_a_28_crossing_closure(tmp_path):
     assert 0 <= over_f2.s_values["f2"] <= 8
 
 
+# another 28-crossing closure of a 5-strand braid, writhe 6
+C28B = (-3, 2, 2, -3, 2, 1, 4, 1, 1, -3, 2, 2, -3, -3, -3, -2, 4, 1, 3, -1,
+        3, 1, 2, 2, -4, 1, -3, -2)
+
+
+def test_reduced_f2_scan_on_a_second_28_crossing_closure(tmp_path):
+    # F2 alone takes the reduced scan: s = 4, the mirror -4, and s lies in
+    # the slice-Bennequin sandwich w - 4 <= s <= w + 4 of a closed
+    # 5-strand braid of writhe 6; the closed scan over Z gives 4 too, but
+    # takes about twice as long, so it is left out here
+    pd = braid_pd(C28B, 5, "c28b")
+    od = orient_and_sign(pd)
+    assert (pd.n, od.writhe, seifert_circles(od)) == (28, 6, 5)
+    both = tmp_path / "c28b_and_mirror.txt"
+    both.write_text(f"c28b ; {pd_text(pd)}\nm ; {pd_text(mirror_pd(pd))}\n")
+    knot, mirror = run(Job(str(both), "s", ("f2",)))
+    assert knot.s_values == {"f2": 4}, knot.error
+    assert mirror.s_values == {"f2": -4}, mirror.error
+    assert 2 <= knot.s_values["f2"] <= 10
+
+
 def test_slice_bennequin_sandwich_on_braid_closures():
     # A diagram D with writhe w and O Seifert circles has
     # w - O + 1 <= s <= w + O - 1 over Q (Plamenevskaya, MRL 2006;

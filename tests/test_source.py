@@ -45,3 +45,31 @@ def test_every_function_the_benchmark_traces_exists():
         if not callable(getattr(mod, name, None)):
             missing.append(f"{module}.{name}")
     assert not missing, missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a leftover import hides which module still depends on which; the
+    # package's __init__ re-exports its names, so it is left out
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    unused = []
+    for path in paths:
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{os.path.basename(path)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not unused, unused
