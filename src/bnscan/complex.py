@@ -8,7 +8,9 @@ field the final complex has strictly quantum-raising coboundaries; over
 Z/4Z entries equal to 2 survive at equal quantum degree.  A scan in mode
 s over F2 leaves one pair of the last crossing open, the marked arc, and
 closes it once the arc's dot is set to 0: it returns the reduced
-complex, closed like any other (see ``scan``).
+complex, closed like any other (see ``scan``).  Only its grading tells
+it apart: its generators sit at even quantum degrees, those of a closed
+knot complex at odd ones.
 
 One complex class serves the scan, whose entries are cobordisms, and the
 readoff, whose entries are ring scalars once the scan output has been
@@ -130,9 +132,7 @@ class FilteredComplex:
     within a degree (``objects_at``, the stable ``sorted(C.h, key=C.h.get)``).
     Mutation goes through the add/remove/update helpers so the indexes
     stay coherent; only ``deloop`` writes the entries of its fresh halves
-    into them directly, and ``check`` tests their coherence.  ``marked``
-    flags the reduced complex of a reduced scan (see ``scan``), whose
-    readoff finds one survivor, not two; ``rebuild`` passes it on.
+    into them directly, and ``check`` tests their coherence.
     """
 
     def __init__(self, ring, entries=cob_entries):
@@ -142,7 +142,6 @@ class FilteredComplex:
         self.h: dict[int, int] = {}
         self.out: dict[int, dict[int, object]] = {}
         self.inc: dict[int, set[int]] = {}
-        self.marked = False
         self._next = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -197,7 +196,6 @@ class FilteredComplex:
         ``flip`` turns the complex upside down (degrees negated, entries
         transposed).
         """
-        into.marked = self.marked
         for oid in sorted(self.h, key=self.h.get):
             h = self.h[oid]
             lab = self.obj[oid] if label is None else label(self.obj[oid])
@@ -264,7 +262,6 @@ def initial_complex(ring, n_plus, n_minus, marked=False):
     if n_plus or n_minus:
         C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
     else:
-        C.marked = marked
         C.add_object(0, Tangle((), 0 if marked else 1))
     return C
 
@@ -394,9 +391,9 @@ def drop_marked_dots(C):
     elimination commute with it.  The undotted strip then composes,
     cancels and evaluates like the empty cobordism at the same grading,
     so every object becomes the empty tangle at its qshift and every
-    entry a new Cob of its undotted coefficient, or none; ``C`` is
-    marked as reduced.  Raises InconsistentError for any other object or
-    summand, also under ``python -O``.
+    entry a new Cob of its undotted coefficient, or none.  Raises
+    InconsistentError for any other object or summand, also under
+    ``python -O``.
     """
     obj = C.obj
     for oid, t in obj.items():
@@ -411,7 +408,6 @@ def drop_marked_dots(C):
                 )
             kept = {0: f.terms[0]} if 0 in f.terms else {}
             C.set_entry(a, b, Cob(obj[a], obj[b], kept))
-    C.marked = True
     return C
 
 
@@ -515,19 +511,21 @@ def scan(order, ring, mode="s"):
     seed is delooped first, which splits the circle of a diagram without
     crossings and leaves any other seed as it is.
 
-    A scan in mode "s" over F2 returns the reduced complex, marked as
-    such.  Its last step glues the crossing by the first three of its
-    four pairs; the last pair stays open as the marked point, so every
-    object is the marked arc plus circles, and delooping it makes half
-    the objects a closed step would.  Right after that deloop
-    ``drop_marked_dots`` sets the dot on the arc to 0 and closes the
-    arc, so the complex ends closed like any other, and the readoff
-    finds s at the one survivor.  Over F2 Bar-Natan's theory splits, the
-    closed complex being the reduced one tensored with the rank-2
-    algebra of a circle (Wigderson, *The Bar-Natan theory splits*, JKTR
-    2016; Shumakovitch, *Torsion of the Khovanov homology*, Fund. Math.
-    2014), so the reduced survivor sits at s where the closed ones sit
-    at s +- 1.  Every other ring and mode closes every pair.
+    A scan in mode "s" over F2 returns the reduced complex.  Its last
+    step glues the crossing by the first three of its four pairs; the
+    last pair stays open as the marked point, so every object is the
+    marked arc plus circles, and delooping it makes half the objects a
+    closed step would.  Right after that deloop ``drop_marked_dots``
+    sets the dot on the arc to 0 and closes the arc, so the complex ends
+    closed like any other, and the readoff finds s at the one survivor.
+    Over F2 Bar-Natan's theory splits, the closed complex being the
+    reduced one tensored with the rank-2 algebra of a circle (Wigderson,
+    *The Bar-Natan theory splits*, JKTR 2016; Shumakovitch, *Torsion of
+    the Khovanov homology*, Fund. Math. 2014), so the reduced survivor
+    sits at s where the closed ones sit at s +- 1.  Its quantum degrees
+    are all even, those of a closed knot complex odd, which is how the
+    readoff tells the two apart.  Every other ring and mode closes every
+    pair.
     """
     if mode not in HALF_WIDTH:
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -539,10 +537,9 @@ def scan(order, ring, mode="s"):
     for i, step in enumerate(order.steps, start=1):
         last = marked and i == n
         if last:
-            (p, x), bnd = step.pairs[-1], step.boundary_before
+            p, x = step.pairs[-1]
             step = step._replace(
-                pairs=step.pairs[:-1], left_order=(p,), piece_order=(x,),
-                boundary_after=(bnd[p], bnd[p]),
+                pairs=step.pairs[:-1], left_order=(p,), piece_order=(x,)
             )
         C = tensor_with_crossing(C, step)  # the last complex is freed here
         deloop(C)

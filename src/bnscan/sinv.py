@@ -12,7 +12,8 @@ Cancelling a degree-0 generator g adds entries s -> t only with
 q(t) >= q(g) >= q(s), so each elimination is a filtered change of
 basis, and the two survivors sit in quantum degrees s +- 1; the one
 survivor of a reduced complex (mode s over F2, see ``complex.scan``)
-sits at s.
+sits at s.  The survivors' quantum degrees alone tell the two apart:
+a closed knot complex lives in odd degrees, a reduced one in even ones.
 
 One scan over Z serves every field: elimination along +-1 entries and
 window truncation commute with base change, so ``base_change`` followed
@@ -39,8 +40,6 @@ from .diagram import orient_and_sign, scan_order
 class SResult(NamedTuple):
     s: int
     ring: str
-    # the quantum degrees (s+1, s-1) of the closed complex's survivors
-    witness: tuple[int, int]
 
 
 class BasedComplex(FilteredComplex):
@@ -89,31 +88,23 @@ def cancel_above(D: BasedComplex) -> BasedComplex:
 
 
 def read_s(D: BasedComplex) -> SResult:
-    """The s-invariant from the surviving degree-0 generators.
+    """The s-invariant from the quantum degrees of the degree-0 survivors.
 
-    A closed complex keeps two, at s + 1 and s - 1.  A reduced one
-    (``D.marked``) keeps one, at s, which stands for that pair (the
-    witness): over F2 the closed complex is the reduced one tensored
-    with the circle's algebra, generated in quantum degrees +-1.
+    One survivor at even q is that of a reduced complex, at s: over F2
+    the closed complex is the reduced one tensored with the circle's
+    algebra, generated in quantum degrees +-1.  Two survivors at odd q,
+    two apart, are those of a closed complex, at s + 1 and s - 1.  Any
+    other survivors raise InconsistentError, also under ``python -O``.
     """
-    survivors = D.objects_at(0)
-    if D.marked:
-        qs = [D.q[g] for g in survivors]
-        if len(qs) != 1 or qs[0] % 2:
-            raise InconsistentError(
-                f"a reduced readoff needs one survivor at even q, found {qs}"
-            )
-        return SResult(qs[0], D.ring.name, (qs[0] + 1, qs[0] - 1))
-    if len(survivors) != 2:
-        raise InconsistentError(
-            f"readoff needs exactly two survivors, found {len(survivors)}"
-        )
-    q1, q2 = sorted((D.q[survivors[0]], D.q[survivors[1]]), reverse=True)
-    if q1 - q2 != 2:
-        raise InconsistentError(f"survivor degrees {q1}, {q2} do not straddle")
-    if q1 % 2 == 0:
-        raise InconsistentError("witness degrees of a knot must be odd")
-    return SResult((q1 + q2) // 2, D.ring.name, (q1, q2))
+    qs = sorted(D.q[g] for g in D.objects_at(0))
+    if len(qs) == 1 and qs[0] % 2 == 0:
+        return SResult(qs[0], D.ring.name)
+    if len(qs) == 2 and qs[0] % 2 and qs[1] - qs[0] == 2:
+        return SResult(qs[0] + 1, D.ring.name)
+    raise InconsistentError(
+        "a readoff needs one survivor at even q or two at odd q two apart,"
+        f" found {qs}"
+    )
 
 
 def khovanov_table(D: BasedComplex):
@@ -129,13 +120,15 @@ def s_from_based(D: BasedComplex) -> SResult:
     """The s-invariant of an evaluated scan; the ground ring must be a field.
 
     Consumes ``D``, which is left reduced above degree 0 only: the
-    cancellations below degree 0 run on its dual, and s is read off the
-    dual, whose gradings are negated.
+    cancellations below degree 0 run on its dual, whose gradings are
+    negated, so s is the negation of the dual's.  Negation keeps the
+    parity of each quantum degree, so ``read_s`` tells a reduced dual
+    from a closed one as it would ``D``.
     """
     if not D.ring.is_field:
         raise ValueError(f"the s readoff needs a field, not ring {D.ring.name!r}")
     dual = read_s(cancel_above(cancel_above(D).flipped()))
-    return SResult(-dual.s, dual.ring, (-dual.witness[1], -dual.witness[0]))
+    return dual._replace(s=-dual.s)
 
 
 def s_invariant(pd, ring) -> SResult:

@@ -117,7 +117,7 @@ def cancel_below(D):
 
     The lowest quantum degree hit from degree -1 goes first, each
     against its lowest-q unit source.  Two generators survive in degree
-    0, or one in a reduced complex (``D.marked``).
+    0, or one in a reduced complex, whose quantum degrees are all even.
     """
     while True:
         hit = sorted(
@@ -137,7 +137,7 @@ def cancel_below(D):
                 "no unit partner below; is the ground ring a field?"
             )
         gauss_eliminate(D, partner, g)
-    want = 1 if D.marked else 2
+    want = 1 if all(q % 2 == 0 for q in D.q.values()) else 2
     if len(D.objects_at(0)) != want:
         raise InconsistentError(
             f"expected {want} surviving generators, found {len(D.objects_at(0))}"

@@ -305,12 +305,13 @@ def test_full_scan_two_generators_over_fields():
     # the saturated deformed complex of a knot has at least two generators
     # in homological degree 0 once restricted to mode-s windows; over F2
     # the scan stops at the knot cut open at a marked point, whose reduced
-    # complex keeps at least one there, the survivor the readoff finds
+    # complex keeps at least one there, the survivor the readoff finds;
+    # its grading tells it apart: even q where the closed ones have odd q
     pd = torus_pd(3)
     so = scan_order(orient_and_sign(pd))
     for ring, least in ((F2, 1), (F3, 2), (Q, 2)):
         D = from_filtered(scan(so, ring, "s"))
-        assert D.marked == (ring == F2)
+        assert {q % 2 for q in D.q.values()} == {0 if ring == F2 else 1}
         total_h0 = len(D.objects_at(0))
         assert total_h0 >= least
 
@@ -532,23 +533,25 @@ def test_reduced_scan_refuses_a_summand_beyond_the_marked_arc_under_optimized_mo
 
 def test_reduced_readoff_needs_one_survivor_at_even_q_under_optimized_mode():
     # a reduced complex keeps one degree-0 generator, at s, which is even
-    # for a knot; read_s must refuse none, two, or one at odd q even when
-    # assert statements are compiled away
+    # for a knot, and a closed one keeps two at odd q two apart; read_s
+    # must refuse none, two at even q, one at odd q, two at odd q four
+    # apart, or three, and name them, even when assert statements are
+    # compiled away
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
         "from bnscan.coeff import F2\n"
         "from bnscan.sinv import BasedComplex, InconsistentError, read_s\n"
-        "for qs in ((), (0, 2), (1,)):\n"
+        "for qs in ((), (0, 2), (1,), (3, -1), (1, -1, 3)):\n"
         "    D = BasedComplex(F2)\n"
-        "    D.marked = True\n"
         "    D.add_object(-1, -4)\n"
         "    for q in qs:\n"
         "        D.add_object(0, q)\n"
         "    try:\n"
         "        read_s(D)\n"
         "    except InconsistentError as exc:\n"
-        "        if 'one survivor at even q' not in str(exc):\n"
+        "        want = 'one survivor at even q or two at odd q two apart'\n"
+        "        if want not in str(exc) or str(sorted(qs)) not in str(exc):\n"
         "            raise SystemExit(f'wrong message: {exc}')\n"
         "    else:\n"
         "        raise SystemExit(f'missed the survivors {qs}')\n"
@@ -561,25 +564,27 @@ def test_reduced_readoff_needs_one_survivor_at_even_q_under_optimized_mode():
 def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
     # mode s over F2 ends at the marked arc, closed again once its dot is
     # dropped: every object is empty and every entry keeps only its
-    # undotted summand, the survivor sits at s and stands for the pair at
-    # s +- 1 of the closed scan (mode kh), and a diagram without crossings
-    # is the closed arc itself
+    # undotted summand, every generator sits at even q where those of the
+    # closed scan (mode kh) sit at odd q, the survivor sits at s and stands
+    # for the pair at s +- 1 of the closed scan, and a diagram without
+    # crossings is the closed arc itself
     arc = Tangle(MARKED_ARC)
     for txt, s in (("PD[]", 0), ("PD[X[1,1,2,2]]", 0), (PD_TREFOIL, 2)):
         so = scan_order(orient_and_sign(parse_pd(txt)))
-        C = scan(so, F2, "s")
-        assert C.marked and not scan(so, F2, "kh").marked
+        C, closed = scan(so, F2, "s"), scan(so, F2, "kh")
+        assert all(t.qshift % 2 == 0 for t in C.obj.values())
+        assert all(t.qshift % 2 for t in closed.obj.values())
         assert all(t == Tangle((), 0, t.qshift) for t in C.obj.values())
         entries = [f for outs in C.out.values() for f in outs.values()]
         assert all(f.terms.keys() == {0} for f in entries)
         C.check()
         D = from_filtered(C)
-        assert D.marked
+        assert all(q % 2 == 0 for q in D.q.values())
         res = s_from_based(D)
-        assert (abs(res.s), res.witness[0] - res.witness[1]) == (s, 2)
-        assert res == s_from_based(from_filtered(scan(so, F2, "kh")))
+        assert abs(res.s) == s
+        assert res == s_from_based(from_filtered(closed))
     # a dotted summand is dropped, an undotted one kept in a new entry
-    # between the closed objects
+    # between the closed objects, which keep their even gradings
     C = FilteredComplex(F2)
     a, b, c = (
         C.add_object(h, arc._replace(qshift=q)) for h, q in ((0, 0), (1, 2), (1, 4))
@@ -588,7 +593,8 @@ def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
     C.set_entry(a, b, Cob(arc, arc._replace(qshift=2), shared))
     C.set_entry(a, c, Cob(arc, arc._replace(qshift=4), {1: 1}))
     drop_marked_dots(C)
-    assert C.marked and C.out[a] == {b: C.out[a][b]} and C.inc[c] == set()
+    assert [C.obj[oid].qshift for oid in (a, b, c)] == [0, 2, 4]
+    assert C.out[a] == {b: C.out[a][b]} and C.inc[c] == set()
     assert C.out[a][b].terms == {0: 1} and shared == {0: 1, 1: 1}
     assert (C.out[a][b].src, C.out[a][b].tgt) == (Tangle(()), Tangle((), 0, 2))
     C.check()

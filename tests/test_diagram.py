@@ -8,6 +8,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bnscan import diagram
+from bnscan.coeff import F2, Q
 from bnscan.diagram import (
     DisconnectedError,
     NotAKnotError,
@@ -24,6 +26,7 @@ from bnscan.diagram import (
     validate_pd,
     without_kinks,
 )
+from bnscan.sinv import s_invariant
 from knotgen import (
     PD_FIGURE8,
     PD_TREFOIL,
@@ -468,6 +471,32 @@ def _nonplanar_t231():
     return PDCode(tuple(xs))
 
 
+def _nugatory_dead_end():
+    """Three trefoils joined by the single letters 2 and 4, on 6 strands.
+
+    The greedy order scans the middle trefoil first, and then neither
+    nugatory crossing, sigma_2 nor sigma_4, attaches along a contiguous
+    stretch of the boundary: the one planar dead end known, left by one
+    backtrack.
+    """
+    return braid_pd([3, 3, 3, 2, 1, 1, 1, 4, 5, 5, 5], 6)
+
+
+def test_scan_order_backtracks_out_of_a_nugatory_dead_end(monkeypatch):
+    # without a backtrack the search stops after the middle trefoil; with
+    # its budget it finds an order, whose scan gives s = 6, the sum over
+    # the three trefoils, over F2 (reduced) and Q (closed), and -6 for the
+    # mirror
+    od = orient_and_sign(_nugatory_dead_end())
+    with monkeypatch.context() as m:
+        m.setattr(diagram, "_BACKTRACK_BUDGET", 0)
+        with pytest.raises(NotAKnotError, match="placed at most 3 of 11"):
+            scan_order(od)
+    assert len(scan_order(od).steps) == 11
+    for pd, s in ((od.pd, 6), (mirror_pd(od.pd), -6)):
+        assert [s_invariant(pd, ring).s for ring in (F2, Q)] == [s, s]
+
+
 def test_scan_order_refuses_a_nonplanar_pd_within_its_budget():
     # Reflecting one crossing of T(2,31) keeps a one-component PD code
     # whose rotation system is not planar: the parser refuses it by its
@@ -503,7 +532,8 @@ def test_scan_order_matches_the_reference_search():
     # Candidates read off the boundary and a lookahead scored by
     # arithmetic must choose exactly the steps of the search that tries
     # every crossing and glues every lookahead candidate: on every corpus
-    # diagram and its mirror, on 200 seeded braid closures and on T(2,101).
+    # diagram and its mirror, on 200 seeded braid closures, on T(2,101)
+    # and on the one diagram known to make the search backtrack.
     # Closures on 6-8 strands often touch the boundary out of order, and
     # both searches run on the diagram with its kinks undone.
     pds = []
@@ -518,7 +548,7 @@ def test_scan_order_matches_the_reference_search():
     pds += _seeded_closures(rng, 200, (3, 5), (6, 40))
     pds += _seeded_closures(rng, 60, (6, 8), (6, 30))
     pds += _seeded_closures(rng, 60, (3, 5), (6, 20), kinks=4)
-    pds.append(torus_pd(101))
+    pds += [torus_pd(101), _nugatory_dead_end()]
     for i, pd in enumerate(pds):
         od = orient_and_sign(pd)
         assert scan_order(od).steps == reference_scan_order(od).steps, (i, pd.name)

@@ -61,9 +61,9 @@ def test_figure2_f2_readoff_follows_the_worked_example():
     survivors_mid = sorted(E.objects_at(0))
     assert len(survivors_mid) == 6
     # steps 9-10 are steps 7-8 on the dual complex
-    res = read_s(cancel_above(E.flipped()).flipped())
-    assert res.s == -2
-    assert res.witness == (-1, -3)
+    F = cancel_above(E.flipped()).flipped()
+    assert sorted(F.q[g] for g in F.objects_at(0)) == [-3, -1]
+    assert read_s(F).s == -2
 
 
 def test_figure2_unknown_signs_do_not_change_f2_answer():
@@ -100,9 +100,11 @@ def _random_filtered_slides(D, rng, count):
 def test_the_dual_readoff_matches_the_readoff_from_below():
     # the readoff runs steps 9-10 as steps 7-8 on the dual complex, which
     # pairs each generator with its highest source instead of its lowest;
-    # both are filtered changes of basis, so s and the witness agree, also
-    # after random filtered changes of basis of the input, on closed and
-    # on reduced complexes
+    # both are filtered changes of basis, so s agrees, also after random
+    # filtered changes of basis of the input, on closed and on reduced
+    # complexes; read_s tells them apart by parity alone, so every
+    # generator of a reduced complex must sit at even q and every one of
+    # a closed complex at odd q
     rng = random.Random(16)
     with open(os.path.join(DATA, "figure2.json")) as f:
         fix = json.load(f)
@@ -119,10 +121,14 @@ def test_the_dual_readoff_matches_the_readoff_from_below():
         for pd in pds:
             order = scan_order(orient_and_sign(pd))
             # the F2 scan is reduced; the closed F2 complex comes from Z
-            for ring in (F2, Q):
-                cases.append((pd.name, from_filtered(scan(order, ring, "s"))))
             closed = from_filtered(scan(order, Z, "s"))
-            cases.append((pd.name, reduce_pass(base_change(closed, F2))))
+            for parity, D in (
+                (0, from_filtered(scan(order, F2, "s"))),
+                (1, from_filtered(scan(order, Q, "s"))),
+                (1, reduce_pass(base_change(closed, F2))),
+            ):
+                assert {q % 2 for q in D.q.values()} == {parity}, pd.name
+                cases.append((pd.name, D))
     # one source hitting two degree-0 generators: the order of the lower
     # half decides which survives, and only the lower one may go
     D = BasedComplex(F2)
@@ -227,10 +233,11 @@ def test_cancellation_partner_robustness():
 
         rand_cancel_above(D)
         rand_cancel_below(D)
-        res = read_s(D)
+        survivors = sorted(D.q[g] for g in D.objects_at(0))
         if base is None:
-            base = res.witness
-        assert res.witness == base
+            base = survivors
+        assert survivors == base
+        assert read_s(D).s == survivors[0] + 1
 
 
 def test_randomized_elimination_preserves_homology_ranks():
