@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .coeff import F2, Z, Z4, ring_from_name
 from .complex import HALF_WIDTH, dump, reduce_pass, scan
 from .diagram import orient_and_sign, parse_knot_line, scan_order
-from .sinv import base_change, from_filtered, khovanov_table, s_from_based
+from .sinv import base_change, khovanov_table, s_from_based
 from .sq1 import refine_scanned
 
 
@@ -71,16 +71,16 @@ def _compute_row(args):
         # complex, whose one survivor gives s; every other field list
         # reads one closed scan over Z through base_change, which is
         # faster than Fraction or mod-p arithmetic inside every
-        # cobordism product
+        # cobordism product.  The scan returns the based complex; every
+        # ring and the refinement read copies, so it is dumped as scanned
         ring = Z4 if mode == "sq1" else F2 if rings == ("f2",) else Z
         C = scan(order, ring, mode)
         if mode == "sq1":
             s_values["f2"], quad = refine_scanned(C)
         else:
-            D = from_filtered(C)
             for rname in rings:
                 # over the scan ring itself both steps change nothing
-                E = reduce_pass(base_change(D, ring_from_name(rname)))
+                E = reduce_pass(base_change(C, ring_from_name(rname)))
                 if mode == "s":
                     s_values[rname] = s_from_based(E).s
                 else:

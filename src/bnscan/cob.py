@@ -466,25 +466,6 @@ def deloop_iso(ring, f, side, halves):
     return Cob(t_plus, f.tgt, plus), Cob(t_minus, f.tgt, minus)
 
 
-def evaluate(ring, c):
-    """Evaluate a cobordism between empty tangles to (coefficient, jump).
-
-    The jump is the quantum-degree gain.  With no cycles the only
-    canonical summand is the empty mask, at H^(jump/2); under the
-    twice-dotted-sphere relation H acts as the scalar 1 while raising the
-    grading by 2, so the jump must be even and not negative.
-    """
-    for t in (c.src, c.tgt):
-        if t.match or t.circles:
-            raise NotClosedError("evaluation needs closed empty endpoints")
-    jump = c.degree()
-    if jump % 2 or jump < 0:
-        raise AssertionError(f"no power of H gives a quantum jump of {jump}")
-    if c.terms.keys() - {0}:
-        raise AssertionError("unreduced component in a closed cobordism")
-    return c.terms.get(0, ring.zero), jump
-
-
 # ---------------------------------------------------------------------------
 # Horizontal gluing (the tensor step of the scan).
 

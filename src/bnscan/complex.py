@@ -3,18 +3,20 @@
 The scan builds the deformed complex one crossing at a time: tensor with
 the crossing's two-term complex, deloop every circle, then saturate with
 quantum-degree-preserving Gaussian eliminations inside the mode's
-homological window and truncate outside its retention window.  Over a
-field the final complex has strictly quantum-raising coboundaries; over
-Z/4Z entries equal to 2 survive at equal quantum degree.  A scan in mode
-s over F2 leaves one pair of the last crossing open, the marked arc, and
-closes it once the arc's dot is set to 0: it returns the reduced
-complex, closed like any other (see ``scan``).  Only its grading tells
-it apart: its generators sit at even quantum degrees, those of a closed
-knot complex at odd ones.
+homological window and truncate outside its retention window.  After
+the last deloop every object is closed, and the scan closes the complex
+into ring scalars (``sinv.from_filtered``) before its last elimination,
+so it returns a based complex.  Over a field that complex has strictly
+quantum-raising coboundaries; over Z/4Z entries equal to 2 survive at
+equal quantum degree.  A scan in mode s over F2 leaves one pair of the
+last crossing open, the marked arc, and closes it by setting the arc's
+dot to 0: it returns the reduced complex (see ``scan``).  Only its
+grading tells it apart: its generators sit at even quantum degrees,
+those of a closed knot complex at odd ones.
 
-One complex class serves the scan, whose entries are cobordisms, and the
-readoff, whose entries are ring scalars once the scan output has been
-evaluated; both cancel through ``gauss_eliminate``.
+One complex class serves the scan, whose entries are cobordisms until
+its last step, and the readoff, whose entries are ring scalars; both
+cancel through ``gauss_eliminate``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from .cob import (
     TGT,
     Cob,
     MismatchError,
-    NotClosedError,
     Tangle,
     compose,
     deloop_iso,
-    evaluate,
     glue_caches,
     glue_cobs,
     glue_tangles,
@@ -124,7 +124,8 @@ class FilteredComplex:
     """Sparse bigraded complex: objects per degree, entries per object.
 
     Objects have stable integer ids and labels ``obj[id]``: a tangle
-    during the scan, a quantum degree once evaluated.  ``out[src]`` maps
+    during the scan, a quantum degree once its closing pass has made the
+    entries ring scalars (a ``sinv.BasedComplex``).  ``out[src]`` maps
     target ids to entries one homological degree up, ``inc[tgt]`` indexes
     the sources; the entry algebra (cobordisms unless given) says how
     entries test for zero, add, compose and scale.  ``h`` holds the ids
@@ -253,16 +254,16 @@ def initial_complex(ring, n_plus, n_minus, marked=False):
     shifts {0,1} on top of this reproduces the usual normalization
     (homological degrees offset by the negative crossing count).  A
     diagram without crossings is one circle, so its seed is that circle,
-    or with ``marked`` the empty tangle of a reduced complex: the circle
-    cut open at the marked point, its dot set to 0, is the arc closed
-    again.  With crossings ``scan`` opens the arc at the last step
+    or with ``marked`` the marked arc: the circle cut open at the marked
+    point, which the closing pass closes again as it would after a last
+    step.  With crossings ``scan`` opens the arc at the last step
     instead.
     """
     C = FilteredComplex(ring)
     if n_plus or n_minus:
         C.add_object(-n_minus, Tangle((), 0, n_plus - 2 * n_minus))
     else:
-        C.add_object(0, Tangle((), 0 if marked else 1))
+        C.add_object(0, Tangle(MARKED_ARC) if marked else Tangle((), 1))
     return C
 
 
@@ -381,36 +382,6 @@ def deloop(C):
     return C
 
 
-def drop_marked_dots(C):
-    """Set the dot on the marked arc to 0 and close the arc: the reduced complex.
-
-    Every object must be the marked arc, without circles, so an entry's
-    summands are the undotted strip (mask 0) and the dotted one (mask 1,
-    the arc's cycle).  The dotted ones are dropped, which is the ring map
-    x -> 0 of the arc's algebra F[H, x]/(x^2 - Hx), so composition and
-    elimination commute with it.  The undotted strip then composes,
-    cancels and evaluates like the empty cobordism at the same grading,
-    so every object becomes the empty tangle at its qshift and every
-    entry a new Cob of its undotted coefficient, or none.  Raises
-    InconsistentError for any other object or summand, also under
-    ``python -O``.
-    """
-    obj = C.obj
-    for oid, t in obj.items():
-        if t.match != MARKED_ARC or t.circles:
-            raise InconsistentError(f"object {oid} is not the marked arc: {t}")
-        obj[oid] = Tangle((), 0, t.qshift)
-    for a, outs in C.out.items():
-        for b, f in list(outs.items()):
-            if f.terms.keys() - {0, 1}:
-                raise InconsistentError(
-                    f"entry {a} -> {b} keeps a summand other than the undotted one"
-                )
-            kept = {0: f.terms[0]} if 0 in f.terms else {}
-            C.set_entry(a, b, Cob(obj[a], obj[b], kept))
-    return C
-
-
 def cancellable_coefficient(C, a, b):
     """The unit k when the entry a -> b is k times an identity.
 
@@ -456,8 +427,8 @@ def reduce_pass(C, lo=-INF, hi=INF):
     """Saturate eliminations, then keep only the degrees [lo, hi].
 
     Candidates are unit-identity entries between objects with equal
-    labels: equal tangles in the scan, equal quantum degrees once
-    evaluated.  They are processed lowest homological degree first, then
+    labels: equal tangles in the scan, equal quantum degrees over ring
+    scalars.  They are processed lowest homological degree first, then
     by an estimate of the fill-in they cause, then by object ids; the
     queue is revalidated lazily.  Eliminations run from one degree below
     the kept window: afterwards no such entry remains with source degree
@@ -511,22 +482,30 @@ def scan(order, ring, mode="s"):
     seed is delooped first, which splits the circle of a diagram without
     crossings and leaves any other seed as it is.
 
+    After the last deloop every object is closed, and the closing pass
+    ``sinv.from_filtered`` makes the complex a ``sinv.BasedComplex``, on
+    which the last elimination runs.  It keeps the ids, equal closed
+    tangles have equal quantum degrees and a unit identity cobordism is
+    a unit scalar, so it cancels the pairs the cobordisms would have.
+
     A scan in mode "s" over F2 returns the reduced complex.  Its last
     step glues the crossing by the first three of its four pairs; the
     last pair stays open as the marked point, so every object is the
     marked arc plus circles, and delooping it makes half the objects a
-    closed step would.  Right after that deloop ``drop_marked_dots``
-    sets the dot on the arc to 0 and closes the arc, so the complex ends
-    closed like any other, and the readoff finds s at the one survivor.
-    Over F2 Bar-Natan's theory splits, the closed complex being the
-    reduced one tensored with the rank-2 algebra of a circle (Wigderson,
-    *The Bar-Natan theory splits*, JKTR 2016; Shumakovitch, *Torsion of
-    the Khovanov homology*, Fund. Math. 2014), so the reduced survivor
-    sits at s where the closed ones sit at s +- 1.  Its quantum degrees
-    are all even, those of a closed knot complex odd, which is how the
-    readoff tells the two apart.  Every other ring and mode closes every
-    pair.
+    closed step would.  The closing pass then sets the dot on the arc
+    to 0 and closes the arc, and the readoff finds s at the one
+    survivor.  Over F2 Bar-Natan's theory splits, the closed complex
+    being the reduced one tensored with the rank-2 algebra of a circle
+    (Wigderson, *The Bar-Natan theory splits*, JKTR 2016; Shumakovitch,
+    *Torsion of the Khovanov homology*, Fund. Math. 2014), so the
+    reduced survivor sits at s where the closed ones sit at s +- 1.  Its
+    quantum degrees are all even, those of a closed knot complex odd,
+    which is how the readoff tells the two apart.  Every other ring and
+    mode closes every pair.
     """
+    # sinv imports this module, so the closing pass is imported here
+    from .sinv import from_filtered
+
     if mode not in HALF_WIDTH:
         raise ValueError(f"unknown scan mode {mode!r}")
     w = HALF_WIDTH[mode]
@@ -535,26 +514,24 @@ def scan(order, ring, mode="s"):
     marked = mode == "s" and ring == F2
     C = deloop(initial_complex(ring, od.n_plus, od.n_minus, marked))
     for i, step in enumerate(order.steps, start=1):
-        last = marked and i == n
-        if last:
+        if marked and i == n:
             p, x = step.pairs[-1]
             step = step._replace(
                 pairs=step.pairs[:-1], left_order=(p,), piece_order=(x,)
             )
         C = tensor_with_crossing(C, step)  # the last complex is freed here
         deloop(C)
-        if last:
-            drop_marked_dots(C)
-        reduce_pass(C, -w - n + i, w)
-    if any(t.match or t.circles for t in C.obj.values()):
-        raise NotClosedError("scan left open objects")
-    return C
+        if i < n:
+            reduce_pass(C, -w - n + i, w)
+    return reduce_pass(from_filtered(C, marked), -w, w)
 
 
 def dump(C):
     """Stable debug dump: one line per generator, one per entry.
 
-    The objects are empty tangles; the walk goes through the degrees once.
+    ``C`` is a based complex, such as ``scan`` returns: each generator's
+    line gives its quantum degree, each entry's its coefficient and half
+    its quantum jump.  The walk goes through the degrees once.
     """
     lines = []
     index: dict = {}
@@ -564,10 +541,10 @@ def dump(C):
         h = C.h[oid]
         i = index[oid] = count.get(h, 0)
         count[h] = i + 1
-        lines.append(f"{h} {C.obj[oid].qshift} {i}")
+        lines.append(f"{h} {C.obj[oid]} {i}")
     for oid in walk:
         h, i, outs = C.h[oid], index[oid], C.out[oid]
         for tgt in sorted(outs, key=index.get):
-            coeff, jump = evaluate(C.ring, outs[tgt])
-            lines.append(f"{h} {i} {index[tgt]} {coeff} {jump // 2}")
+            jump = C.obj[tgt] - C.obj[oid]
+            lines.append(f"{h} {i} {index[tgt]} {outs[tgt]} {jump // 2}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
 """Based complexes over the ground ring and the s-invariant readoff.
 
-After the scan every object is a copy of the empty tangle, so the
-complex becomes a free based complex with numeric entries (quantum
-jumps absorbed by the grading).  The readoff cancels the coboundary out
-of homological degree 0, largest quantum degree first, each generator
-against its lowest target.  The coboundary into degree 0 is the
-coboundary out of degree 0 of the dual complex (degrees and gradings
+After the last deloop of a scan every object is closed, and
+``from_filtered`` makes the complex a free based complex with numeric
+entries (quantum jumps absorbed by the grading); the scan runs its last
+elimination on that and returns it.  The readoff cancels the coboundary
+out of homological degree 0, largest quantum degree first, each
+generator against its lowest target.  The coboundary into degree 0 is
+the coboundary out of degree 0 of the dual complex (degrees and gradings
 negated, entries transposed), so the same routine cancels it there:
 smallest quantum degree hit first, each against its highest source.
 Cancelling a degree-0 generator g adds entries s -> t only with
@@ -26,8 +27,9 @@ from __future__ import annotations
 from operator import neg
 from typing import NamedTuple
 
-from .cob import NotClosedError, evaluate
+from .cob import NotClosedError
 from .complex import (
+    MARKED_ARC,
     FilteredComplex,
     InconsistentError,
     gauss_eliminate,
@@ -60,16 +62,48 @@ class BasedComplex(FilteredComplex):
         return self.rebuild(BasedComplex(self.ring), label=neg, flip=True)
 
 
-def from_filtered(C) -> BasedComplex:
-    """Evaluate a scan's complex, a complex of empty tangles, into a based one."""
-    ring = C.ring
+def from_filtered(C, marked=False) -> BasedComplex:
+    """Close a scan's complex into ring scalars: its closing pass.
 
-    def qshift(t):
-        if t.match or t.circles:
-            raise NotClosedError("objects must be empty tangles")
-        return t.qshift
-
-    return C.rebuild(BasedComplex(ring), qshift, lambda f: evaluate(ring, f)[0])
+    Every object becomes its quantum degree and every entry its
+    coefficient, keeping the ids, by one rule per branch.  A closed
+    complex must hold empty tangles, or NotClosedError is raised, and
+    its entries have no cycle to carry a dot.  A reduced one
+    (``marked``) must hold the marked arc without circles, so an entry's
+    summands are the undotted strip (mask 0) and the dotted one (mask 1,
+    the arc's cycle); the dotted one is dropped, which is the ring map
+    x -> 0 of the arc's algebra F[H, x]/(x^2 - Hx), so composition and
+    elimination commute with it.  Either way the undotted summand is
+    the coefficient times H^(jump/2), and H acts as the scalar 1 while
+    raising the grading by 2, so the jump must be even and not
+    negative.  Any other object or summand raises InconsistentError,
+    also under ``python -O``.  ``C`` is consumed: its incidence sets are
+    cleared and each row of entries is freed once it is converted.
+    """
+    arc, masks = (MARKED_ARC, {0, 1}) if marked else ((), {0})
+    D = BasedComplex(C.ring)
+    for oid in sorted(C.h, key=C.h.get):
+        t = C.obj[oid]
+        if t.match != arc or t.circles:
+            if marked:
+                raise InconsistentError(f"object {oid} is not the marked arc: {t}")
+            raise NotClosedError(f"object {oid} is not an empty tangle: {t}")
+        D.add_object(C.h[oid], t.qshift, oid)
+    C.inc.clear()
+    q, zero = D.q, C.ring.zero
+    for a in list(C.out):
+        for b, f in C.out.pop(a).items():
+            jump = q[b] - q[a]
+            if jump % 2 or jump < 0:
+                raise InconsistentError(
+                    f"entry {a} -> {b} jumps by {jump}, which no power of H gives"
+                )
+            if f.terms.keys() - masks:
+                raise InconsistentError(
+                    f"entry {a} -> {b} keeps a summand other than the undotted one"
+                )
+            D.set_entry(a, b, f.terms.get(0, zero))
+    return D
 
 
 def cancel_above(D: BasedComplex) -> BasedComplex:
@@ -117,7 +151,7 @@ def khovanov_table(D: BasedComplex):
 
 
 def s_from_based(D: BasedComplex) -> SResult:
-    """The s-invariant of an evaluated scan; the ground ring must be a field.
+    """The s-invariant of a scan's based complex; the ground ring must be a field.
 
     Consumes ``D``, which is left reduced above degree 0 only: the
     cancellations below degree 0 run on its dual, whose gradings are
@@ -138,7 +172,7 @@ def s_invariant(pd, ring) -> SResult:
     one survivor; over any other field it reads the closed complex.
     """
     order = scan_order(orient_and_sign(pd))
-    return s_from_based(from_filtered(scan(order, ring, "s")))
+    return s_from_based(scan(order, ring, "s"))
 
 
 def base_change(D: BasedComplex, ring) -> BasedComplex:

@@ -26,7 +26,6 @@ from .sinv import (
     BasedComplex,
     InconsistentError,
     base_change,
-    from_filtered,
     s_from_based,
 )
 
@@ -233,8 +232,9 @@ def refine_scanned(C) -> tuple[int, Sq1Quadruple]:
     positive pair of the dual complex, which is the mirror's complex,
     with signs flipped.  The first half's slides are a filtered change
     of basis, so the dual of the complex they leave serves as well.
+    They slide a copy: ``C`` is left as the scan returned it.
     """
-    D = from_filtered(C)
+    D = base_change(C, Z4)
     s_f2, r_plus, s_plus = half_refinement_from_based(D)
     s_m, r_plus_m, s_plus_m = half_refinement_from_based(D.flipped())
     if s_m != -s_f2:

@@ -58,7 +58,6 @@ from bnscan.diagram import (
     scan_order,
     without_kinks,
 )
-from bnscan.sinv import from_filtered
 from bnscan.sq1 import Sq1Quadruple, half_refinement_from_based
 
 
@@ -106,10 +105,8 @@ def seifert_circles(od):
 
 
 def strictly_raising(C):
-    """Does every entry of a scan complex raise the quantum degree?"""
-    return all(
-        f.degree() > 0 for outs in C.out.values() for f in outs.values()
-    )
+    """Does every entry of a scan's based complex raise the quantum degree?"""
+    return all(C.q[b] > C.q[a] for a, outs in C.out.items() for b in outs)
 
 
 def cancel_below(D):
@@ -147,7 +144,7 @@ def cancel_below(D):
 
 def _half_refinement(pd):
     order = scan_order(orient_and_sign(pd))
-    return half_refinement_from_based(from_filtered(scan(order, Z4, "sq1")))
+    return half_refinement_from_based(scan(order, Z4, "sq1"))
 
 
 def two_scan_refine(pd):

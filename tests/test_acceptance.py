@@ -23,7 +23,6 @@ from bnscan.diagram import (
 )
 from bnscan.sinv import (
     BasedComplex,
-    from_filtered,
     khovanov_table,
     s_from_based,
 )
@@ -71,7 +70,7 @@ def crossing_signs(pd):
 
 def s_of(pd, ring, mode="s"):
     so = scan_order(orient_and_sign(pd))
-    return s_from_based(from_filtered(scan(so, ring, mode))).s
+    return s_from_based(scan(so, ring, mode)).s
 
 
 def is_alternating(pd):
@@ -221,10 +220,10 @@ def test_criterion_5_brute_force_oracle():
         crossings, signs = crossing_signs(pd)
         so = scan_order(orient_and_sign(pd))
         for ring, fld in ((F2, "f2"), (Q, "q")):
-            mine = khovanov_table(from_filtered(scan(so, ring, "kh")))
+            mine = khovanov_table(scan(so, ring, "kh"))
             oracle = khovanov_ranks(crossings, signs, fld)
             assert mine == oracle, (pd.name, fld)
-        s_scan = s_from_based(from_filtered(scan(so, F2, "s"))).s
+        s_scan = s_from_based(scan(so, F2, "s")).s
         assert s_scan == bn_s_invariant(crossings, signs, "f2"), pd.name
         if pd.n <= 6:
             for ring, fld in ((F3, "f3"), (Q, "q")):
@@ -380,7 +379,7 @@ def test_criterion_9_engineering_target():
     assert pd.n == 16 and not is_alternating(pd)
     t0 = time.perf_counter()
     so = scan_order(orient_and_sign(pd))
-    s_val = s_from_based(from_filtered(scan(so, F2, "s"))).s
+    s_val = s_from_based(scan(so, F2, "s")).s
     elapsed = time.perf_counter() - t0
     print(
         f"\nCRITERION 9 (engineering target, informational): 16-crossing "

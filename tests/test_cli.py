@@ -12,7 +12,7 @@ from bnscan.cli import Job, main, report, rows_to_csv, rows_to_json, run
 from bnscan.coeff import F2, Z, Z4, ring_from_name
 from bnscan.complex import dump, scan
 from bnscan.diagram import orient_and_sign, parse_knot_line, parse_pd, scan_order
-from bnscan.sinv import from_filtered, khovanov_table, s_invariant
+from bnscan.sinv import khovanov_table, s_invariant
 from knotgen import PD_FIGURE8, PD_TREFOIL
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -563,7 +563,7 @@ def test_one_scan_over_z_gives_every_field_its_own_numbers(
                     ref = s_invariant(pd, field).s
                     got = (a.s_values[rname], b.s_values[rname])
                 else:
-                    table = khovanov_table(from_filtered(scan(order, field, "kh")))
+                    table = khovanov_table(scan(order, field, "kh"))
                     ref = {f"{h},{q}": v for (h, q), v in sorted(table.items())}
                     got = (a.kh_tables[rname], b.kh_tables[rname])
                 assert got == (ref, ref), (pd.name, rname)

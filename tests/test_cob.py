@@ -16,13 +16,19 @@ from bnscan.cob import (
     Tangle,
     compose,
     deloop_iso,
-    evaluate,
     glue_cobs,
     glue_tangles,
     identity_cob,
 )
-from bnscan.complex import dump, scan, tensor_with_crossing
+from bnscan.complex import (
+    FilteredComplex,
+    InconsistentError,
+    dump,
+    scan,
+    tensor_with_crossing,
+)
 from bnscan.diagram import orient_and_sign, parse_pd, scan_order
+from bnscan.sinv import from_filtered
 from helpers import (
     ARC,
     CIRCLE,
@@ -372,28 +378,40 @@ def test_deloop_iso_matches_composition_with_neck_cut_maps(
             assert (g.src, g.tgt, g.terms) == (e.src, e.tgt, e.terms)
 
 
+def _closed(ring, c):
+    """(coefficient, jump) of the entry c once the closing pass has run.
+
+    c is the one entry of a complex of its two ends, in degrees 0 and 1.
+    """
+    C = FilteredComplex(ring)
+    a, b = C.add_object(0, c.src), C.add_object(1, c.tgt)
+    C.set_entry(a, b, c)
+    D = from_filtered(C)
+    return D.out[a].get(b, ring.zero), D.q[b] - D.q[a]
+
+
 def test_evaluate_identity_and_hpow():
     idemp = identity_cob(F2, empty_tangle(qshift=5))
-    assert evaluate(F2, idemp) == (1, 0)
+    assert _closed(F2, idemp) == (1, 0)
     src, tgt = empty_tangle(0), empty_tangle(2)
     i_cob = cob_from_comps(src, tgt, {((), 1): 1})
-    assert evaluate(Z, i_cob) == (1, 2)
+    assert _closed(Z, i_cob) == (1, 2)
     from bnscan.coeff import Modular
 
     f5 = Modular(5)
     three_i2 = cob_from_comps(empty_tangle(0), empty_tangle(4), {((), 2): 3})
-    assert evaluate(f5, three_i2) == (3, 4)
+    assert _closed(f5, three_i2) == (3, 4)
     # no power of H has an odd or a negative quantum jump, and a closed
     # cobordism has no cycle to carry a dot
     for jump, mask in ((1, 0), (-2, 0), (2, 1)):
-        with pytest.raises(AssertionError):
-            evaluate(Z, Cob(empty_tangle(0), empty_tangle(jump), {mask: 1}))
+        with pytest.raises(InconsistentError):
+            _closed(Z, Cob(empty_tangle(0), empty_tangle(jump), {mask: 1}))
 
 
 def test_evaluate_rejects_open_boundary():
     t = Tangle((1, 0))
     with pytest.raises(NotClosedError):
-        evaluate(Q, identity_cob(Q, t))
+        _closed(Q, identity_cob(Q, t))
 
 
 def test_compose_mismatch_raises():

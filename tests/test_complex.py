@@ -23,7 +23,6 @@ from bnscan.complex import (
     NotCancellableError,
     crossing_complex,
     deloop,
-    drop_marked_dots,
     dump,
     gauss_eliminate,
     initial_complex,
@@ -241,9 +240,8 @@ def test_reduce_pass_saturates():
         for ring in (F2, Q, Z4):
             C = scan(so, ring, mode="kh")
             for a, outs in C.out.items():
-                for b, f in outs.items():
-                    k = f.identity_coefficient()
-                    assert k is None or not ring.is_unit(k)
+                for b, k in outs.items():
+                    assert C.q[a] != C.q[b] or not ring.is_unit(k)
             if ring.is_field:
                 assert strictly_raising(C)
 
@@ -251,8 +249,7 @@ def test_reduce_pass_saturates():
 def test_scan_unknots_normalize():
     for txt in ("PD[]", "PD[X[1,1,2,2]]", "PD[X[2,1,1,2]]"):
         so = scan_order(orient_and_sign(parse_pd(txt)))
-        C = scan(so, Q, mode="s")
-        D = from_filtered(C)
+        D = scan(so, Q, mode="s")
         assert sorted(D.q[g] for g in D.objects_at(0)) == [-1, 1]
         assert s_from_based(D).s == 0
 
@@ -268,7 +265,7 @@ def test_scan_trefoil_full_matches_dense_oracle():
     pd = parse_pd(PD_TREFOIL)
     od = orient_and_sign(pd)
     so = scan_order(od)
-    mine = khovanov_table(from_filtered(scan(so, F2, "kh")))
+    mine = khovanov_table(scan(so, F2, "kh"))
     oracle = khovanov_ranks(od.pd.crossings, od.signs, "f2")
     assert mine == oracle
 
@@ -293,12 +290,12 @@ def test_scan_vs_dense_oracle(maker):
     od = orient_and_sign(pd)
     so = scan_order(od)
     for ring, fld in ((F2, "f2"), (F3, "f3"), (Q, "q")):
-        mine = khovanov_table(from_filtered(scan(so, ring, "kh")))
+        mine = khovanov_table(scan(so, ring, "kh"))
         assert mine == khovanov_ranks(od.pd.crossings, od.signs, fld)
-    s_scan = s_from_based(from_filtered(scan(so, F2, "s"))).s
+    s_scan = s_from_based(scan(so, F2, "s")).s
     assert s_scan == bn_s_invariant(od.pd.crossings, od.signs, "f2")
     # mode-s and mode-full agree on the invariant
-    assert s_scan == s_from_based(from_filtered(scan(so, F2, "kh"))).s
+    assert s_scan == s_from_based(scan(so, F2, "kh")).s
 
 
 def test_full_scan_two_generators_over_fields():
@@ -310,7 +307,7 @@ def test_full_scan_two_generators_over_fields():
     pd = torus_pd(3)
     so = scan_order(orient_and_sign(pd))
     for ring, least in ((F2, 1), (F3, 2), (Q, 2)):
-        D = from_filtered(scan(so, ring, "s"))
+        D = scan(so, ring, "s")
         assert {q % 2 for q in D.q.values()} == {0 if ring == F2 else 1}
         total_h0 = len(D.objects_at(0))
         assert total_h0 >= least
@@ -473,22 +470,21 @@ def test_check_raises_on_incoherent_indexes_under_optimized_mode():
 
 def test_reduced_scan_refuses_an_object_other_than_the_marked_arc_under_optimized_mode():
     # after the last deloop of a reduced scan every object must be the
-    # marked arc without circles; drop_marked_dots must name any other
+    # marked arc without circles; the closing pass must name any other
     # one even when assert statements are compiled away
     script = (
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
         "from bnscan.cob import Tangle\n"
         "from bnscan.coeff import F2\n"
-        "from bnscan.complex import (\n"
-        "    MARKED_ARC, FilteredComplex, InconsistentError, drop_marked_dots,\n"
-        ")\n"
+        "from bnscan.complex import MARKED_ARC, FilteredComplex, InconsistentError\n"
+        "from bnscan.sinv import from_filtered\n"
         "for other in (Tangle(()), Tangle(MARKED_ARC, 1), Tangle((1, 0, 3, 2))):\n"
         "    C = FilteredComplex(F2)\n"
         "    C.add_object(0, Tangle(MARKED_ARC))\n"
         "    C.add_object(1, other)\n"
         "    try:\n"
-        "        drop_marked_dots(C)\n"
+        "        from_filtered(C, marked=True)\n"
         "    except InconsistentError as exc:\n"
         "        if 'not the marked arc' not in str(exc):\n"
         "            raise SystemExit(f'wrong message: {exc}')\n"
@@ -510,16 +506,15 @@ def test_reduced_scan_refuses_a_summand_beyond_the_marked_arc_under_optimized_mo
         "    raise SystemExit(4)\n"
         "from bnscan.cob import Cob, Tangle\n"
         "from bnscan.coeff import F2\n"
-        "from bnscan.complex import (\n"
-        "    MARKED_ARC, FilteredComplex, InconsistentError, drop_marked_dots,\n"
-        ")\n"
+        "from bnscan.complex import MARKED_ARC, FilteredComplex, InconsistentError\n"
+        "from bnscan.sinv import from_filtered\n"
         "arc = Tangle(MARKED_ARC)\n"
         "for terms in ({2: 1}, {0: 1, 2: 1}, {3: 1}):\n"
         "    C = FilteredComplex(F2)\n"
         "    a, b = C.add_object(0, arc), C.add_object(1, arc._replace(qshift=4))\n"
         "    C.set_entry(a, b, Cob(arc, arc._replace(qshift=4), terms))\n"
         "    try:\n"
-        "        drop_marked_dots(C)\n"
+        "        from_filtered(C, marked=True)\n"
         "    except InconsistentError as exc:\n"
         "        if 'other than the undotted one' not in str(exc):\n"
         "            raise SystemExit(f'wrong message: {exc}')\n"
@@ -563,28 +558,27 @@ def test_reduced_readoff_needs_one_survivor_at_even_q_under_optimized_mode():
 
 def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
     # mode s over F2 ends at the marked arc, closed again once its dot is
-    # dropped: every object is empty and every entry keeps only its
-    # undotted summand, every generator sits at even q where those of the
-    # closed scan (mode kh) sit at odd q, the survivor sits at s and stands
-    # for the pair at s +- 1 of the closed scan, and a diagram without
-    # crossings is the closed arc itself
+    # dropped: the scan returns a based complex, every entry is the
+    # coefficient of its undotted summand, every generator sits at even q
+    # where those of the closed scan (mode kh) sit at odd q, the survivor
+    # sits at s and stands for the pair at s +- 1 of the closed scan, and
+    # a diagram without crossings is the closed arc itself
     arc = Tangle(MARKED_ARC)
     for txt, s in (("PD[]", 0), ("PD[X[1,1,2,2]]", 0), (PD_TREFOIL, 2)):
         so = scan_order(orient_and_sign(parse_pd(txt)))
         C, closed = scan(so, F2, "s"), scan(so, F2, "kh")
-        assert all(t.qshift % 2 == 0 for t in C.obj.values())
-        assert all(t.qshift % 2 for t in closed.obj.values())
-        assert all(t == Tangle((), 0, t.qshift) for t in C.obj.values())
-        entries = [f for outs in C.out.values() for f in outs.values()]
-        assert all(f.terms.keys() == {0} for f in entries)
+        assert all(q % 2 == 0 for q in C.q.values())
+        assert all(q % 2 for q in closed.q.values())
+        assert isinstance(C, BasedComplex) and isinstance(closed, BasedComplex)
+        entries = [k for outs in C.out.values() for k in outs.values()]
+        assert all(k == F2.one for k in entries)
         C.check()
-        D = from_filtered(C)
-        assert all(q % 2 == 0 for q in D.q.values())
-        res = s_from_based(D)
+        res = s_from_based(C)
         assert abs(res.s) == s
-        assert res == s_from_based(from_filtered(closed))
-    # a dotted summand is dropped, an undotted one kept in a new entry
-    # between the closed objects, which keep their even gradings
+        assert res == s_from_based(closed)
+    # a dotted summand is dropped, an undotted one kept as its
+    # coefficient between the closed generators, which keep the even
+    # gradings and the ids of the arcs; the pass consumes the entries
     C = FilteredComplex(F2)
     a, b, c = (
         C.add_object(h, arc._replace(qshift=q)) for h, q in ((0, 0), (1, 2), (1, 4))
@@ -592,13 +586,51 @@ def test_reduced_scan_opens_the_last_pair_and_drops_the_dot_on_the_arc():
     shared = {0: 1, 1: 1}
     C.set_entry(a, b, Cob(arc, arc._replace(qshift=2), shared))
     C.set_entry(a, c, Cob(arc, arc._replace(qshift=4), {1: 1}))
-    drop_marked_dots(C)
-    assert [C.obj[oid].qshift for oid in (a, b, c)] == [0, 2, 4]
-    assert C.out[a] == {b: C.out[a][b]} and C.inc[c] == set()
-    assert C.out[a][b].terms == {0: 1} and shared == {0: 1, 1: 1}
-    assert (C.out[a][b].src, C.out[a][b].tgt) == (Tangle(()), Tangle((), 0, 2))
-    C.check()
-    assert dump(C) == "0 0 0\n1 2 0\n1 4 1\n0 0 0 1 1\n"
+    D = from_filtered(C, marked=True)
+    assert [D.q[oid] for oid in (a, b, c)] == [0, 2, 4]
+    assert D.out[a] == {b: D.out[a][b]} and D.inc[c] == set()
+    assert D.out[a][b] == 1 and shared == {0: 1, 1: 1}
+    assert isinstance(D, BasedComplex) and not C.out and not C.inc
+    D.check()
+    assert dump(D) == "0 0 0\n1 2 0\n1 4 1\n0 0 0 1 1\n"
+
+
+def test_the_closing_pass_refuses_an_open_object_an_odd_jump_or_a_dot_under_optimized_mode():
+    # after the last deloop of a closed scan every object must be an
+    # empty tangle, and every entry the coefficient times a power of H:
+    # no dot, since an empty cobordism has no cycle to carry one, and an
+    # even jump that is not negative; the closing pass must refuse each
+    # other entry or object even when assert statements are compiled away
+    script = (
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "from bnscan.cob import Cob, NotClosedError, Tangle\n"
+        "from bnscan.coeff import Z\n"
+        "from bnscan.complex import FilteredComplex, InconsistentError\n"
+        "from bnscan.sinv import from_filtered\n"
+        "cases = [\n"
+        "    ((1, 0), 0, 2, {0: 1}, NotClosedError, 'not an empty tangle'),\n"
+        "    ((), 1, 2, {0: 1}, NotClosedError, 'not an empty tangle'),\n"
+        "    ((), 0, 1, {0: 1}, InconsistentError, 'no power of H'),\n"
+        "    ((), 0, -2, {0: 1}, InconsistentError, 'no power of H'),\n"
+        "    ((), 0, 2, {1: 1}, InconsistentError, 'other than the undotted one'),\n"
+        "]\n"
+        "for match, circles, q, terms, error, message in cases:\n"
+        "    src, tgt = Tangle(()), Tangle(match, circles, q)\n"
+        "    C = FilteredComplex(Z)\n"
+        "    a, b = C.add_object(0, src), C.add_object(1, tgt)\n"
+        "    C.set_entry(a, b, Cob(src, tgt, terms))\n"
+        "    try:\n"
+        "        from_filtered(C)\n"
+        "    except error as exc:\n"
+        "        if message not in str(exc):\n"
+        "            raise SystemExit(f'wrong message: {exc}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'missed {tgt} with terms {terms}')\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_add_object_refuses_an_id_in_use():

@@ -15,7 +15,6 @@ from bnscan.sinv import (
     InconsistentError,
     base_change,
     cancel_above,
-    from_filtered,
     khovanov_table,
     read_s,
     s_from_based,
@@ -121,10 +120,10 @@ def test_the_dual_readoff_matches_the_readoff_from_below():
         for pd in pds:
             order = scan_order(orient_and_sign(pd))
             # the F2 scan is reduced; the closed F2 complex comes from Z
-            closed = from_filtered(scan(order, Z, "s"))
+            closed = scan(order, Z, "s")
             for parity, D in (
-                (0, from_filtered(scan(order, F2, "s"))),
-                (1, from_filtered(scan(order, Q, "s"))),
+                (0, scan(order, F2, "s")),
+                (1, scan(order, Q, "s")),
                 (1, reduce_pass(base_change(closed, F2))),
             ):
                 assert {q % 2 for q in D.q.values()} == {parity}, pd.name
@@ -153,7 +152,7 @@ def test_figure2_generator_count_matches_object_count():
 
 def test_unknot_based_complex():
     so = scan_order(orient_and_sign(parse_pd("PD[]")))
-    D = from_filtered(scan(so, Q, "s"))
+    D = scan(so, Q, "s")
     assert sorted(D.q[g] for g in D.objects_at(0)) == [-1, 1]
     assert all(not D.out[g] for g in D.objects_at(0))
     assert s_from_based(D).s == 0
@@ -182,7 +181,7 @@ def test_read_s_rejects_wide_witness():
 def test_khovanov_table_torus():
     pd = torus_pd(3)
     od = orient_and_sign(pd)
-    D = from_filtered(scan(scan_order(od), Q, "kh"))
+    D = scan(scan_order(od), Q, "kh")
     assert khovanov_table(D) == {(0, 1): 1, (0, 3): 1, (2, 5): 1, (3, 9): 1}
 
 
@@ -191,8 +190,8 @@ def test_f2_rank_dominates_q_rank():
     for pd in (torus_pd(3), rational_pd([2, 2]), rational_pd([3, 1, 1])):
         od = orient_and_sign(pd)
         so = scan_order(od)
-        t2 = khovanov_table(from_filtered(scan(so, F2, "kh")))
-        tq = khovanov_table(from_filtered(scan(so, Q, "kh")))
+        t2 = khovanov_table(scan(so, F2, "kh"))
+        tq = khovanov_table(scan(so, Q, "kh"))
         for key, v in tq.items():
             assert t2.get(key, 0) >= v
 
@@ -205,7 +204,7 @@ def test_cancellation_partner_robustness():
     so = scan_order(orient_and_sign(pd))
     base = None
     for trial in range(8):
-        D = from_filtered(scan(so, F3, "s"))
+        D = scan(so, F3, "s")
 
         def rand_cancel_above(D):
             while True:
@@ -346,10 +345,10 @@ def test_integral_scan_finished_per_field_matches_the_field_scan(pd):
     # the scan over the field itself
     order = scan_order(orient_and_sign(pd))
     for mode in ("s", "kh"):
-        D = from_filtered(scan(order, Z, mode))
+        D = scan(order, Z, mode)
         for ring in (F2, F3, Modular(5), Q):
             E = reduce_pass(base_change(D, ring))
-            direct = from_filtered(scan(order, ring, mode))
+            direct = scan(order, ring, mode)
             if mode == "s":
                 assert s_from_based(E) == s_from_based(direct)
             else:
@@ -359,7 +358,7 @@ def test_integral_scan_finished_per_field_matches_the_field_scan(pd):
 def test_base_change_over_the_scan_ring_changes_nothing():
     order = scan_order(orient_and_sign(torus_pd(5)))
     for ring in (F3, Q):
-        D = from_filtered(scan(order, ring, "s"))
+        D = scan(order, ring, "s")
         E = reduce_pass(base_change(D, ring))
         assert (E.q, E.h, E.out) == (D.q, D.h, D.out)
 

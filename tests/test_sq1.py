@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnscan.coeff import Z4, F2
-from bnscan.complex import scan
+from bnscan.complex import dump, scan
 from bnscan.diagram import orient_and_sign, scan_order
-from bnscan.sinv import BasedComplex, base_change, from_filtered, s_from_based
+from bnscan.sinv import BasedComplex, base_change, s_from_based
 from bnscan.sq1 import (
     NotSaturatedError,
     Sq1Quadruple,
@@ -172,7 +172,7 @@ def test_figure2_full_quadruple_via_flip():
 
 def _two_normal_form_refine(C):
     """refine_scanned with the dual taken before the first half's slides."""
-    D = from_filtered(C)
+    D = base_change(C, Z4)
     dual = D.flipped()
     s_f2, r_plus, s_plus = half_refinement_from_based(D)
     _s_m, r_plus_m, s_plus_m = half_refinement_from_based(dual)
@@ -186,13 +186,26 @@ def test_the_dual_of_a_normal_form_needs_no_slides():
     with open(os.path.join(DATA, "mixed_knots.txt")) as f:
         knots = {pd.name: pd for _ln, pd in parse_knot_file(f.read())}
     p355 = scan(scan_order(orient_and_sign(knots["P(3,5,5)"])), Z4, "sq1")
-    for D in (load_figure2()[0], from_filtered(p355)):
+    for D in (load_figure2()[0], base_change(p355, Z4)):
         normal_form(D)
         assert normal_form(D.flipped()).slides == 0
-    assert normal_form(from_filtered(p355)).slides > 0
+    assert normal_form(base_change(p355, Z4)).slides > 0
     for pd in knots.values():
         C = scan(scan_order(orient_and_sign(pd)), Z4, "sq1")
         assert refine_scanned(C) == _two_normal_form_refine(C), pd.name
+
+
+def test_refine_scanned_leaves_the_scanned_complex_as_it_was():
+    # normal_form slides its complex in place, and the CLI dumps the
+    # complex after refine_scanned has read it: the slides must run on a
+    # copy.  P(3,5,5) is a knot whose normal form slides.
+    with open(os.path.join(DATA, "mixed_knots.txt")) as f:
+        knots = {pd.name: pd for _ln, pd in parse_knot_file(f.read())}
+    C = scan(scan_order(orient_and_sign(knots["P(3,5,5)"])), Z4, "sq1")
+    assert normal_form(base_change(C, Z4)).slides > 0
+    before = dump(C)
+    refine_scanned(C)
+    assert dump(C) == before
 
 
 def test_refine_on_torsion_free_knots_is_standard():
@@ -221,16 +234,16 @@ def test_refine_bounds_and_mirror_relations():
 
 
 def test_mod2_reduction_matches_f2_scan_window():
-    from bnscan.sinv import from_filtered, khovanov_table
+    from bnscan.sinv import khovanov_table
 
     for pd in (parse_pd(PD_TREFOIL), rational_pd([2, 2])):
         so = scan_order(orient_and_sign(pd))
-        D = from_filtered(scan(so, Z4, "sq1"))
+        D = scan(so, Z4, "sq1")
         E = base_change(D, F2)
         counts_z4 = {}
         for g, h in E.h.items():
             counts_z4[(h, E.q[g])] = counts_z4.get((h, E.q[g]), 0) + 1
-        full = khovanov_table(from_filtered(scan(so, F2, "kh")))
+        full = khovanov_table(scan(so, F2, "kh"))
         window = {k: v for k, v in full.items() if -2 <= k[0] <= 2}
         assert counts_z4 == window
 
